@@ -29,6 +29,7 @@ from .errors import (
     NormalPositionError,
     NotClosedError,
     NotEliminationOrderError,
+    NotPrimaryError,
     ParseError,
     RingMismatchError,
     UnsolvableSystemError,
@@ -108,6 +109,7 @@ __all__ = [
     "NormalPositionReport",
     "NotClosedError",
     "NotEliminationOrderError",
+    "NotPrimaryError",
     "ParseError",
     "Polynomial",
     "POT",

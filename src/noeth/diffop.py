@@ -220,15 +220,23 @@ def span_equal_operators(a, b) -> bool:
     return span_equal(rows_a, rows_b)
 
 
-def is_closed(ops) -> bool:
-    """Stable under every lowering morphism (as a span)."""
+def is_closed(ops, echelon=None) -> bool:
+    """Stable under every lowering morphism (as a span).
+
+    echelon is an optional (columns, reduced rows, pivots) triple: the columns
+    of operator_matrix(ops) and the rref of its rows, for a caller that has
+    already computed them.
+    """
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         return True
     ring = ops[0].ring
-    columns, rows = operator_matrix(ops)
+    if echelon is None:
+        columns, rows = operator_matrix(ops)
+        reduced, pivots = rref(rows)
+    else:
+        columns, reduced, pivots = echelon
     colset = set(columns)
-    reduced, pivots = rref(rows)
     zero = _zero_of(ops)
     for L in ops:
         for j in range(ring.x_count):

@@ -47,6 +47,10 @@ class NotClosedError(NoethError):
     """An operator family is not stable under the lowering morphisms."""
 
 
+class NotPrimaryError(NoethError):
+    """The input is not primary at the center: the maximal ideal there is not nilpotent modulo it."""
+
+
 class ParseError(Exception):
     """Problem-file syntax error with 1-based source position."""
 

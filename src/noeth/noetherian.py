@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product as iter_product
 from typing import Sequence
 
 from .diffop import (
@@ -22,19 +21,30 @@ from .diffop import (
     dual_of_polynomial,
     is_closed,
     operator_columns,
+    operator_matrix,
 )
 from .errors import (
     NoethError,
     NotClosedError,
+    NotPrimaryError,
     RingMismatchError,
     UnsolvableSystemError,
     ZeroPolynomialError,
 )
-from .groebner import GroebnerBasis, buchberger, corner_monomials, normal_form, staircase
+from .groebner import GroebnerBasis, Staircase, buchberger, corner_monomials, normal_form, staircase
 from .linalg import nullspace, reduce_against, rref
 from .orderings import AnyOrder, as_module_order, leading_term
 from .polynomial import Polynomial
-from .ring import Exponent, RingDescriptor, exp_add, exp_deg, exp_divides, exp_sub, reading_key
+from .ring import (
+    Exponent,
+    RingDescriptor,
+    TermKey,
+    exp_add,
+    exp_deg,
+    exp_divides,
+    exp_sub,
+    reading_key,
+)
 
 
 class NoetherianBasis:
@@ -63,12 +73,11 @@ class NoetherianBasis:
         ops = self.operators
         if len(ops) != self.multiplicity:
             raise NoethError("operator count does not match the multiplicity")
-        columns = operator_columns(ops)
-        rows = [[L.terms.get(col, Fraction(0) * _unit_of(ops)) for col in columns] for L in ops]
-        reduced, _ = rref(rows)
+        columns, rows = operator_matrix(ops)
+        reduced, pivots = rref(rows)
         if len(reduced) != len(ops):
             raise NoethError("operators are linearly dependent")
-        if not is_closed(ops):
+        if not is_closed(ops, echelon=(columns, reduced, pivots)):
             raise NoethError("operator span is not stable under differentiation lowering")
         if ops and ops[0].degree() != 0:
             raise NoethError("the first operator must be an order-zero evaluation")
@@ -77,27 +86,29 @@ class NoetherianBasis:
                 raise NoethError("operator order exceeds the multiplicity bound")
 
 
-def _unit_of(ops) -> object:
-    for L in ops:
-        for c in L.terms.values():
-            return c / c
-    return Fraction(1)
-
-
 def translate_to_origin(gens: Sequence[Polynomial], point) -> list[Polynomial]:
     """Rewrite each generator in coordinates centered at point."""
     return [g.substitute_affine(point) for g in gens]
 
 
+def _exponents_of_degree(n: int, degree: int) -> list[Exponent]:
+    """Exponents of length n and the given total degree, lexicographically largest first."""
+    if n == 0:
+        return [()] if degree == 0 else []
+    return [
+        (e,) + rest
+        for e in range(degree, -1, -1)
+        for rest in _exponents_of_degree(n - 1, degree - e)
+    ]
+
+
 def monomial_keys_below(ring: RingDescriptor, bound: int) -> list[tuple[int, Exponent]]:
     """All (position, exponent) keys with total degree < bound, reading order."""
-    n = ring.x_count
     keys = []
-    for exp in iter_product(*(range(bound) for _ in range(n))):
-        if exp_deg(exp) < bound:
-            for pos in range(1, ring.rank + 1):
-                keys.append((pos, exp))
-    keys.sort(key=reading_key)
+    for degree in range(bound):
+        exps = _exponents_of_degree(ring.x_count, degree)
+        for pos in range(1, ring.rank + 1):
+            keys.extend((pos, exp) for exp in exps)
     return keys
 
 
@@ -129,18 +140,103 @@ def _prepare(G, center):
     return G0, center
 
 
+def _multiplication_matrices(G0: GroebnerBasis, stair: Staircase) -> list[dict]:
+    """Multiplication by each variable on the quotient, in the staircase basis.
+
+    Entry j maps every residual monomial b to the terms of NF(x_j * b), the
+    sparse column of M_j at b.  A product that stays in the staircase is its
+    own normal form; only the border needs the division algorithm.
+    """
+    ring = G0.ring
+    residual = set(stair.monomials)
+    matrices = []
+    for j in range(ring.nvars):
+        unit = ring.var_exp(j)
+        columns = {}
+        for pos, exp in stair.monomials:
+            key = (pos, exp_add(exp, unit))
+            if key in residual:
+                columns[(pos, exp)] = {key: Fraction(1)}
+            else:
+                columns[(pos, exp)] = normal_form(Polynomial.monomial(ring, key[1], 1, pos), G0).terms
+        matrices.append(columns)
+    return matrices
+
+
+def _times(column: dict, vector: dict) -> dict:
+    """The product M_j * vector for sparse vectors over the staircase."""
+    out: dict = {}
+    for b, c in vector.items():
+        for key, v in column[b].items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _nonzero_normal_forms(G0: GroebnerBasis, stair: Staircase) -> dict[TermKey, dict]:
+    """Terms of NF(x^alpha e_pos) for every monomial outside the input, by degree.
+
+    Layer d+1 comes from layer d through NF(x^(alpha + e_j)) = M_j NF(x^alpha);
+    only nonzero normal forms are carried, since a monomial with a zero
+    predecessor lies in the input.  The walk ends at the first empty layer,
+    beyond which every monomial lies in the input.  On primary input that
+    layer has degree at most mu; a nonzero layer of degree mu means the
+    maximal ideal is not nilpotent modulo the input.
+    """
+    ring = G0.ring
+    n = ring.nvars
+    mu = stair.multiplicity
+    units = [ring.var_exp(j) for j in range(n)]
+    layer = {}
+    for pos in range(1, ring.rank + 1):
+        nf = normal_form(Polynomial.constant(ring, 1, pos), G0).terms
+        if nf:
+            layer[(pos, ring.zero_exp())] = nf
+    mult = _multiplication_matrices(G0, stair)
+    found: dict[TermKey, dict] = {}
+    degree = 0
+    while layer:
+        if degree == mu:
+            raise NotPrimaryError(
+                f"the input is not primary at the center: a monomial of degree {mu} "
+                f"(the multiplicity) has a nonzero normal form"
+            )
+        found.update(layer)
+        above: dict[TermKey, dict] = {}
+        seen: set[TermKey] = set()
+        for (pos, alpha), vector in layer.items():
+            for j in range(n):
+                key = (pos, exp_add(alpha, units[j]))
+                if key in seen:
+                    continue
+                seen.add(key)
+                up = key[1]
+                if any(up[k] and (pos, exp_sub(up, units[k])) not in layer for k in range(n)):
+                    continue
+                image = _times(mult[j], vector)
+                if image:
+                    above[key] = image
+        layer = above
+        degree += 1
+    return found
+
+
 def noetherian_forward(G: GroebnerBasis, center=None) -> NoetherianBasis:
-    """Taylor-coefficient construction: one operator per residual monomial."""
+    """Taylor-coefficient construction: one operator per residual monomial.
+
+    The operator at a residual monomial beta collects the beta-coefficients
+    of the normal forms of all monomials, read off a degree walk with the
+    multiplication matrices; raises NotPrimaryError when the input is not
+    primary at the center.
+    """
     G0, center = _prepare(G, center)
     ring = G0.ring
     stair = staircase(G0)
     mu = stair.multiplicity
-    rows: dict[tuple[int, Exponent], dict] = {beta: {} for beta in stair.monomials}
-    for key in monomial_keys_below(ring, mu):
-        pos, alpha = key
-        nf = normal_form(Polynomial.monomial(ring, alpha, 1, pos), G0)
-        for (p, exp), c in nf.terms.items():
-            rows[(p, exp)][key] = c
+    nfs = _nonzero_normal_forms(G0, stair)
+    rows: dict[TermKey, dict] = {beta: {} for beta in stair.monomials}
+    for key in sorted(nfs, key=reading_key):
+        for beta, c in nfs[key].items():
+            rows[beta][key] = c
     ops = [DiffOp(ring, rows[beta], center) for beta in stair.monomials]
     basis = NoetherianBasis(ops, mu, center, "forward", G0)
     basis.validate()

@@ -162,6 +162,19 @@ def test_domain_error_exit_one(capsys, tmp_path):
     assert "error" in json.loads(out2)
 
 
+def test_noether_non_primary_input_is_exit_one(capsys, tmp_path):
+    path = tmp_path / "two_points.noeth"
+    path.write_text("ring x;\norder lex;\nideal x^2 - x;\n")
+    code, out, err = run(capsys, "noether", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "not primary" in err
+    code2, out2, _ = run(capsys, "noether", "--json", str(path))
+    assert code2 == 1
+    assert "not primary" in json.loads(out2)["error"]
+
+
 def test_no_generators_error(capsys, tmp_path):
     path = tmp_path / "empty.noeth"
     path.write_text("ring x;\norder lex;\n")

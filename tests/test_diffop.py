@@ -22,6 +22,7 @@ from noeth import (
 )
 from noeth.diffop import alpha_factorial, operator_columns, operator_matrix
 from noeth.errors import NotClosedError, RingMismatchError
+from noeth.linalg import rref
 from support import RXY, RXYZ, random_fraction, random_polynomial
 
 
@@ -179,6 +180,17 @@ def test_is_closed_goldens():
     assert not is_closed([dx])
     assert not is_closed([dx + dxdy])
     assert is_closed([])
+
+
+def test_is_closed_with_precomputed_echelon():
+    rng = random.Random(337)
+    for _ in range(30):
+        ops = closure([random_operator(rng, RXY)])
+        if rng.random() < 0.5:
+            ops = ops[1:]
+        columns, rows = operator_matrix(ops)
+        reduced, pivots = rref(rows)
+        assert is_closed(ops, echelon=(columns, reduced, pivots)) == is_closed(ops)
 
 
 def test_closure_goldens():

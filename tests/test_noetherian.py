@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -23,17 +26,22 @@ from noeth import (
     noetherian_forward,
     noetherian_linear,
     normal_form,
+    parse_problem,
+    staircase,
     translate_to_origin,
 )
 from noeth.errors import (
     NoethError,
     NotClosedError,
+    NotPrimaryError,
     UnsolvableSystemError,
     ZeroPolynomialError,
 )
 from noeth.noetherian import monomial_keys_below
+from noeth.ring import reading_key
 from support import (
     RM2,
+    RX,
     RXY,
     RXYZ,
     random_combination,
@@ -213,6 +221,99 @@ def test_monomial_keys_below():
         (2, (1, 0)),
         (2, (0, 1)),
     ]
+
+
+def test_monomial_keys_below_by_degree():
+    for ring, bound in ((RXYZ, 5), (RM2, 4), (RX, 3)):
+        box = [
+            (pos, exp)
+            for exp in product(range(bound), repeat=ring.x_count)
+            for pos in range(1, ring.rank + 1)
+            if sum(exp) < bound
+        ]
+        assert monomial_keys_below(ring, bound) == sorted(box, key=reading_key)
+    start = time.perf_counter()
+    keys = monomial_keys_below(RXYZ, 60)
+    assert time.perf_counter() - start < 1.0
+    assert len(keys) == comb(62, 3)
+
+
+def reference_forward_rows(G, center=None):
+    """Operator term dicts read off one normal form per monomial below mu."""
+    ring = G.ring
+    G0 = buchberger(translate_to_origin(list(G.elements), center), G.order, ring) if center else G
+    stair = staircase(G0)
+    mu = stair.multiplicity
+    rows = {beta: {} for beta in stair.monomials}
+    exps = [e for e in product(range(mu), repeat=ring.nvars) if sum(e) < mu]
+    keys = sorted(((pos, e) for e in exps for pos in range(1, ring.rank + 1)), key=reading_key)
+    for pos, alpha in keys:
+        for beta, c in normal_form(Polynomial.monomial(ring, alpha, 1, pos), G0).terms.items():
+            rows[beta][(pos, alpha)] = c
+    return [list(rows[beta].items()) for beta in stair.monomials]
+
+
+def sheared(gens, rng):
+    """Images of gens under a random unipotent linear change of coordinates."""
+    ring = gens[0].ring
+    xs = [Polynomial.variable(ring, i) for i in range(ring.nvars)]
+    images = [
+        sum((xs[j].scale(rng.randint(-2, 2)) for j in range(i + 1, ring.nvars)), xs[i])
+        for i in range(ring.nvars)
+    ]
+    out = []
+    for g in gens:
+        h = Polynomial.zero(ring)
+        for (_, exp), c in g.terms.items():
+            m = Polynomial.constant(ring, c)
+            for image, e in zip(images, exp):
+                m = m * image**e
+            h = h + m
+        out.append(h)
+    return out
+
+
+MODULE_COMPONENTS = (
+    "ring x, y;\norder lex;\nmoduleorder top;\n"
+    "component [x, 1], [y, x], [0, y] at 0, 0;\n"
+    "component [x - 1, 1], [y, 0], [0, x - 1], [0, y] at 1, 0;\n"
+)
+
+
+def test_forward_matches_one_normal_form_per_monomial():
+    rng = random.Random(331)
+    cases = []
+    for ring, cap in ((RXY, 12), (RXYZ, 12)):
+        for _ in range(4):
+            gens = random_origin_primary(rng, ring, cap)
+            cases.append((buchberger(gens, DegLex(), ring), None))
+            cases.append((buchberger(sheared(gens, rng), DegLex(), ring), None))
+    center = (Fraction(3), Fraction(-1, 2))
+    for _ in range(3):
+        gens = sheared(random_origin_primary(rng, RXY, 10), rng)
+        gens = translate_to_origin(gens, [-c for c in center])
+        cases.append((buchberger(gens, DegLex(), RXY), center))
+    spec = parse_problem(MODULE_COMPONENTS)
+    for comp in spec.components:
+        G = buchberger(comp.generators, spec.effective_order, spec.ring)
+        cases.append((G, comp.center))
+    for G, center in cases:
+        basis = noetherian_forward(G, center)
+        assert [list(L.terms.items()) for L in basis.operators] == reference_forward_rows(G, center)
+        assert basis.center == (center or (Fraction(0),) * G.ring.nvars)
+
+
+def test_forward_rejects_non_primary_input():
+    x = Polynomial.variable(RX, "x")
+    with pytest.raises(NotPrimaryError):
+        noetherian_forward(buchberger([x**2 - x], Lex(), RX))
+    a, b = xy_vars()
+    with pytest.raises(NotPrimaryError):
+        noetherian_forward(buchberger([a * (a - 1) * (a + 2), b], DegLex(), RXY))
+    # a zero of a non-rational component elsewhere: x^3 + x = x (x^2 + 1)
+    with pytest.raises(NotPrimaryError):
+        noetherian_forward(buchberger([x**3 + x], Lex(), RX))
+    assert issubclass(NotPrimaryError, NoethError)
 
 
 def test_validate_rejects_malformed_bases():
