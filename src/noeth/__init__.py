@@ -17,8 +17,6 @@ from .diffop import (
     closure,
     dual_of_polynomial,
     is_closed,
-    rho_morphism,
-    sigma_morphism,
     span_equal_operators,
 )
 from .epsolution import SolutionFamily, build_solution, render_solution, solution_json
@@ -69,7 +67,7 @@ from .orderings import (
     leading_term,
     smallest_term,
 )
-from .polynomial import Polynomial, evaluate, poly_add, poly_mul, substitute_affine
+from .polynomial import Polynomial, poly_mul
 from .posdim import (
     NormalPositionReport,
     check_normal_position,
@@ -136,7 +134,6 @@ __all__ = [
     "dual_of_polynomial",
     "eliminate",
     "emit_json",
-    "evaluate",
     "extend_to_rational_coeffs",
     "ideal_from_conditions",
     "is_closed",
@@ -154,7 +151,6 @@ __all__ = [
     "operator_json",
     "parse_polynomial",
     "parse_problem",
-    "poly_add",
     "poly_gcd",
     "poly_lcm",
     "poly_mul",
@@ -163,14 +159,11 @@ __all__ = [
     "render_operator",
     "render_polynomial",
     "render_solution",
-    "rho_morphism",
     "ring_json",
     "s_polynomial",
-    "sigma_morphism",
     "smallest_term",
     "solution_json",
     "span_equal_operators",
     "staircase",
-    "substitute_affine",
     "translate_to_origin",
 ]

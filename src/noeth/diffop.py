@@ -10,12 +10,12 @@ it, and the dual of a polynomial copies its coefficients verbatim.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping
 
 from .errors import NotClosedError, RingMismatchError
-from .linalg import in_span, rref
 from .polynomial import Polynomial
 from .ring import Exponent, RingDescriptor, exp_deg, reading_key, t_part, x_part
 
@@ -144,14 +144,6 @@ class DiffOp:
         return DiffOp(self.ring, out, self.center)
 
 
-def sigma_morphism(L: DiffOp, j: int) -> DiffOp:
-    return L.sigma(j)
-
-
-def rho_morphism(L: DiffOp, j: int) -> DiffOp:
-    return L.rho(j)
-
-
 def apply_at(L: DiffOp, f: Polynomial):
     """The scalar L(f) evaluated at L.center (rational coefficients only)."""
     if not L.ring.same_variables(f.ring) or L.ring.rank != f.ring.rank:
@@ -184,69 +176,90 @@ def alpha_factorial(alpha: Exponent) -> int:
 # -- span calculus over the derivative coordinates -----------------------------
 
 
-def operator_columns(ops: Iterable[DiffOp]) -> list[OpKey]:
-    keys = set()
-    for L in ops:
-        keys.update(L.terms)
-    return sorted(keys, key=reading_key)
+class Echelon:
+    """Reduced row echelon form of an operator span, kept as sparse term dicts.
+
+    Columns are ordered by key (reading_key unless given).  Each row is keyed
+    by its pivot, has coefficient 1 there, 0 at every other pivot and no term
+    before its pivot: the unique RREF of the span, whatever order the
+    operators arrive in.
+    """
+
+    __slots__ = ("key", "rows")
+
+    def __init__(self, ops: Iterable[DiffOp] = (), key=reading_key):
+        self.key = key
+        self.rows: dict[OpKey, dict] = {}
+        for L in ops:
+            self.add(L)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Echelon):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def pivots(self) -> list[OpKey]:
+        return sorted(self.rows, key=self.key)
+
+    def reduce(self, L: DiffOp) -> dict:
+        """Terms of L left after eliminating every pivot; empty when L is in the span."""
+        out = dict(L.terms)
+        # A row is 0 at every other pivot, so eliminating one pivot leaves
+        # the coefficients at the others as they were.
+        for p in [k for k in L.terms if k in self.rows]:
+            _subtract(out, out[p], self.rows[p])
+        return out
+
+    def add(self, L: DiffOp) -> bool:
+        """Extend the span by L; False when L already lies in it."""
+        row = self.reduce(L)
+        if not row:
+            return False
+        p = min(row, key=self.key)
+        pv = row[p]
+        if pv != 1:
+            row = {k: c / pv for k, c in row.items()}
+        for other in self.rows.values():
+            c = other.get(p)
+            if c:
+                _subtract(other, c, row)
+        self.rows[p] = row
+        return True
+
+    def operators(self, ring: RingDescriptor, center=None) -> tuple[DiffOp, ...]:
+        """The rows as operators, in pivot order."""
+        rows = [self.rows[p] for p in self.pivots()]
+        return tuple(DiffOp(ring, {k: row[k] for k in sorted(row, key=self.key)}, center) for row in rows)
 
 
-def _zero_of(ops):
-    for L in ops:
-        for c in L.terms.values():
-            return c - c
-    return Fraction(0)
-
-
-def operator_matrix(ops, columns=None):
-    ops = list(ops)
-    if columns is None:
-        columns = operator_columns(ops)
-    zero = _zero_of(ops)
-    rows = [[L.terms.get(col, zero) for col in columns] for L in ops]
-    return columns, rows
+def _subtract(terms: dict, c, row: dict) -> None:
+    """terms -= c * row, in place, dropping cancelled entries."""
+    for k, r in row.items():
+        s = terms.get(k)
+        s = -c * r if s is None else s - c * r
+        if s:
+            terms[k] = s
+        else:
+            terms.pop(k, None)
 
 
 def span_equal_operators(a, b) -> bool:
-    a, b = list(a), list(b)
-    columns = sorted({k for L in a + b for k in L.terms}, key=reading_key)
-    if not columns:
-        return True
-    zero = _zero_of(a + b)
-    rows_a = [[L.terms.get(col, zero) for col in columns] for L in a]
-    rows_b = [[L.terms.get(col, zero) for col in columns] for L in b]
-    from .linalg import span_equal
-
-    return span_equal(rows_a, rows_b)
+    return Echelon(a) == Echelon(b)
 
 
-def is_closed(ops, echelon=None) -> bool:
+def is_closed(ops, echelon: Echelon | None = None) -> bool:
     """Stable under every lowering morphism (as a span).
 
-    echelon is an optional (columns, reduced rows, pivots) triple: the columns
-    of operator_matrix(ops) and the rref of its rows, for a caller that has
-    already computed them.
+    echelon is the Echelon of ops, for a caller that has already built it.
     """
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         return True
-    ring = ops[0].ring
-    if echelon is None:
-        columns, rows = operator_matrix(ops)
-        reduced, pivots = rref(rows)
-    else:
-        columns, reduced, pivots = echelon
-    colset = set(columns)
-    zero = _zero_of(ops)
-    for L in ops:
-        for j in range(ring.x_count):
-            image = L.sigma(j)
-            if any(col not in colset for col in image.terms):
-                return False
-            vec = [image.terms.get(col, zero) for col in columns]
-            if not in_span(vec, reduced, pivots):
-                return False
-    return True
+    span = Echelon(ops) if echelon is None else echelon
+    return not any(span.reduce(L.sigma(j)) for L in ops for j in range(L.ring.x_count))
 
 
 def closure(ops) -> tuple[DiffOp, ...]:
@@ -254,28 +267,21 @@ def closure(ops) -> tuple[DiffOp, ...]:
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         return ()
-    ring = ops[0].ring
-    center = ops[0].center
-    family: list[DiffOp] = []
-    queue = list(ops)
+    span = Echelon()
+    queue = deque(ops)
     while queue:
-        L = queue.pop(0)
-        if L.is_zero():
-            continue
-        if family and span_equal_operators(family + [L], family):
-            continue
-        family.append(L)
-        for j in range(ring.x_count):
-            queue.append(L.sigma(j))
-    return canonical_operator_basis(family, ring, center)
+        L = queue.popleft()
+        if span.add(L):
+            queue.extend(L.sigma(j) for j in range(L.ring.x_count))
+    return span.operators(ops[0].ring, ops[0].center)
 
 
 def canonical_operator_basis(ops, ring=None, center=None, pivot_keys=None) -> tuple[DiffOp, ...]:
     """Gauss-Jordan canonical basis of the span.
 
-    When pivot_keys is given (the residual monomials), those coordinates are
-    eliminated first and must carry the pivots; the result then matches the
-    row form produced by the normal-form construction.
+    When pivot_keys is given (the residual monomials), those coordinates come
+    first in the column order and must carry the pivots; the result then
+    matches the row form produced by the normal-form construction.
     """
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
@@ -284,20 +290,11 @@ def canonical_operator_basis(ops, ring=None, center=None, pivot_keys=None) -> tu
         ring = ops[0].ring
     if center is None:
         center = ops[0].center
-    columns = operator_columns(ops)
-    if pivot_keys is not None:
-        front = [k for k in pivot_keys]
-        rest = [k for k in columns if k not in set(front)]
-        columns = front + rest
-    zero = _zero_of(ops)
-    rows = [[L.terms.get(col, zero) for col in columns] for L in ops]
-    reduced, pivots = rref(rows)
-    if pivot_keys is not None and pivots != list(range(len(front))):
+    if pivot_keys is None:
+        return Echelon(ops).operators(ring, center)
+    pivot_keys = list(pivot_keys)
+    rank = {k: i for i, k in enumerate(pivot_keys)}
+    span = Echelon(ops, key=lambda k: (0, rank[k]) if k in rank else (1, reading_key(k)))
+    if span.pivots() != pivot_keys:
         raise NotClosedError("span does not project onto the residual monomials")
-    # rref row order already follows the pivot columns, which are in reading
-    # order (residual monomials first when pivot_keys is given).
-    out = []
-    for row in reduced:
-        terms = {col: v for col, v in zip(columns, row) if v}
-        out.append(DiffOp(ring, terms, center))
-    return tuple(out)
+    return span.operators(ring, center)

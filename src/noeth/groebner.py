@@ -59,23 +59,6 @@ def _divides(lt: TermKey, key: TermKey) -> bool:
     return lt[0] == key[0] and exp_divides(lt[1], key[1])
 
 
-def one_step_reduce(f: Polynomial, g: Polynomial, order: AnyOrder) -> Polynomial | None:
-    """Rewrite the largest reducible term of f by g; None when nothing applies."""
-    if f.is_zero():
-        return None
-    mo = as_module_order(order)
-    (gkey, gc) = leading_term(g, order)
-    best = None
-    for key in f.terms:
-        if _divides(gkey, key):
-            if best is None or mo.compare(key, best, f.ring) > 0:
-                best = key
-    if best is None:
-        return None
-    coeff = f.terms[best] / gc
-    return f - g.mul_monomial(exp_sub(best[1], gkey[1]), coeff)
-
-
 def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomial:
     """Remainder of f under the division algorithm, reducing the largest term first.
 

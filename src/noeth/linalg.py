@@ -1,7 +1,7 @@
 """Exact Gauss-Jordan elimination over any field-like coefficient type.
 
-Rows are lists; entries only need +, -, *, /, bool.  Used for operator span
-comparisons, closure computations, and kernel bases.
+Rows are lists; entries only need +, -, *, /, bool.  Used for kernel bases;
+operator spans are reduced sparsely by diffop.Echelon.
 """
 
 from __future__ import annotations
@@ -36,34 +36,6 @@ def rref(rows):
         if rank == len(rows):
             break
     return rows[:rank], pivots
-
-
-def rank_of(rows) -> int:
-    reduced, _ = rref(rows)
-    return len(reduced)
-
-
-def span_equal(rows_a, rows_b) -> bool:
-    """Row spaces equal, by rank comparison of stacked matrices."""
-    ra = rank_of(rows_a)
-    rb = rank_of(rows_b)
-    if ra != rb:
-        return False
-    return rank_of(list(rows_a) + list(rows_b)) == ra
-
-
-def reduce_against(vector, reduced_rows, pivots):
-    """Eliminate the pivot coordinates of vector using rref rows."""
-    v = list(vector)
-    for row, col in zip(reduced_rows, pivots):
-        if v[col]:
-            factor = v[col]
-            v = [a - factor * b for a, b in zip(v, row)]
-    return v
-
-
-def in_span(vector, reduced_rows, pivots) -> bool:
-    return not any(reduce_against(vector, reduced_rows, pivots))
 
 
 def nullspace(rows, ncols, zero, one):

@@ -15,13 +15,12 @@ from typing import Sequence
 
 from .diffop import (
     DiffOp,
+    Echelon,
     apply_at,
     canonical_operator_basis,
     closure,
     dual_of_polynomial,
     is_closed,
-    operator_columns,
-    operator_matrix,
 )
 from .errors import (
     NoethError,
@@ -32,7 +31,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .groebner import GroebnerBasis, Staircase, buchberger, corner_monomials, normal_form, staircase
-from .linalg import nullspace, reduce_against, rref
+from .linalg import nullspace
 from .orderings import AnyOrder, as_module_order, leading_term
 from .polynomial import Polynomial
 from .ring import (
@@ -73,11 +72,10 @@ class NoetherianBasis:
         ops = self.operators
         if len(ops) != self.multiplicity:
             raise NoethError("operator count does not match the multiplicity")
-        columns, rows = operator_matrix(ops)
-        reduced, pivots = rref(rows)
-        if len(reduced) != len(ops):
+        span = Echelon(ops)
+        if len(span) != len(ops):
             raise NoethError("operators are linearly dependent")
-        if not is_closed(ops, echelon=(columns, reduced, pivots)):
+        if not is_closed(ops, echelon=span):
             raise NoethError("operator span is not stable under differentiation lowering")
         if ops and ops[0].degree() != 0:
             raise NoethError("the first operator must be an order-zero evaluation")
@@ -322,6 +320,17 @@ def noetherian_backward(G: GroebnerBasis, center=None) -> NoetherianBasis:
         accumulated = _accumulate_backward(corner, G0, mu)
         duals.append(dual_of_polynomial(accumulated, center))
     closed = closure(duals)
+    # The corner sums drop every monomial of degree >= mu, which loses nothing
+    # only on input primary at the center; there every operator kills the
+    # input at the origin.  Conversely, mu independent closed operators that
+    # kill it make the quotient local there, so the check is complete.
+    for L in closed:
+        for g in G0.elements:
+            if sum(c * L.terms.get(key, 0) for key, c in g.terms.items()):
+                raise NotPrimaryError(
+                    "the input is not primary at the center: a lowering-closed operator "
+                    "of the backward pass does not annihilate the input"
+                )
     ops = canonical_operator_basis(closed, ring, center, pivot_keys=list(stair.monomials))
     basis = NoetherianBasis(ops, mu, center, "backward", G0)
     basis.validate()
@@ -351,6 +360,7 @@ def noetherian_linear(
     targets = translate_to_origin(gens, center) if any(center) else gens
 
     found: list[DiffOp] = []
+    span = Echelon()
     while len(found) < mu:
         pool: list[DiffOp] = [
             DiffOp.identity(ring, position=pos) for pos in range(1, ring.rank + 1)
@@ -367,30 +377,16 @@ def noetherian_linear(
                 uniq.append(P)
         pool = uniq
 
-        span_cols = operator_columns(found) if found else []
-        span_rows = [[L.terms.get(col, Fraction(0)) for col in span_cols] for L in found]
-        reduced_span, span_pivots = rref(span_rows)
-
         # Unknowns: one coefficient per pool member.  Constraints: every
         # generator is annihilated, and each lowering image stays in the
         # current span.
         constraints: list[list[Fraction]] = []
         for g in targets:
             constraints.append([apply_at(P, g) for P in pool])
-        col_index = {k: i for i, k in enumerate(span_cols)}
         for j in range(ring.x_count):
-            residues = []
-            for P in pool:
-                image = P.sigma(j)
-                vec = [image.terms.get(col, Fraction(0)) for col in span_cols]
-                extra = {k: v for k, v in image.terms.items() if k not in col_index}
-                rem = reduce_against(vec, reduced_span, span_pivots) if span_cols else vec
-                residues.append((rem, extra))
-            for ci in range(len(span_cols)):
-                constraints.append([res[0][ci] for res in residues])
-            outside = sorted({k for _, extra in residues for k in extra}, key=reading_key)
-            for k in outside:
-                constraints.append([res[1].get(k, Fraction(0)) for res in residues])
+            residues = [span.reduce(P.sigma(j)) for P in pool]
+            for k in sorted({k for res in residues for k in res}, key=reading_key):
+                constraints.append([res.get(k, Fraction(0)) for res in residues])
 
         solutions = nullspace(constraints, len(pool), Fraction(0), Fraction(1))
         added = 0
@@ -402,11 +398,7 @@ def noetherian_linear(
                     L = L + P.scale(c)
             if L.is_zero():
                 continue
-            trial = found + [L]
-            cols = operator_columns(trial)
-            rows = [[M.terms.get(col, Fraction(0)) for col in cols] for M in trial]
-            red, _ = rref(rows)
-            if len(red) == len(trial):
+            if span.add(L):
                 found.append(L)
                 added += 1
                 if len(found) == mu:

@@ -123,11 +123,6 @@ def base_order(order: AnyOrder) -> TermOrder:
     return order.base if isinstance(order, ModuleOrder) else order
 
 
-def compare(order: AnyOrder, a, b, ring: RingDescriptor | None = None) -> int:
-    """Compare two exponents (term order) or two term keys (module order)."""
-    return order.compare(a, b, ring)
-
-
 def term_compare(order: AnyOrder, a: TermKey, b: TermKey, ring: RingDescriptor) -> int:
     return as_module_order(order).compare(a, b, ring)
 

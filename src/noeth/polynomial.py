@@ -258,10 +258,6 @@ def _unit(n: int, i: int, e: int) -> Exponent:
     return tuple(e if j == i else 0 for j in range(n))
 
 
-def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     """Product; at most one factor may have rank > 1."""
     check_same_variables(f.ring, g.ring)
@@ -281,11 +277,3 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
             elif key in acc:
                 del acc[key]
     return Polynomial(ring, acc)
-
-
-def substitute_affine(f: Polynomial, point) -> Polynomial:
-    return f.substitute_affine(point)
-
-
-def evaluate(f: Polynomial, point):
-    return f.evaluate(point)

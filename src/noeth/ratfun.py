@@ -289,7 +289,3 @@ class RationalFunction:
         if self.is_polynomial():
             return f"RatFun({self.num!r})"
         return f"RatFun({self.num!r} / {self.den!r})"
-
-
-def ratfun_normalize(num: Polynomial, den: Polynomial) -> RationalFunction:
-    return RationalFunction(num, den)

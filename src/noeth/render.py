@@ -21,10 +21,6 @@ from .ratfun import RationalFunction
 from .ring import Exponent, RingDescriptor, reading_key
 
 
-def format_fraction(c: Fraction) -> str:
-    return str(c)
-
-
 def _monomial_text(names, exp: Exponent) -> str:
     parts = []
     for name, e in zip(names, exp):

@@ -175,6 +175,19 @@ def test_noether_non_primary_input_is_exit_one(capsys, tmp_path):
     assert "not primary" in json.loads(out2)["error"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["ring x;\norder lex;\nideal x^2 - x;\n", "ring x, y;\norder deglex;\nideal x^2 - x, y;\n"],
+)
+def test_backward_non_primary_input_is_exit_one(capsys, tmp_path, text):
+    path = tmp_path / "two_points.noeth"
+    path.write_text(text)
+    code, out, err = run(capsys, "noether", "--method", "backward", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the input is not primary at the center")
+
+
 def test_no_generators_error(capsys, tmp_path):
     path = tmp_path / "empty.noeth"
     path.write_text("ring x;\norder lex;\n")

@@ -10,19 +10,22 @@ import pytest
 
 from noeth import (
     DiffOp,
+    Lex,
     Polynomial,
+    RationalFunction,
+    RingDescriptor,
     apply_at,
     canonical_operator_basis,
     closure,
     dual_of_polynomial,
     is_closed,
-    rho_morphism,
-    sigma_morphism,
+    noetherian_positive,
     span_equal_operators,
 )
-from noeth.diffop import alpha_factorial, operator_columns, operator_matrix
+from noeth.diffop import Echelon, alpha_factorial
 from noeth.errors import NotClosedError, RingMismatchError
 from noeth.linalg import rref
+from noeth.ring import reading_key
 from support import RXY, RXYZ, random_fraction, random_polynomial
 
 
@@ -65,13 +68,11 @@ def test_sigma_goldens():
     for k in range(3):
         assert op({(0, k): 1}).sigma(0).is_zero()
     assert op({(1, 1): 1}).sigma(0).sigma(1) == op({(0, 0): 1})
-    assert sigma_morphism(L, 0) == L.sigma(0)
 
 
 def test_rho_goldens():
     assert op({(0, 1): 1, (2, 0): 1}).rho(0) == op({(1, 1): 1, (3, 0): 1})
     assert op({(0, 0): 1}).rho(1) == op({(0, 1): 1})
-    assert rho_morphism(op({(0, 0): 1}), 1) == op({(0, 1): 1})
 
 
 def test_sigma_rho_inverse_relations():
@@ -153,15 +154,6 @@ def test_dual_of_polynomial():
             assert apply_at(L, mono) == c
 
 
-def test_operator_columns_and_matrix():
-    ops = [op({(0, 0): 1, (0, 1): 1}), op({(1, 0): 1})]
-    columns = operator_columns(ops)
-    assert columns == [(1, (0, 0)), (1, (1, 0)), (1, (0, 1))]
-    cols, rows = operator_matrix(ops)
-    assert cols == columns
-    assert rows == [[Fraction(1), Fraction(0), Fraction(1)], [Fraction(0), Fraction(1), Fraction(0)]]
-
-
 def test_span_equal_operators():
     one = op({(0, 0): 1})
     dx = op({(1, 0): 1})
@@ -186,11 +178,116 @@ def test_is_closed_with_precomputed_echelon():
     rng = random.Random(337)
     for _ in range(30):
         ops = closure([random_operator(rng, RXY)])
-        if rng.random() < 0.5:
-            ops = ops[1:]
-        columns, rows = operator_matrix(ops)
-        reduced, pivots = rref(rows)
-        assert is_closed(ops, echelon=(columns, reduced, pivots)) == is_closed(ops)
+        trimmed = ops[1:] if rng.random() < 0.5 else ops
+        # dropping the order-zero row of a closed span leaves its lowering images outside
+        expect = len(trimmed) == len(ops) or not trimmed
+        assert is_closed(trimmed, echelon=Echelon(trimmed)) is expect
+        assert is_closed(trimmed) is expect
+
+
+def dense_echelon(ops, key=reading_key):
+    """Reference RREF: dense rows over the sorted columns, reduced by linalg.rref."""
+    columns = sorted({k for L in ops for k in L.terms}, key=key)
+    zero = next((c - c for L in ops for c in L.terms.values()), Fraction(0))
+    reduced, pivots = rref([[L.terms.get(k, zero) for k in columns] for L in ops])
+    rows = [[(k, v) for k, v in zip(columns, row) if v] for row in reduced]
+    return rows, [columns[p] for p in pivots]
+
+
+def check_against_dense(ops, ring, key=reading_key):
+    span = Echelon(ops, key=key)
+    rows, pivots = dense_echelon(ops, key)
+    assert [list(L.terms.items()) for L in span.operators(ring)] == rows
+    assert span.pivots() == pivots
+    return span
+
+
+def combinations(rng, ops, scalars, count):
+    """Random combinations of ops with coefficients drawn from scalars()."""
+    out = []
+    for _ in range(count):
+        L = ops[0].scale(scalars())
+        for M in rng.sample(ops, rng.randint(1, len(ops))):
+            L = L + M.scale(scalars())
+        out.append(L)
+    return out
+
+
+def test_echelon_matches_dense_rref_over_fractions():
+    rng = random.Random(349)
+    for _ in range(40):
+        ring = rng.choice([RXY, RXYZ])
+        ops = [random_operator(rng, ring) for _ in range(rng.randint(1, 6))]
+        ops += combinations(rng, ops, lambda: random_fraction(rng), rng.randint(0, 3))
+        rng.shuffle(ops)
+        span = check_against_dense(ops, ring)
+        for L in combinations(rng, ops, lambda: random_fraction(rng), 3):
+            assert span.reduce(L) == {}
+            assert not span.add(L)
+        outside = random_operator(rng, ring, max_deg=5)
+        grows = len(dense_echelon(ops + [outside])[0]) > len(span)
+        assert bool(span.reduce(outside)) is grows
+        assert span.add(outside) is grows
+        check_against_dense(ops + [outside], ring)
+        assert span == Echelon(ops + [outside])
+
+
+def test_echelon_matches_dense_rref_with_pivot_keys():
+    rng = random.Random(353)
+    for _ in range(30):
+        ops = closure([random_operator(rng, RXY, max_terms=3, max_deg=2)])
+        if not ops:
+            continue
+        mixed = combinations(rng, list(ops), lambda: random_fraction(rng), len(ops))
+        keys = sorted({k for L in ops for k in L.terms}, key=reading_key)
+        front = rng.sample(keys, rng.randint(1, len(keys)))
+        rank = {k: i for i, k in enumerate(front)}
+
+        def key(k):
+            return (0, rank[k]) if k in rank else (1, reading_key(k))
+
+        check_against_dense(mixed, RXY, key)
+        rows, pivots = dense_echelon(mixed, key)
+        if pivots == front:
+            got = canonical_operator_basis(mixed, pivot_keys=front)
+            assert [list(L.terms.items()) for L in got] == rows
+        else:
+            with pytest.raises(NotClosedError):
+                canonical_operator_basis(mixed, pivot_keys=front)
+
+
+def test_echelon_matches_dense_rref_over_rational_functions():
+    ring = RingDescriptor(("x", "y", "t"), 2, 1)
+    x, y, t = (Polynomial.variable(ring, i) for i in range(3))
+    rng = random.Random(359)
+
+    def scalar():
+        # coefficients live in the parameter block's own ring
+        cring = RingDescriptor(("t",), 1)
+        u = Polynomial.variable(cring, 0)
+        num = Polynomial.constant(cring, random_fraction(rng)) + u.scale(random_fraction(rng))
+        den = Polynomial.constant(cring, rng.randint(1, 3)) + u.scale(rng.randint(0, 2))
+        return RationalFunction(num, den)
+
+    for gens in ([x**3, y - x * t], [x**2, y**3, x * y * t - y**2]):
+        raw = list(noetherian_positive(gens, Lex(), cleanup=False).operators)
+        for _ in range(3):
+            ops = combinations(rng, raw, scalar, len(raw) + 1)
+            span = check_against_dense(ops, ring)
+            assert all(span.reduce(L) == {} for L in raw) is (len(span) == len(raw))
+        keys = sorted({k for L in raw for k in L.terms}, key=reading_key, reverse=True)
+        rank = {k: i for i, k in enumerate(keys)}
+        check_against_dense(raw, ring, lambda k: rank[k])
+
+
+def test_echelon_reduce_and_add():
+    span = Echelon([op({(0, 0): 1, (0, 2): 2}), op({(1, 0): 1, (0, 2): 3})])
+    assert span.reduce(op({(0, 0): 2, (1, 0): 1, (0, 2): 7})) == {}
+    assert span.reduce(op({(0, 2): 1})) == {(1, (0, 2)): Fraction(1)}
+    assert span.reduce(op({(0, 0): 2, (1, 0): 1, (0, 2): 8})) == {(1, (0, 2)): Fraction(1)}
+    assert not span.add(op({(0, 0): 2, (1, 0): 1, (0, 2): 7}))
+    assert span.add(op({(0, 2): 5}))
+    assert span.operators(RXY) == (op({(0, 0): 1}), op({(1, 0): 1}), op({(0, 2): 1}))
 
 
 def test_closure_goldens():

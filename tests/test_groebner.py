@@ -23,7 +23,6 @@ from noeth import (
     staircase,
 )
 from noeth.errors import InfiniteStaircaseError, NotEliminationOrderError
-from noeth.groebner import one_step_reduce
 from noeth.orderings import leading_term
 from support import (
     RM2,
@@ -53,16 +52,6 @@ def module_m1_basis():
     e2 = Polynomial.constant(RM2, 1, 2)
     gens = [x1 + e2, y1 + x2, y2]
     return buchberger(gens, ModuleOrder(Lex(), "top"), RM2)
-
-
-def test_one_step_reduce_golden():
-    x = Polynomial.variable(RXY, "x")
-    y = Polynomial.variable(RXY, "y")
-    f = x**2 + x
-    out = one_step_reduce(f, x**2 - y, DegLex())
-    assert out == x + y
-    assert one_step_reduce(x, x**2 - y, DegLex()) is None
-    assert one_step_reduce(Polynomial.zero(RXY), x, DegLex()) is None
 
 
 def test_normal_form_goldens():

@@ -316,6 +316,21 @@ def test_forward_rejects_non_primary_input():
     assert issubclass(NotPrimaryError, NoethError)
 
 
+def test_backward_rejects_non_primary_input():
+    # both used to come back as the operators 1, dx with exit code 0
+    x = Polynomial.variable(RX, "x")
+    with pytest.raises(NotPrimaryError, match="not primary"):
+        noetherian_backward(buchberger([x**2 - x], Lex(), RX))
+    a, b = xy_vars()
+    with pytest.raises(NotPrimaryError, match="not primary"):
+        noetherian_backward(buchberger([a**2 - a, b], DegLex(), RXY))
+    with pytest.raises(NotPrimaryError):
+        noetherian_backward(buchberger([a * (a - 1) * (a + 2), b], DegLex(), RXY))
+    # the linear solve finds no closed operator to add instead
+    with pytest.raises(UnsolvableSystemError):
+        noetherian_linear([a**2 - a, b], DegLex())
+
+
 def test_validate_rejects_malformed_bases():
     basis = noetherian_forward(buchberger(hermite_ideal(), DegLex(), RXY))
     zero = basis.center

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from noeth import Polynomial, RingDescriptor, evaluate, poly_add, poly_mul, substitute_affine
+from noeth import Polynomial, RingDescriptor, poly_mul
 from noeth.errors import RingMismatchError
 from support import RM2, RXY, RXYZ, random_fraction, random_nonzero, random_polynomial
 
@@ -71,7 +71,6 @@ def test_ring_axioms_randomized():
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
-        assert poly_add(f, g) == f + g
         assert poly_mul(f, g) == f * g
 
 
@@ -88,7 +87,7 @@ def test_evaluate_golden_and_module_values():
     x, y = xy()
     f = x**2 - y
     assert f.evaluate((3, 2)) == 7
-    assert evaluate(f, (Fraction(1, 2), 0)) == Fraction(1, 4)
+    assert f.evaluate((Fraction(1, 2), 0)) == Fraction(1, 4)
     v = Polynomial(RM2, {(1, (1, 0)): Fraction(1), (2, (0, 0)): Fraction(2)})
     assert v.evaluate((5, 1)) == (5, 2)
 
@@ -108,7 +107,7 @@ def test_substitute_affine_round_trip():
     for _ in range(30):
         f = random_polynomial(rng, RXYZ)
         p = [random_fraction(rng, 3) for _ in range(3)]
-        assert substitute_affine(substitute_affine(f, p), [-a for a in p]) == f
+        assert f.substitute_affine(p).substitute_affine([-a for a in p]) == f
 
 
 def test_vector_times_vector_is_rejected():

@@ -18,7 +18,6 @@ from noeth import (
 from noeth.render import (
     coeff_string,
     emit_json,
-    format_fraction,
     operator_json,
     polynomial_json,
     ring_json,
@@ -65,7 +64,6 @@ def test_rational_coefficient_text():
     assert render_polynomial(g, DegLex()) == "(1 + t)/t x"
     assert coeff_string(t * t) == "t^2"
     assert coeff_string(Fraction(-3, 7)) == "-3/7"
-    assert format_fraction(Fraction(3, 4)) == "3/4"
 
 
 def test_operator_text_goldens():
