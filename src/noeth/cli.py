@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .diffop import span_equal_operators
 from .epsolution import build_solution, render_solution, solution_json
@@ -22,7 +21,6 @@ from .noetherian import (
     noetherian_forward,
     noetherian_linear,
 )
-from .orderings import DegLex, DegRevLex, Lex, ProductOrder
 from .posdim import member_positive, noetherian_positive
 from .problem import ProblemSpec, parse_polynomial, parse_problem
 from .render import (
@@ -41,23 +39,11 @@ METHODS = {
 }
 
 
-def _order_name(order) -> str:
-    if isinstance(order, Lex):
-        return "lex"
-    if isinstance(order, DegLex):
-        return "deglex"
-    if isinstance(order, DegRevLex):
-        return "degrevlex"
-    if isinstance(order, ProductOrder):
-        return f"product({_order_name(order.x_order)},{_order_name(order.t_order)})"
-    return repr(order)
-
-
 def _base_doc(command: str, spec: ProblemSpec) -> dict:
     doc = {
         "command": command,
         "ring": ring_json(spec.ring),
-        "order": _order_name(spec.order),
+        "order": spec.order.name,
     }
     if spec.ring.rank > 1:
         doc["module_order"] = spec.module_precedence
@@ -74,23 +60,16 @@ def _groebner(spec: ProblemSpec):
     return buchberger(_require_generators(spec), spec.effective_order, spec.ring)
 
 
-def _center(spec: ProblemSpec):
-    if spec.center is not None:
-        return spec.center
-    return (Fraction(0),) * spec.ring.nvars
-
-
 def _noether_basis(spec: ProblemSpec, method: str, check_all: bool):
-    center = _center(spec)
+    center = spec.center
     order = spec.effective_order
+    G = _groebner(spec) if method != "linear" or check_all else None
     if method == "linear":
         basis = noetherian_linear(_require_generators(spec), order, center=center)
     else:
-        G = _groebner(spec)
         basis = METHODS[method](G, center=center)
     if check_all:
         others = []
-        G = _groebner(spec)
         for name in ("forward", "backward"):
             if name != method:
                 others.append(METHODS[name](G, center=center))

@@ -17,13 +17,9 @@ from typing import Iterable, Mapping
 
 from .errors import NotClosedError, RingMismatchError
 from .polynomial import Polynomial
-from .ring import Exponent, RingDescriptor, exp_deg, reading_key, t_part, x_part
+from .ring import Exponent, RingDescriptor, as_center, as_coeff, exp_deg, reading_key, t_part, x_part
 
 OpKey = tuple[int, Exponent]  # (position, alpha over the x-block)
-
-
-def _zero_center(ring: RingDescriptor) -> tuple[Fraction, ...]:
-    return (Fraction(0),) * ring.nvars
 
 
 class DiffOp:
@@ -32,16 +28,10 @@ class DiffOp:
     __slots__ = ("ring", "terms", "center", "_hash")
 
     def __init__(self, ring: RingDescriptor, terms: Mapping[OpKey, object], center=None):
-        if center is None:
-            center = _zero_center(ring)
-        else:
-            center = tuple(Fraction(c) if isinstance(c, int) else c for c in center)
-            if len(center) != ring.nvars:
-                raise RingMismatchError("center length does not match variable count")
+        center = as_center(ring, center)
         clean: dict[OpKey, object] = {}
         for (pos, alpha), c in terms.items():
-            if isinstance(c, int):
-                c = Fraction(c)
+            c = as_coeff(c)
             if not c:
                 continue
             if not (1 <= pos <= ring.rank) or len(alpha) != ring.x_count:
@@ -117,8 +107,7 @@ class DiffOp:
         return self + (-other)
 
     def scale(self, c) -> "DiffOp":
-        if isinstance(c, int):
-            c = Fraction(c)
+        c = as_coeff(c)
         if not c:
             return DiffOp(self.ring, {}, self.center)
         return DiffOp(self.ring, {k: v * c for k, v in self.terms.items()}, self.center)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .errors import (
     InfiniteStaircaseError,
@@ -18,7 +17,7 @@ from .errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from .orderings import AnyOrder, as_module_order, is_elimination_for, leading_term
+from .orderings import AnyOrder, as_module_order, is_elimination_for, leading_term, monic
 from .polynomial import Polynomial
 from .ring import (
     RingDescriptor,
@@ -49,12 +48,6 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _monic(f: Polynomial, order: AnyOrder) -> Polynomial:
-    _, lc = leading_term(f, order)
-    one = lc / lc
-    return f if lc == one else f.scale(one / lc)
-
-
 def _divides(lt: TermKey, key: TermKey) -> bool:
     return lt[0] == key[0] and exp_divides(lt[1], key[1])
 
@@ -73,15 +66,12 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
         elements = tuple(basis)
         if order is None:
             raise ValueError("normal_form needs an ordering when given a plain sequence")
-    mo = as_module_order(order)
+    term_key = as_module_order(order).key(f.ring)
     lts = [leading_term(g, order) for g in elements]
     remainder: dict[TermKey, object] = {}
     p = f
     while not p.is_zero():
-        best = None
-        for key in p.terms:
-            if best is None or mo.compare(key, best, p.ring) > 0:
-                best = key
+        best = max(p.terms, key=term_key)
         c = p.terms[best]
         hit = None
         for g, (gkey, gc) in zip(elements, lts):
@@ -123,13 +113,13 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators live over different rings")
-    mo = as_module_order(order)
+    term_key = as_module_order(order).key(ring)
 
     basis: list[Polynomial] = []
     for g in gens:
         r = normal_form(g, basis, order) if basis else g
         if not r.is_zero():
-            basis.append(_monic(r, order))
+            basis.append(monic(r, order))
 
     lts: list[TermKey] = [leading_term(g, order)[0] for g in basis]
 
@@ -145,15 +135,11 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
         if lcm_key(i, j) is not None:
             pending.add((i, j))
 
-    def pair_sort(p, q):
-        lp, lq = lcm_key(*p), lcm_key(*q)
-        c = mo.compare(lp, lq, ring)
-        if c:
-            return c
-        return -1 if p < q else (1 if p > q else 0)
+    def pair_key(pair: tuple[int, int]):
+        return term_key(lcm_key(*pair)), pair
 
     while pending:
-        pair = min(pending, key=cmp_to_key(pair_sort))
+        pair = min(pending, key=pair_key)
         pending.discard(pair)
         processed.add(pair)
         i, j = pair
@@ -180,7 +166,7 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
         r = normal_form(s, basis, order)
         if r.is_zero():
             continue
-        basis.append(_monic(r, order))
+        basis.append(monic(r, order))
         lts.append(leading_term(basis[-1], order)[0])
         new = len(basis) - 1
         for k in range(new):
@@ -188,7 +174,7 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
                 pending.add((k, new))
 
     # minimalize: drop elements whose lead is divisible by another kept lead
-    order_idx = sorted(range(len(basis)), key=cmp_to_key(lambda a, b: mo.compare(lts[a], lts[b], ring)))
+    order_idx = sorted(range(len(basis)), key=lambda idx: term_key(lts[idx]))
     kept: list[int] = []
     for idx in order_idx:
         if not any(_divides(lts[k], lts[idx]) for k in kept):
@@ -199,9 +185,9 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     reduced: list[Polynomial] = list(minimal)
     for i in range(len(reduced)):
         others = reduced[:i] + reduced[i + 1 :]
-        reduced[i] = _monic(normal_form(reduced[i], others, order), order)
+        reduced[i] = monic(normal_form(reduced[i], others, order), order)
 
-    reduced.sort(key=cmp_to_key(lambda a, b: mo.compare(leading_term(a, order)[0], leading_term(b, order)[0], ring)), reverse=True)
+    reduced.sort(key=lambda g: term_key(leading_term(g, order)[0]), reverse=True)
     return GroebnerBasis(ring, order, tuple(reduced), True)
 
 
@@ -216,9 +202,6 @@ class Staircase:
 
     def __iter__(self):
         return iter(self.monomials)
-
-    def __contains__(self, key: TermKey) -> bool:
-        return key in set(self.monomials)
 
 
 def staircase(G: GroebnerBasis) -> Staircase:

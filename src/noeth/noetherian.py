@@ -10,7 +10,6 @@ results from different routes compare equal term by term.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Sequence
 
 from .diffop import (
@@ -26,7 +25,6 @@ from .errors import (
     NoethError,
     NotClosedError,
     NotPrimaryError,
-    RingMismatchError,
     UnsolvableSystemError,
     ZeroPolynomialError,
 )
@@ -38,6 +36,7 @@ from .ring import (
     Exponent,
     RingDescriptor,
     TermKey,
+    as_center,
     exp_add,
     exp_deg,
     exp_divides,
@@ -117,12 +116,7 @@ def _prepare(G, center):
     ring = G.ring
     if ring.t_count:
         raise NoethError("variables after the separator require the parameter-coefficient construction")
-    if center is None:
-        center = (Fraction(0),) * ring.nvars
-    else:
-        center = tuple(Fraction(c) if isinstance(c, int) else c for c in center)
-        if len(center) != ring.nvars:
-            raise RingMismatchError("center length does not match variable count")
+    center = as_center(ring, center)
     if any(center):
         moved = translate_to_origin(list(G.elements), center)
         G0 = buchberger(moved, G.order, ring)
@@ -276,7 +270,7 @@ def _accumulate_backward(corner, G0: GroebnerBasis, mu: int) -> Polynomial:
     Keys of total degree >= mu normal-form to zero and are dropped.
     """
     ring = G0.ring
-    mo = as_module_order(G0.order)
+    term_key = as_module_order(G0.order).key(ring)
     leads = [(g, leading_term(g, G0.order)[0]) for g in G0.elements]
 
     def rewriter(key):
@@ -285,12 +279,11 @@ def _accumulate_backward(corner, G0: GroebnerBasis, mu: int) -> Polynomial:
                 return g
         return None
 
-    ascending = cmp_to_key(lambda a, b: mo.compare(a, b, ring))
     coeffs = {corner: Fraction(1)}
     pending = {corner}
     total = {}
     while pending:
-        key = min(pending, key=ascending)
+        key = min(pending, key=term_key)
         pending.discard(key)
         c = coeffs.pop(key)
         if not c:

@@ -1,80 +1,72 @@
 """Term orderings on exponent vectors and on free-module terms.
 
-compare() returns a negative/zero/positive int.  Product orders split the
-exponent at the ring's x_count and compare the blocks with their inner
-orders; module orders wrap a base order with a term-over-position or
+Each order ranks terms through one method, key(ring), which returns a
+one-argument sort key: a term ranks higher exactly when its key is larger, so
+callers use max, min and sorted directly.  Product orders split the exponent
+at the ring's x_count and rank the x-block first, the parameter block second;
+module orders wrap a base order with a term-over-position or
 position-over-term precedence, lower positions winning ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from itertools import accumulate
+from typing import Callable, Union
 
 from .errors import ZeroPolynomialError
-from .ring import Exponent, RingDescriptor, TermKey, exp_deg
+from .ring import RingDescriptor, TermKey
 
-
-def _lex(a: Exponent, b: Exponent) -> int:
-    for x, y in zip(a, b):
-        if x != y:
-            return 1 if x > y else -1
-    return 0
+SortKey = Callable[[tuple], tuple]
 
 
 @dataclass(frozen=True)
 class Lex:
     name = "lex"
 
-    def compare(self, a: Exponent, b: Exponent, ring: RingDescriptor | None = None) -> int:
-        return _lex(a, b)
+    def key(self, ring: RingDescriptor) -> SortKey:
+        return tuple  # the exponent itself
 
 
 @dataclass(frozen=True)
 class DegLex:
     name = "deglex"
 
-    def compare(self, a: Exponent, b: Exponent, ring: RingDescriptor | None = None) -> int:
-        da, db = exp_deg(a), exp_deg(b)
-        if da != db:
-            return 1 if da > db else -1
-        return _lex(a, b)
+    def key(self, ring: RingDescriptor) -> SortKey:
+        return lambda a: (sum(a), a)
 
 
 @dataclass(frozen=True)
 class DegRevLex:
     name = "degrevlex"
 
-    def compare(self, a: Exponent, b: Exponent, ring: RingDescriptor | None = None) -> int:
-        da, db = exp_deg(a), exp_deg(b)
-        if da != db:
-            return 1 if da > db else -1
-        for x, y in zip(reversed(a), reversed(b)):
-            if x != y:
-                return 1 if x < y else -1
-        return 0
+    def key(self, ring: RingDescriptor) -> SortKey:
+        # Reversed prefix sums: the total degree first, then at equal degree a
+        # smaller last exponent leaves a larger sum of the others.
+        return lambda a: tuple(accumulate(a))[::-1]
 
 
 @dataclass(frozen=True)
 class ProductOrder:
-    """Compare x-blocks first, break ties with the parameter block."""
+    """Rank the x-blocks first, break ties with the parameter block."""
 
     x_order: "TermOrder"
     t_order: "TermOrder"
-    name = "product"
 
     def __post_init__(self):
         if isinstance(self.x_order, ProductOrder) or isinstance(self.t_order, ProductOrder):
             raise ValueError("nested product orders are not supported")
 
-    def compare(self, a: Exponent, b: Exponent, ring: RingDescriptor | None = None) -> int:
-        if ring is None or ring.t_count == 0:
+    @property
+    def name(self) -> str:
+        return f"product({self.x_order.name},{self.t_order.name})"
+
+    def key(self, ring: RingDescriptor) -> SortKey:
+        if ring.t_count == 0:
             raise ValueError("product order needs a ring with a parameter block")
         n = ring.x_count
-        c = self.x_order.compare(a[:n], b[:n])
-        if c:
-            return c
-        return self.t_order.compare(a[n:], b[n:])
+        kx, kt = self.x_order.key(ring), self.t_order.key(ring)
+        return lambda a: (kx(a[:n]), kt(a[n:]))
 
 
 TermOrder = Union[Lex, DegLex, DegRevLex, ProductOrder]
@@ -96,18 +88,11 @@ class ModuleOrder:
     def name(self) -> str:
         return f"{self.base.name}-{self.precedence}"
 
-    def compare(self, a: TermKey, b: TermKey, ring: RingDescriptor | None = None) -> int:
-        (pa, ea), (pb, eb) = a, b
+    def key(self, ring: RingDescriptor) -> SortKey:
+        k = self.base.key(ring)
         if self.precedence == POT:
-            if pa != pb:
-                return 1 if pa < pb else -1  # lower position wins
-            return self.base.compare(ea, eb, ring)
-        c = self.base.compare(ea, eb, ring)
-        if c:
-            return c
-        if pa != pb:
-            return 1 if pa < pb else -1
-        return 0
+            return lambda t: (-t[0], k(t[1]))  # lower position wins
+        return lambda t: (k(t[1]), -t[0])
 
 
 AnyOrder = Union[TermOrder, ModuleOrder]
@@ -123,19 +108,11 @@ def base_order(order: AnyOrder) -> TermOrder:
     return order.base if isinstance(order, ModuleOrder) else order
 
 
-def term_compare(order: AnyOrder, a: TermKey, b: TermKey, ring: RingDescriptor) -> int:
-    return as_module_order(order).compare(a, b, ring)
-
-
 def leading_term(f, order: AnyOrder) -> tuple[TermKey, object]:
     """Largest (key, coeff) of f under the order."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no leading term")
-    mo = as_module_order(order)
-    best = None
-    for key in f.terms:
-        if best is None or mo.compare(key, best, f.ring) > 0:
-            best = key
+    best = max(f.terms, key=as_module_order(order).key(f.ring))
     return best, f.terms[best]
 
 
@@ -143,23 +120,21 @@ def smallest_term(f, order: AnyOrder) -> tuple[TermKey, object]:
     """Smallest (key, coeff) of f under the order, sign included."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no smallest term")
-    mo = as_module_order(order)
-    worst = None
-    for key in f.terms:
-        if worst is None or mo.compare(key, worst, f.ring) < 0:
-            worst = key
+    worst = min(f.terms, key=as_module_order(order).key(f.ring))
     return worst, f.terms[worst]
 
 
-def sorted_terms_desc(f, order: AnyOrder) -> list[tuple[TermKey, object]]:
-    import functools
+def monic(f, order: AnyOrder):
+    """f scaled to leading coefficient one under the order; zero stays zero."""
+    if f.is_zero():
+        return f
+    _, lc = leading_term(f, order)
+    one = lc / lc
+    return f if lc == one else f.scale(one / lc)
 
-    mo = as_module_order(order)
-    keys = sorted(
-        f.terms,
-        key=functools.cmp_to_key(lambda a, b: mo.compare(a, b, f.ring)),
-        reverse=True,
-    )
+
+def sorted_terms_desc(f, order: AnyOrder) -> list[tuple[TermKey, object]]:
+    keys = sorted(f.terms, key=as_module_order(order).key(f.ring), reverse=True)
     return [(k, f.terms[k]) for k in keys]
 
 

@@ -19,17 +19,12 @@ from .ring import (
     Exponent,
     RingDescriptor,
     TermKey,
+    as_coeff,
     check_same_variables,
     exp_add,
     exp_deg,
     reading_key,
 )
-
-
-def _as_coeff(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    return c
 
 
 class Polynomial:
@@ -40,7 +35,7 @@ class Polynomial:
     def __init__(self, ring: RingDescriptor, terms: Mapping[TermKey, object]):
         clean: dict[TermKey, object] = {}
         for (pos, exp), c in terms.items():
-            c = _as_coeff(c)
+            c = as_coeff(c)
             if not c:
                 continue
             if not (1 <= pos <= ring.rank):
@@ -63,11 +58,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring: RingDescriptor, c, position: int = 1) -> "Polynomial":
-        return cls(ring, {(position, ring.zero_exp()): _as_coeff(c)})
+        return cls(ring, {(position, ring.zero_exp()): as_coeff(c)})
 
     @classmethod
     def monomial(cls, ring: RingDescriptor, exp: Exponent, coeff=1, position: int = 1) -> "Polynomial":
-        return cls(ring, {(position, tuple(exp)): _as_coeff(coeff)})
+        return cls(ring, {(position, tuple(exp)): as_coeff(coeff)})
 
     @classmethod
     def variable(cls, ring: RingDescriptor, which: str | int, position: int = 1) -> "Polynomial":
@@ -158,14 +153,14 @@ class Polynomial:
         return (-self).__add__(other)
 
     def scale(self, c) -> "Polynomial":
-        c = _as_coeff(c)
+        c = as_coeff(c)
         if not c:
             return Polynomial.zero(self.ring)
         return Polynomial(self.ring, {k: v * c for k, v in self.terms.items()})
 
     def mul_monomial(self, exp: Exponent, coeff=1) -> "Polynomial":
         """Multiply by a scalar monomial (position unchanged)."""
-        coeff = _as_coeff(coeff)
+        coeff = as_coeff(coeff)
         if not coeff:
             return Polynomial.zero(self.ring)
         return Polynomial(
@@ -197,7 +192,7 @@ class Polynomial:
 
     def evaluate(self, point: Iterable):
         """Value at a rational point; a tuple of values when rank > 1."""
-        point = [_as_coeff(p) for p in point]
+        point = [as_coeff(p) for p in point]
         if len(point) != self.ring.nvars:
             raise RingMismatchError("point length does not match variable count")
         vals = {pos: Fraction(0) for pos in range(1, self.ring.rank + 1)}
@@ -215,7 +210,7 @@ class Polynomial:
 
     def substitute_affine(self, point: Iterable) -> "Polynomial":
         """Replace each variable v_i by v_i + p_i (recentering at -p)."""
-        point = [_as_coeff(p) for p in point]
+        point = [as_coeff(p) for p in point]
         if len(point) != self.ring.nvars:
             raise RingMismatchError("point length does not match variable count")
         acc: dict[TermKey, object] = {}

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Sequence
 
 from .diffop import DiffOp
@@ -29,10 +28,11 @@ from .noetherian import NoetherianBasis, monomial_keys_below, noetherian_forward
 from .orderings import (
     AnyOrder,
     DegLex,
+    as_module_order,
     is_product_compatible,
     leading_term,
+    monic,
     sigma_x_order,
-    term_compare,
 )
 from .polynomial import Polynomial
 from .ratfun import RationalFunction, divexact, poly_gcd, poly_lcm
@@ -141,26 +141,18 @@ def extend_to_rational_coeffs(G: GroebnerBasis) -> GroebnerBasis:
     _require_posdim_input(ring, G.order)
     xring = ring.x_subring()
     sx = sigma_x_order(G.order, ring)
-    elements = []
+    term_key = as_module_order(sx).key(xring)
+    extended = []
     for g in G.elements:
         (pos, exp), _ = leading_term(g, G.order)
         lead_x = (pos, x_part(ring, exp))
         terms = {key: RationalFunction(tpoly) for key, tpoly in group_by_x(g).items()}
         ext = Polynomial(xring, terms)
-        (ek, ec) = leading_term(ext, sx)
-        if ek != lead_x:
+        if leading_term(ext, sx)[0] != lead_x:
             raise NoethError("the order does not preserve leading terms under extension")
-        one = ec / ec
-        if ec != one:
-            ext = ext.scale(one / ec)
-        elements.append(ext)
-    elements.sort(
-        key=cmp_to_key(
-            lambda a, b: term_compare(sx, leading_term(a, sx)[0], leading_term(b, sx)[0], xring)
-        ),
-        reverse=True,
-    )
-    return GroebnerBasis(xring, sx, tuple(elements), reduced=False)
+        extended.append((term_key(lead_x), monic(ext, sx)))
+    extended.sort(key=lambda pair: pair[0], reverse=True)
+    return GroebnerBasis(xring, sx, tuple(ext for _, ext in extended), reduced=False)
 
 
 def multiplicity_extended(G: GroebnerBasis) -> int:
@@ -173,14 +165,12 @@ def noetherian_positive(
     gens: Sequence[Polynomial],
     order: AnyOrder,
     ring: RingDescriptor | None = None,
-    schedule: str = "step",
     cleanup: bool = True,
 ) -> NoetherianBasis:
     """Dual basis with parameter-dependent coefficients.
 
-    schedule "step" multiplies by the parameter power t^gamma one round at a
-    time and stops as soon as the residual x-monomials are separated;
-    schedule "power" applies the single worst-case power t^(mu*gamma).
+    Multiplies by the parameter power t^gamma one round at a time and stops as
+    soon as the residual x-monomials are separated.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -188,8 +178,6 @@ def noetherian_positive(
     if ring is None:
         ring = gens[0].ring
     _require_posdim_input(ring, order)
-    if schedule not in ("step", "power"):
-        raise NoethError(f"unknown schedule {schedule!r}")
     G = buchberger(gens, order, ring)
     if ring.t_count == 0:
         inner = noetherian_forward(G)
@@ -220,24 +208,14 @@ def noetherian_positive(
                 keys.add((pos, x_part(ring, exp)))
         return keys
 
-    if schedule == "power":
-        tpow = Polynomial.monomial(ring, xzero + tuple(mu * e for e in report.gamma))
+    tpow = Polynomial.monomial(ring, xzero + report.gamma)
+    cap = mu * max(1, sum(g.total_degree() for g in G.elements))
+    rounds = 0
+    while x_groups() != residual_set:
+        rounds += 1
+        if rounds > cap:
+            raise IterationLimitError(f"no separation after {cap} parameter multiplications")
         states = {k: normal_form(tpow * s, G) for k, s in states.items()}
-        if x_groups() != residual_set:
-            raise IterationLimitError(
-                "the one-shot parameter power did not separate the residual monomials"
-            )
-    else:
-        tpow = Polynomial.monomial(ring, xzero + report.gamma)
-        cap = mu * max(1, sum(g.total_degree() for g in G.elements))
-        rounds = 0
-        while x_groups() != residual_set:
-            rounds += 1
-            if rounds > cap:
-                raise IterationLimitError(
-                    f"no separation after {cap} parameter multiplications"
-                )
-            states = {k: normal_form(tpow * s, G) for k, s in states.items()}
 
     rows: dict[tuple[int, Exponent], dict] = {beta: {} for beta in stair.monomials}
     for col, state in states.items():

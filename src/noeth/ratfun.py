@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import RingMismatchError, ZeroPolynomialError
-from .orderings import DegLex, leading_term
+from .orderings import DegLex, leading_term, monic
 from .polynomial import Polynomial, poly_mul
 from .ring import RingDescriptor, exp_sub
 
@@ -67,14 +67,6 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     return q
 
 
-def _monic(f: Polynomial) -> Polynomial:
-    if f.is_zero():
-        return f
-    _, lc = leading_term(f, _DEGLEX)
-    one = lc / lc
-    return f if lc == one else f.scale(one / lc)
-
-
 def _gcd_univar(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
     """Euclid for polynomials whose only occurring variable is k."""
     a = {exp[k]: c for (_, exp), c in f.terms.items()}
@@ -105,7 +97,7 @@ def _content_and_primitive(f: Polynomial, k: int) -> tuple[Polynomial, Polynomia
         content = poly_gcd(content, c)
         if content.total_degree() == 0:
             break
-    content = _monic(content)
+    content = monic(content, _DEGLEX)
     return content, divexact(f, content)
 
 
@@ -128,9 +120,9 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.ring != g.ring:
         raise RingMismatchError("gcd operands live over different rings")
     if f.is_zero():
-        return _monic(g)
+        return monic(g, _DEGLEX)
     if g.is_zero():
-        return _monic(f)
+        return monic(f, _DEGLEX)
     used = _occurring_vars(f) | _occurring_vars(g)
     if not used:
         return Polynomial.constant(f.ring, 1)
@@ -153,13 +145,13 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
             break
         _, rp = _content_and_primitive(r, k)
         pf, pg = pg, rp
-    return _monic(poly_mul(c, pf))
+    return monic(poly_mul(c, pf), _DEGLEX)
 
 
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() or g.is_zero():
         return Polynomial.zero(f.ring)
-    return _monic(divexact(poly_mul(f, g), poly_gcd(f, g)))
+    return monic(divexact(poly_mul(f, g), poly_gcd(f, g)), _DEGLEX)
 
 
 class RationalFunction:

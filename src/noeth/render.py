@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .diffop import DiffOp, alpha_factorial
-from .orderings import AnyOrder, sorted_terms_desc, term_compare
+from .orderings import AnyOrder, as_module_order, sorted_terms_desc
 from .polynomial import Polynomial
 from .ratfun import RationalFunction
 from .ring import Exponent, RingDescriptor, reading_key
@@ -118,11 +117,8 @@ def _operator_keys(ring: RingDescriptor, keys, order: AnyOrder | None) -> list:
         keys.sort(key=reading_key, reverse=True)
         return keys
     pad = (0,) * ring.t_count
-
-    def cmp(a, b):
-        return term_compare(order, (a[0], a[1] + pad), (b[0], b[1] + pad), ring)
-
-    keys.sort(key=cmp_to_key(cmp), reverse=True)
+    term_key = as_module_order(order).key(ring)
+    keys.sort(key=lambda k: term_key((k[0], k[1] + pad)), reverse=True)
     return keys
 
 

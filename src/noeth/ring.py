@@ -10,6 +10,8 @@ vectors are plain int tuples of length x_count + t_count; a module term is a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Number
 
 from .errors import RingMismatchError
 
@@ -75,6 +77,31 @@ class RingDescriptor:
 def check_same_variables(a: RingDescriptor, b: RingDescriptor) -> None:
     if not a.same_variables(b):
         raise RingMismatchError(f"rings disagree: {a.names} vs {b.names}")
+
+
+def as_coeff(c):
+    """An exact coefficient: ints become Fractions, other numbers are refused.
+
+    Values that are not numbers, such as RationalFunction coefficients, pass
+    through unchanged.
+    """
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    if isinstance(c, Number):
+        raise RingMismatchError(f"{c!r} is not an exact rational; use int or Fraction")
+    return c
+
+
+def as_center(ring: RingDescriptor, center) -> tuple:
+    """A point of the ring as a tuple of exact rationals; None is the origin."""
+    if center is None:
+        return (Fraction(0),) * ring.nvars
+    center = tuple(map(as_coeff, center))
+    if len(center) != ring.nvars:
+        raise RingMismatchError("center length does not match variable count")
+    return center
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:

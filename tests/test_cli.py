@@ -68,7 +68,12 @@ def test_noether_methods_and_check_all(capsys, standard):
     assert (code, out) == (0, expected)
 
 
-def test_noether_json_shape(capsys, standard):
+def test_noether_json_shape(capsys, standard, tmp_path):
+    product = tmp_path / "product.noeth"
+    product.write_text(PARAMETER.replace("order lex", "order product(deglex, lex)"))
+    code, out, _ = run(capsys, "noether-posdim", "--json", str(product))
+    assert code == 0
+    assert json.loads(out)["order"] == "product(deglex,lex)"
     code, out, _ = run(capsys, "noether", "--json", standard)
     assert code == 0
     doc = json.loads(out)

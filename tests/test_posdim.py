@@ -113,8 +113,6 @@ def test_posdim_input_guards():
     vec = Polynomial.variable(module_ring, "x", 1)
     with pytest.raises(NoethError):
         noetherian_positive([vec], Lex(), module_ring)
-    with pytest.raises(NoethError):
-        noetherian_positive(worked_generators(), Lex(), schedule="fast")
 
 
 def test_extension_golden():
@@ -212,12 +210,6 @@ def test_positive_z_variant():
         DiffOp(RXYZ2, {(1, (0, 0)): one}),
         DiffOp(RXYZ2, {(1, (1, 0)): one, (1, (0, 1)): z1}),
     )
-
-
-def test_power_schedule_matches_stepwise_after_cleanup():
-    step = noetherian_positive(worked_generators(), Lex(), schedule="step")
-    power = noetherian_positive(worked_generators(), Lex(), schedule="power")
-    assert step.operators == power.operators
 
 
 def test_zero_parameter_count_delegates_to_forward():

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from noeth import DegLex, DiffOp, Polynomial, buchberger, noetherian_forward
 from noeth.errors import RingMismatchError
 from noeth.ring import (
     RingDescriptor,
@@ -19,7 +21,7 @@ from noeth.ring import (
     t_part,
     x_part,
 )
-from support import RXY, RXYT, random_exponent
+from support import RX, RXY, RXYT, random_exponent
 
 
 def test_descriptor_shape_validation():
@@ -92,3 +94,15 @@ def test_reading_key_orders_by_degree_then_position_then_lex_largest():
         (1, (2, 0)),
         (1, (1, 1)),
     ]
+
+
+def test_inexact_inputs_are_refused_where_they_enter():
+    with pytest.raises(RingMismatchError, match="0.5"):
+        Polynomial(RX, {(1, (1,)): 0.5})
+    with pytest.raises(RingMismatchError, match="0.5"):
+        DiffOp(RXY, {(1, (0, 0)): 1}, center=(0.5, 0))
+    x = Polynomial.variable(RX, "x")
+    G = buchberger([(x - Fraction(1, 2)) ** 2], DegLex())
+    with pytest.raises(RingMismatchError, match="0.5"):
+        noetherian_forward(G, center=(0.5,))
+    assert noetherian_forward(G, center=(Fraction(1, 2),)).multiplicity == 2
