@@ -21,7 +21,6 @@ from .diffop import (
 )
 from .epsolution import SolutionFamily, build_solution, render_solution, solution_json
 from .errors import (
-    IterationLimitError,
     InfiniteStaircaseError,
     NoethError,
     NormalPositionError,
@@ -30,7 +29,6 @@ from .errors import (
     NotPrimaryError,
     ParseError,
     RingMismatchError,
-    UnsolvableSystemError,
     ZeroPolynomialError,
 )
 from .groebner import (
@@ -98,7 +96,6 @@ __all__ = [
     "DegRevLex",
     "GroebnerBasis",
     "InfiniteStaircaseError",
-    "IterationLimitError",
     "Lex",
     "ModuleOrder",
     "NoethError",
@@ -119,7 +116,6 @@ __all__ = [
     "SolutionFamily",
     "Staircase",
     "TOP",
-    "UnsolvableSystemError",
     "ZeroPolynomialError",
     "apply_at",
     "as_module_order",

@@ -35,14 +35,6 @@ class NormalPositionError(NoethError):
         self.report = report
 
 
-class IterationLimitError(NoethError):
-    """The parameter-power iteration exceeded its hard cap without stabilizing."""
-
-
-class UnsolvableSystemError(NoethError):
-    """The closure/annihilation system has no new solution before reaching the multiplicity."""
-
-
 class NotClosedError(NoethError):
     """An operator family is not stable under the lowering morphisms."""
 

@@ -25,7 +25,6 @@ from .errors import (
     NoethError,
     NotClosedError,
     NotPrimaryError,
-    UnsolvableSystemError,
     ZeroPolynomialError,
 )
 from .groebner import GroebnerBasis, Staircase, buchberger, corner_monomials, normal_form, staircase
@@ -212,6 +211,20 @@ def _nonzero_normal_forms(G0: GroebnerBasis, stair: Staircase) -> dict[TermKey, 
     return found
 
 
+def dual_rows(G0: GroebnerBasis, stair: Staircase) -> list[dict]:
+    """Operator terms, one dict per staircase monomial beta, in staircase order.
+
+    The row at beta maps every monomial to the beta-coefficient of its normal
+    form, keys in reading order.
+    """
+    nfs = _nonzero_normal_forms(G0, stair)
+    rows: dict[TermKey, dict] = {beta: {} for beta in stair.monomials}
+    for key in sorted(nfs, key=reading_key):
+        for beta, c in nfs[key].items():
+            rows[beta][key] = c
+    return [rows[beta] for beta in stair.monomials]
+
+
 def noetherian_forward(G: GroebnerBasis, center=None) -> NoetherianBasis:
     """Taylor-coefficient construction: one operator per residual monomial.
 
@@ -221,16 +234,9 @@ def noetherian_forward(G: GroebnerBasis, center=None) -> NoetherianBasis:
     primary at the center.
     """
     G0, center = _prepare(G, center)
-    ring = G0.ring
     stair = staircase(G0)
-    mu = stair.multiplicity
-    nfs = _nonzero_normal_forms(G0, stair)
-    rows: dict[TermKey, dict] = {beta: {} for beta in stair.monomials}
-    for key in sorted(nfs, key=reading_key):
-        for beta, c in nfs[key].items():
-            rows[beta][key] = c
-    ops = [DiffOp(ring, rows[beta], center) for beta in stair.monomials]
-    basis = NoetherianBasis(ops, mu, center, "forward", G0)
+    ops = [DiffOp(G0.ring, row, center) for row in dual_rows(G0, stair)]
+    basis = NoetherianBasis(ops, stair.multiplicity, center, "forward", G0)
     basis.validate()
     return basis
 
@@ -333,24 +339,24 @@ def noetherian_backward(G: GroebnerBasis, center=None) -> NoetherianBasis:
 # -- linear-solve construction ---------------------------------------------------
 
 
-def noetherian_linear(
-    gens: Sequence[Polynomial],
-    order: AnyOrder,
-    multiplicity: int | None = None,
-    center=None,
-) -> NoetherianBasis:
-    """Degree-climbing construction from closure and annihilation constraints."""
+def noetherian_linear(gens: Sequence[Polynomial], order: AnyOrder, center=None) -> NoetherianBasis:
+    """Degree-climbing construction from closure and annihilation constraints.
+
+    Candidates are the units and the restricted integrals of the operators
+    found so far: x_j raises only the terms free of x_1, ..., x_(j-1), which
+    reaches every closed operator (Mourrain, JPAA 1997).  The search is
+    therefore complete, and ending with fewer than mu operators means the
+    input is not primary at the center.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ZeroPolynomialError("no nonzero generators")
     ring = gens[0].ring
-    G = buchberger(gens, order, ring)
-    G0, center = _prepare(G, center)
+    center = as_center(ring, center)
+    targets = translate_to_origin(gens, center) if any(center) else gens
+    G0, _ = _prepare(buchberger(targets, order, ring), None)
     stair = staircase(G0)
     mu = stair.multiplicity
-    if multiplicity is not None and multiplicity != mu:
-        raise NoethError(f"requested multiplicity {multiplicity} but the staircase has {mu}")
-    targets = translate_to_origin(gens, center) if any(center) else gens
 
     found: list[DiffOp] = []
     span = Echelon()
@@ -360,7 +366,8 @@ def noetherian_linear(
         ]
         for L in found:
             for j in range(ring.x_count):
-                pool.append(L.rho(j))
+                free = {(pos, a): c for (pos, a), c in L.terms.items() if not any(a[:j])}
+                pool.append(DiffOp(ring, free).rho(j))
         uniq: list[DiffOp] = []
         seen_terms = set()
         for P in pool:
@@ -397,8 +404,9 @@ def noetherian_linear(
                 if len(found) == mu:
                     break
         if added == 0:
-            raise UnsolvableSystemError(
-                f"no new operator at span size {len(found)} (multiplicity {mu})"
+            raise NotPrimaryError(
+                f"the input is not primary at the center: the closed operators that "
+                f"annihilate it span {len(found)} dimensions, short of the multiplicity {mu}"
             )
 
     ops = canonical_operator_basis(found, ring, center, pivot_keys=list(stair.monomials))

@@ -4,9 +4,10 @@ The variable list is split into a leading x-block and a trailing parameter
 block.  When the input is primary, contracts trivially to the parameter ring,
 and is in normal position (monic in each x-variable, origin variety after
 extension), the ideal extends to a zero-dimensional one over rational
-functions in the parameters.  The extended dual basis is computed without
-rational-function normal forms: each coefficient is read off from ordinary
-normal forms of parameter-power multiples of the x-monomials.
+functions in the parameters.  Its dual basis is the forward construction run
+on that extension: the multiplication matrices and the degree walk of the
+zero-dimensional case, with rational-function coefficients, followed by a
+cleanup that clears denominators and common parameter factors per operator.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from typing import Sequence
 
 from .diffop import DiffOp
 from .errors import (
-    IterationLimitError,
     NoethError,
     NormalPositionError,
     NotEliminationOrderError,
     ZeroPolynomialError,
 )
-from .groebner import GroebnerBasis, buchberger, eliminate, normal_form, staircase
-from .noetherian import NoetherianBasis, monomial_keys_below, noetherian_forward
+from .groebner import GroebnerBasis, buchberger, eliminate, staircase
+from .noetherian import NoetherianBasis, dual_rows, noetherian_forward
 from .orderings import (
     AnyOrder,
     DegLex,
@@ -165,12 +165,14 @@ def noetherian_positive(
     gens: Sequence[Polynomial],
     order: AnyOrder,
     ring: RingDescriptor | None = None,
-    cleanup: bool = True,
 ) -> NoetherianBasis:
     """Dual basis with parameter-dependent coefficients.
 
-    Multiplies by the parameter power t^gamma one round at a time and stops as
-    soon as the residual x-monomials are separated.
+    Over the rational functions in the parameters the input is
+    zero-dimensional, so the forward walk runs on the extended basis
+    unchanged; each operator is then cleared of denominators and common
+    parameter factors.  Raises NotPrimaryError when the extension is not
+    primary at the origin.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -191,40 +193,18 @@ def noetherian_positive(
         )
     Gx = extend_to_rational_coeffs(G)
     stair = staircase(Gx)
-    mu = stair.multiplicity
-    residual_set = set(stair.monomials)
+    tring = ring.t_subring()
 
-    xzero = (0,) * ring.x_count
-    columns = monomial_keys_below(ring.x_subring(), mu)
-    states = {
-        (pos, xe): Polynomial.monomial(ring, xe + (0,) * ring.t_count, 1, pos)
-        for pos, xe in columns
-    }
+    def lift(c):
+        # the walk keeps the rational 1 of products inside the staircase
+        return c if isinstance(c, RationalFunction) else RationalFunction.from_fraction(c, tring)
 
-    def x_groups() -> set:
-        keys = set()
-        for s in states.values():
-            for pos, exp in s.terms:
-                keys.add((pos, x_part(ring, exp)))
-        return keys
-
-    tpow = Polynomial.monomial(ring, xzero + report.gamma)
-    cap = mu * max(1, sum(g.total_degree() for g in G.elements))
-    rounds = 0
-    while x_groups() != residual_set:
-        rounds += 1
-        if rounds > cap:
-            raise IterationLimitError(f"no separation after {cap} parameter multiplications")
-        states = {k: normal_form(tpow * s, G) for k, s in states.items()}
-
-    rows: dict[tuple[int, Exponent], dict] = {beta: {} for beta in stair.monomials}
-    for col, state in states.items():
-        for beta, tpoly in group_by_x(state).items():
-            rows[beta][col] = RationalFunction(tpoly)
-    ops = [DiffOp(ring, rows[beta]) for beta in stair.monomials]
-    if cleanup:
-        ops = cleanup_operators(ops)
-    basis = NoetherianBasis(ops, mu, (Fraction(0),) * ring.nvars, "positive", G)
+    ops = cleanup_operators(
+        [DiffOp(ring, {k: lift(c) for k, c in row.items()}) for row in dual_rows(Gx, stair)]
+    )
+    basis = NoetherianBasis(
+        ops, stair.multiplicity, (Fraction(0),) * ring.nvars, "positive", G
+    )
     basis.validate()
     return basis
 

@@ -193,6 +193,42 @@ def test_backward_non_primary_input_is_exit_one(capsys, tmp_path, text):
     assert err.startswith("error: the input is not primary at the center")
 
 
+def test_linear_non_primary_input_is_exit_one(capsys, tmp_path):
+    path = tmp_path / "two_points.noeth"
+    path.write_text("ring x, y;\norder deglex;\nideal x^2 - x, y;\n")
+    code, out, err = run(capsys, "noether", "--method", "linear", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the input is not primary at the center: ")
+
+
+@pytest.mark.parametrize("ideal", ["x^2 - x*t", "x^2 - x", "x - 1"])
+def test_posdim_non_primary_input_is_exit_one(capsys, tmp_path, ideal):
+    path = tmp_path / "not_primary.noeth"
+    path.write_text(f"ring x | t;\norder product(lex, lex);\nideal {ideal};\n")
+    code, out, err = run(capsys, "noether-posdim", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the input is not primary at the center: ")
+
+
+def test_check_all_at_a_shifted_center_counts_buchberger_runs(capsys, tmp_path, monkeypatch):
+    # one basis of the input, then one translated basis per construction
+    import noeth.cli
+    import noeth.noetherian
+
+    calls = []
+    for module in (noeth.cli, noeth.noetherian):
+        def counted(*args, _run=module.buchberger, **kwargs):
+            calls.append(args)
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(module, "buchberger", counted)
+    path = tmp_path / "shifted.noeth"
+    path.write_text("ring x, y;\norder deglex;\nideal (x-1)^2, y^2;\ncenter 1, 0;\n")
+    code, out, _ = run(capsys, "noether", "--check-all", str(path))
+    assert (code, out) == (0, "1\ndx\ndy\ndx dy\n")
+    assert len(calls) == 4
+
+
 def test_no_generators_error(capsys, tmp_path):
     path = tmp_path / "empty.noeth"
     path.write_text("ring x;\norder lex;\n")

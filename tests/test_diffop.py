@@ -270,14 +270,14 @@ def test_echelon_matches_dense_rref_over_rational_functions():
         return RationalFunction(num, den)
 
     for gens in ([x**3, y - x * t], [x**2, y**3, x * y * t - y**2]):
-        raw = list(noetherian_positive(gens, Lex(), cleanup=False).operators)
+        cleaned = list(noetherian_positive(gens, Lex()).operators)
         for _ in range(3):
-            ops = combinations(rng, raw, scalar, len(raw) + 1)
+            ops = combinations(rng, cleaned, scalar, len(cleaned) + 1)
             span = check_against_dense(ops, ring)
-            assert all(span.reduce(L) == {} for L in raw) is (len(span) == len(raw))
-        keys = sorted({k for L in raw for k in L.terms}, key=reading_key, reverse=True)
+            assert all(span.reduce(L) == {} for L in cleaned) is (len(span) == len(cleaned))
+        keys = sorted({k for L in cleaned for k in L.terms}, key=reading_key, reverse=True)
         rank = {k: i for i, k in enumerate(keys)}
-        check_against_dense(raw, ring, lambda k: rank[k])
+        check_against_dense(cleaned, ring, lambda k: rank[k])
 
 
 def test_echelon_reduce_and_add():

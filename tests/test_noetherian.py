@@ -34,7 +34,6 @@ from noeth.errors import (
     NoethError,
     NotClosedError,
     NotPrimaryError,
-    UnsolvableSystemError,
     ZeroPolynomialError,
 )
 from noeth.noetherian import monomial_keys_below
@@ -96,6 +95,8 @@ def test_methods_agree_on_goldens():
         (hermite_ideal(), RXY),
         ([x**2 - y, y**2], RXY),
         ([z3[0] ** 2 - z3[2], z3[1] ** 2 - z3[2], z3[2] ** 2], RXYZ),
+        # raising every term of a found operator misses closed operators here
+        ([(x - 2 * y) ** 5, y**6, (x - 2 * y) * y**3, (x - 2 * y) ** 2], RXY),
     ]
     for gens, ring in cases:
         zero = (Fraction(0),) * ring.nvars
@@ -107,11 +108,9 @@ def test_methods_agree_on_goldens():
 
 
 def test_methods_agree_on_random_primary_ideals():
-    rng = random.Random(307)
-    for _ in range(5):
-        gens = random_origin_primary(rng, RXY, cap=10)
-        zero = (Fraction(0), Fraction(0))
-        results = [build(gens, DegLex(), RXY, zero) for build in ALL_METHODS]
+    rng = random.Random(420)
+    for gens, order, center in random_primary_cases(rng):
+        results = [build(gens, order, gens[0].ring, center) for build in ALL_METHODS]
         assert results[0].operators == results[1].operators == results[2].operators
 
 
@@ -168,11 +167,9 @@ def test_center_must_be_a_zero():
         noetherian_forward(buchberger([x, y], DegLex(), RXY), center=(5, 0))
 
 
-def test_linear_method_rejects_wrong_multiplicity_and_non_primary_input():
+def test_linear_method_rejects_non_primary_input():
     x, y = xy_vars()
-    with pytest.raises(NoethError):
-        noetherian_linear(hermite_ideal(), DegLex(), multiplicity=5)
-    with pytest.raises(UnsolvableSystemError):
+    with pytest.raises(NotPrimaryError, match="not primary at the center"):
         noetherian_linear([x**2 - x, y], DegLex())
     with pytest.raises(ZeroPolynomialError):
         noetherian_linear([Polynomial.zero(RXY)], DegLex())
@@ -326,9 +323,39 @@ def test_backward_rejects_non_primary_input():
         noetherian_backward(buchberger([a**2 - a, b], DegLex(), RXY))
     with pytest.raises(NotPrimaryError):
         noetherian_backward(buchberger([a * (a - 1) * (a + 2), b], DegLex(), RXY))
-    # the linear solve finds no closed operator to add instead
-    with pytest.raises(UnsolvableSystemError):
+    # the linear solve runs short of mu closed operators instead
+    with pytest.raises(NotPrimaryError, match="not primary"):
         noetherian_linear([a**2 - a, b], DegLex())
+
+
+def random_primary_cases(rng):
+    """(generators, order, center) primary at the center, known by construction."""
+    cases = []
+    for ring in (RXY, RXYZ):
+        for _ in range(3):
+            gens = random_origin_primary(rng, ring, 10)
+            cases.append((gens, DegLex(), None))
+            cases.append((sheared(gens, rng), DegLex(), None))
+    for _ in range(3):
+        center = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2), 2))
+        gens = sheared(random_origin_primary(rng, RXY, 10), rng)
+        cases.append((translate_to_origin(gens, [-c for c in center]), DegLex(), center))
+    spec = parse_problem(MODULE_COMPONENTS)
+    for comp in spec.components:
+        cases.append((comp.generators, spec.effective_order, comp.center))
+    return cases
+
+
+def test_three_constructions_reject_random_non_primary_input():
+    # a primary ideal at the origin times the maximal ideal of another point
+    rng = random.Random(421)
+    for ring in (RXY, RXYZ, RXY, RXYZ):
+        xs = [Polynomial.variable(ring, i) for i in range(ring.nvars)]
+        other = [xs[0] - 1] + xs[1:]
+        gens = [g * h for g in random_origin_primary(rng, ring, 8) for h in other]
+        for build in ALL_METHODS:
+            with pytest.raises(NotPrimaryError, match="not primary at the center"):
+                build(gens, DegLex(), ring, None)
 
 
 def test_validate_rejects_malformed_bases():

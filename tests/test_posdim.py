@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,16 +26,18 @@ from noeth import (
     noetherian_forward,
     noetherian_positive,
     normal_form,
-    span_equal_operators,
+    parse_problem,
+    staircase,
 )
 from noeth.errors import (
     NoethError,
     NormalPositionError,
     NotEliminationOrderError,
+    NotPrimaryError,
     ZeroPolynomialError,
 )
-from noeth.noetherian import monomial_keys_below
 from noeth.posdim import group_by_x
+from noeth.ring import reading_key
 from support import (
     RM2,
     RXT,
@@ -185,18 +189,13 @@ def test_unit_extension_has_multiplicity_zero():
     assert multiplicity_extended(G) == 0
 
 
-def test_positive_worked_example_raw_and_cleaned():
-    raw = noetherian_positive(worked_generators(), Lex(), cleanup=False)
-    assert raw.multiplicity == 2
-    assert raw.method == "positive"
+def test_positive_worked_example_golden():
+    basis = noetherian_positive(worked_generators(), Lex())
+    assert basis.multiplicity == 2
+    assert basis.method == "positive"
     t1 = rf_t(RXYT2, {(1,): 1})
     one = rf_t(RXYT2, {(0,): 1})
-    assert raw.operators == (
-        DiffOp(RXYT2, {(1, (0, 0)): t1}),
-        DiffOp(RXYT2, {(1, (1, 0)): one, (1, (0, 1)): t1}),
-    )
-    cleaned = noetherian_positive(worked_generators(), Lex())
-    assert cleaned.operators == (
+    assert basis.operators == (
         DiffOp(RXYT2, {(1, (0, 0)): one}),
         DiffOp(RXYT2, {(1, (1, 0)): one, (1, (0, 1)): t1}),
     )
@@ -234,9 +233,18 @@ def test_positive_rejects_bad_position():
 
 
 def test_cleanup_preserves_the_span():
-    raw = noetherian_positive(worked_generators(), Lex(), cleanup=False)
-    cleaned = cleanup_operators(list(raw.operators))
-    assert span_equal_operators(list(raw.operators), cleaned)
+    # a cleaned operator is the fixed point of its own rational multiples
+    rng = random.Random(409)
+    tring = RXYT2.t_subring()
+    t = Polynomial.variable(tring, 0)
+    cases = [worked_generators()] + [random_sheared_posdim(rng)[0] for _ in range(4)]
+    for gens in cases:
+        for L in noetherian_positive(gens, Lex()).operators:
+            for _ in range(3):
+                num = (t + Polynomial.constant(tring, rng.randint(-3, 3))) ** rng.randint(0, 2)
+                den = t ** rng.randint(0, 2) + Polynomial.constant(tring, rng.randint(1, 3))
+                scalar = RationalFunction(num.scale(random_nonzero_fraction(rng)), den)
+                assert cleanup_operators([L.scale(scalar)]) == [L]
     # cleanup leaves rational-free operators untouched
     dx = DiffOp(RXY, {(1, (1, 0)): Fraction(2)})
     assert cleanup_operators([dx]) == [dx]
@@ -266,46 +274,112 @@ def test_membership_equivalence_randomized():
         assert not normal_form(f + bump, G).is_zero()
 
 
-def test_iteration_rows_stabilize_up_to_parameter_power():
-    gens = worked_generators()
-    G = buchberger(gens, Lex(), RXYT2)
-    Gx = extend_to_rational_coeffs(G)
-    from noeth import staircase
+def reference_positive_rows(gens, order, rounds=None):
+    """Operator rows of the parameter-power round loop, polynomial in t.
 
-    stair = staircase(Gx)
+    Every x-monomial below mu starts as its own state; a round replaces each
+    state by the normal form of t^gamma times it over k[x, t].  Without a
+    round count, rounds run until the x-monomials left in the states are
+    exactly the staircase.  The row at a staircase monomial beta maps each
+    starting monomial to the t-polynomial coefficient of x^beta in its state.
+    """
+    ring = gens[0].ring
+    G = buchberger(gens, order, ring)
+    stair = staircase(extend_to_rational_coeffs(G))
     mu = stair.multiplicity
     residual = set(stair.monomials)
+    gamma = check_normal_position(gens, order).gamma
+    tpow = Polynomial.monomial(ring, (0,) * ring.x_count + gamma)
+    states = {
+        (1, xe): Polynomial.monomial(ring, xe + (0,) * ring.t_count)
+        for xe in product(range(mu), repeat=ring.x_count)
+        if sum(xe) < mu
+    }
+
+    def separated():
+        return {key for s in states.values() for key in group_by_x(s)} == residual
+
+    done = 0
+    while (done < rounds) if rounds is not None else not separated():
+        assert done <= mu, "no separation after mu rounds"
+        states = {k: normal_form(tpow * s, G) for k, s in states.items()}
+        done += 1
+    rows = {beta: {} for beta in stair.monomials}
+    for col in sorted(states, key=reading_key):
+        for beta, tpoly in group_by_x(states[col]).items():
+            rows[beta][col] = tpoly
+    return [rows[beta] for beta in stair.monomials]
+
+
+def random_sheared_posdim(rng):
+    """A monomial ideal in x, y composed with x -> x + c t y, and an order.
+
+    The substitution is an automorphism over k[t], so the image is primary
+    over k(t) at the origin and in normal position.
+    """
+    x, y, t = (Polynomial.variable(RXYT2, i) for i in range(3))
+    a, b = rng.randint(1, 3), rng.randint(1, 3)
+    exps = [(a, 0), (0, b)]
+    if a > 1 and b > 1 and rng.random() < 0.5:
+        exps.append((rng.randint(1, a - 1), rng.randint(1, b - 1)))
+    image = x + (t * y).scale(random_nonzero_fraction(rng))
+    gens = [image**i * y**j for i, j in exps]
+    order = rng.choice([Lex(), ProductOrder(Lex(), Lex()), ProductOrder(DegLex(), Lex())])
+    return gens, order
+
+
+def random_nonzero_fraction(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def test_iteration_rows_stabilize_up_to_parameter_power():
+    gens = worked_generators()
+    mu = multiplicity_extended(buchberger(gens, Lex(), RXYT2))
     gamma = check_normal_position(gens, Lex()).gamma
-    tring = RXYT2.t_subring()
-    tpow = Polynomial.monomial(RXYT2, (0, 0) + gamma)
-
-    def rows_after(rounds):
-        columns = monomial_keys_below(RXYT2.x_subring(), mu)
-        states = {
-            (pos, xe): Polynomial.monomial(RXYT2, xe + (0,) * RXYT2.t_count, 1, pos)
-            for pos, xe in columns
-        }
-        for _ in range(rounds):
-            states = {k: normal_form(tpow * s, G) for k, s in states.items()}
-        rows = {beta: {} for beta in residual}
-        for col, state in states.items():
-            for beta, tpoly in group_by_x(state).items():
-                rows[beta][col] = tpoly
-        return rows
-
-    first = rows_after(1)
+    first = reference_positive_rows(gens, Lex(), rounds=1)
     # separated after one round: every residual monomial carries a row
-    assert all(first[beta] for beta in residual)
-    assert len(first) == mu
-    second = rows_after(2)
-    shift = Polynomial.monomial(tring, gamma)
-    for beta in residual:
-        assert set(second[beta]) == set(first[beta])
-        for col, tp in first[beta].items():
-            assert second[beta][col] == shift * tp
+    assert len(first) == mu and all(first)
+    assert first == reference_positive_rows(gens, Lex())
+    second = reference_positive_rows(gens, Lex(), rounds=2)
+    shift = Polynomial.monomial(RXYT2.t_subring(), gamma)
+    for row1, row2 in zip(first, second):
+        assert set(row2) == set(row1)
+        for col, tp in row1.items():
+            assert row2[col] == shift * tp
 
 
-def test_raw_operator_count_is_the_multiplicity():
-    raw = noetherian_positive(worked_generators(), Lex(), cleanup=False)
-    assert len(raw.operators) == raw.multiplicity
-    assert all(not L.is_zero() for L in raw.operators)
+def test_positive_matches_the_round_loop_reference():
+    rng = random.Random(403)
+    cases = [(worked_generators(), Lex()), (worked_generators(RXYZ2), Lex())]
+    cases += [random_sheared_posdim(rng) for _ in range(12)]
+    for gens, order in cases:
+        ring = gens[0].ring
+        reference = cleanup_operators(
+            [
+                DiffOp(ring, {col: RationalFunction(tp) for col, tp in row.items()})
+                for row in reference_positive_rows(gens, order)
+            ]
+        )
+        basis = noetherian_positive(gens, order)
+        assert list(basis.operators) == reference
+        assert [list(L.terms.items()) for L in basis.operators] == [
+            list(L.terms.items()) for L in reference
+        ]
+
+
+@pytest.mark.parametrize("ideal", ["x^2 - x*t", "x^2 - x", "x - 1"])
+def test_positive_rejects_non_primary_input(ideal):
+    spec = parse_problem(f"ring x | t;\norder product(lex, lex);\nideal {ideal};\n")
+    with pytest.raises(NotPrimaryError, match="not primary at the center"):
+        noetherian_positive(spec.generators, spec.effective_order, spec.ring)
+
+
+def test_positive_multiplicity_64_runs_without_a_monomial_sweep():
+    # a sweep over every x-monomial below mu would take 45,760 normal forms here
+    spec = parse_problem(
+        "ring x, y, z | t;\norder product(deglex, lex);\nideal (x + 2*t*y)^4, y^4, z^4;\n"
+    )
+    start = time.perf_counter()
+    basis = noetherian_positive(spec.generators, spec.effective_order, spec.ring)
+    assert time.perf_counter() - start < 5.0
+    assert basis.multiplicity == len(basis.operators) == 64
