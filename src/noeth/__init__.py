@@ -50,7 +50,6 @@ from .noetherian import (
     noetherian_backward,
     noetherian_forward,
     noetherian_linear,
-    translate_to_origin,
 )
 from .orderings import (
     POT,
@@ -60,10 +59,6 @@ from .orderings import (
     Lex,
     ModuleOrder,
     ProductOrder,
-    as_module_order,
-    is_elimination_for,
-    leading_term,
-    smallest_term,
 )
 from .polynomial import Polynomial, poly_mul
 from .posdim import (
@@ -77,15 +72,7 @@ from .posdim import (
 )
 from .problem import ProblemSpec, parse_polynomial, parse_problem
 from .ratfun import RationalFunction, poly_gcd, poly_lcm
-from .render import (
-    emit_json,
-    operator_json,
-    polynomial_json,
-    render_module_term,
-    render_operator,
-    render_polynomial,
-    ring_json,
-)
+from .render import render_module_term, render_operator, render_polynomial
 from .ring import RingDescriptor
 
 __version__ = "0.1.0"
@@ -118,7 +105,6 @@ __all__ = [
     "TOP",
     "ZeroPolynomialError",
     "apply_at",
-    "as_module_order",
     "backward_step",
     "buchberger",
     "build_solution",
@@ -129,13 +115,10 @@ __all__ = [
     "corner_monomials",
     "dual_of_polynomial",
     "eliminate",
-    "emit_json",
     "extend_to_rational_coeffs",
     "ideal_from_conditions",
     "is_closed",
-    "is_elimination_for",
     "is_member",
-    "leading_term",
     "member_positive",
     "membership_by_operators",
     "multiplicity_extended",
@@ -144,22 +127,17 @@ __all__ = [
     "noetherian_linear",
     "noetherian_positive",
     "normal_form",
-    "operator_json",
     "parse_polynomial",
     "parse_problem",
     "poly_gcd",
     "poly_lcm",
     "poly_mul",
-    "polynomial_json",
     "render_module_term",
     "render_operator",
     "render_polynomial",
     "render_solution",
-    "ring_json",
     "s_polynomial",
-    "smallest_term",
     "solution_json",
     "span_equal_operators",
     "staircase",
-    "translate_to_origin",
 ]

@@ -166,12 +166,13 @@ def alpha_factorial(alpha: Exponent) -> int:
 
 
 class Echelon:
-    """Reduced row echelon form of an operator span, kept as sparse term dicts.
+    """Reduced row echelon form of a span of sparse vectors, kept as term dicts.
 
-    Columns are ordered by key (reading_key unless given).  Each row is keyed
+    Vectors are dicts from column to coefficient, such as DiffOp.terms;
+    columns are ordered by key (reading_key unless given).  Each row is keyed
     by its pivot, has coefficient 1 there, 0 at every other pivot and no term
-    before its pivot: the unique RREF of the span, whatever order the
-    operators arrive in.
+    before its pivot: the unique RREF of the span, whatever order the vectors
+    arrive in.
     """
 
     __slots__ = ("key", "rows")
@@ -180,7 +181,7 @@ class Echelon:
         self.key = key
         self.rows: dict[OpKey, dict] = {}
         for L in ops:
-            self.add(L)
+            self.add(L.terms)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -193,18 +194,18 @@ class Echelon:
     def pivots(self) -> list[OpKey]:
         return sorted(self.rows, key=self.key)
 
-    def reduce(self, L: DiffOp) -> dict:
-        """Terms of L left after eliminating every pivot; empty when L is in the span."""
-        out = dict(L.terms)
+    def reduce(self, terms: Mapping) -> dict:
+        """What is left of a term dict after eliminating every pivot; empty in the span."""
+        out = dict(terms)
         # A row is 0 at every other pivot, so eliminating one pivot leaves
         # the coefficients at the others as they were.
-        for p in [k for k in L.terms if k in self.rows]:
+        for p in [k for k in terms if k in self.rows]:
             _subtract(out, out[p], self.rows[p])
         return out
 
-    def add(self, L: DiffOp) -> bool:
-        """Extend the span by L; False when L already lies in it."""
-        row = self.reduce(L)
+    def add(self, terms: Mapping) -> bool:
+        """Extend the span by a term dict; False when it already lies in it."""
+        row = self.reduce(terms)
         if not row:
             return False
         p = min(row, key=self.key)
@@ -248,7 +249,7 @@ def is_closed(ops, echelon: Echelon | None = None) -> bool:
     if not ops:
         return True
     span = Echelon(ops) if echelon is None else echelon
-    return not any(span.reduce(L.sigma(j)) for L in ops for j in range(L.ring.x_count))
+    return not any(span.reduce(L.sigma(j).terms) for L in ops for j in range(L.ring.x_count))
 
 
 def closure(ops) -> tuple[DiffOp, ...]:
@@ -260,7 +261,7 @@ def closure(ops) -> tuple[DiffOp, ...]:
     queue = deque(ops)
     while queue:
         L = queue.popleft()
-        if span.add(L):
+        if span.add(L.terms):
             queue.extend(L.sigma(j) for j in range(L.ring.x_count))
     return span.operators(ops[0].ring, ops[0].center)
 

@@ -1,7 +1,9 @@
-"""Exact Gauss-Jordan elimination over any field-like coefficient type.
+"""Dense exact Gauss-Jordan elimination over any field-like coefficient type.
 
-Rows are lists; entries only need +, -, *, /, bool.  Used for kernel bases;
-operator spans are reduced sparsely by diffop.Echelon.
+Rows are lists; entries only need +, -, *, /, bool.  Nothing in the library
+calls it: every span and kernel question runs on diffop.Echelon.  It stays as
+the dense reference the tests compare Echelon against, and as a layer the
+benchmark tracer wraps.
 """
 
 from __future__ import annotations
@@ -36,20 +38,3 @@ def rref(rows):
         if rank == len(rows):
             break
     return rows[:rank], pivots
-
-
-def nullspace(rows, ncols, zero, one):
-    """Basis of {c : rows . c = 0}, one vector per free column, in column order."""
-    reduced, pivots = rref(rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for row, p in zip(reduced, pivots):
-            if row[free]:
-                vec[p] = -row[free]
-        basis.append(vec)
-    return basis

@@ -4,12 +4,14 @@ Three constructions of the same span are provided: a forward pass reading
 normal-form coefficients, a backward pass anti-rewriting corner monomials, and
 a degree-climbing linear solve.  All return a NoetherianBasis whose operator
 list is in the canonical row form anchored at the residual monomials, so
-results from different routes compare equal term by term.
+results from different routes compare equal term by term.  The inverse,
+ideal_from_conditions, recovers the reduced Groebner basis from the span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .diffop import (
@@ -28,12 +30,9 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .groebner import GroebnerBasis, Staircase, buchberger, corner_monomials, normal_form, staircase
-from .linalg import nullspace
 from .orderings import AnyOrder, as_module_order, leading_term
 from .polynomial import Polynomial
 from .ring import (
-    Exponent,
-    RingDescriptor,
     TermKey,
     as_center,
     exp_add,
@@ -82,32 +81,6 @@ class NoetherianBasis:
                 raise NoethError("operator order exceeds the multiplicity bound")
 
 
-def translate_to_origin(gens: Sequence[Polynomial], point) -> list[Polynomial]:
-    """Rewrite each generator in coordinates centered at point."""
-    return [g.substitute_affine(point) for g in gens]
-
-
-def _exponents_of_degree(n: int, degree: int) -> list[Exponent]:
-    """Exponents of length n and the given total degree, lexicographically largest first."""
-    if n == 0:
-        return [()] if degree == 0 else []
-    return [
-        (e,) + rest
-        for e in range(degree, -1, -1)
-        for rest in _exponents_of_degree(n - 1, degree - e)
-    ]
-
-
-def monomial_keys_below(ring: RingDescriptor, bound: int) -> list[tuple[int, Exponent]]:
-    """All (position, exponent) keys with total degree < bound, reading order."""
-    keys = []
-    for degree in range(bound):
-        exps = _exponents_of_degree(ring.x_count, degree)
-        for pos in range(1, ring.rank + 1):
-            keys.extend((pos, exp) for exp in exps)
-    return keys
-
-
 def _prepare(G, center):
     """Translate if needed and return (reduced basis at origin, center tuple)."""
     if not isinstance(G, GroebnerBasis):
@@ -117,8 +90,7 @@ def _prepare(G, center):
         raise NoethError("variables after the separator require the parameter-coefficient construction")
     center = as_center(ring, center)
     if any(center):
-        moved = translate_to_origin(list(G.elements), center)
-        G0 = buchberger(moved, G.order, ring)
+        G0 = buchberger([g.substitute_affine(center) for g in G.elements], G.order, ring)
     elif G.reduced:
         G0 = G
     else:
@@ -336,6 +308,32 @@ def noetherian_backward(G: GroebnerBasis, center=None) -> NoetherianBasis:
     return basis
 
 
+# -- relations among tagged vectors ----------------------------------------------
+
+_TAG = "tag"
+
+
+def _tags_last(column) -> tuple:
+    return (column[0] == _TAG, column)
+
+
+def _relation(kernel: Echelon, vector: dict, tag):
+    """Reduce vector, tagged by tag, against kernel (keyed by _tags_last).
+
+    The tag rides along as the column (_TAG, tag), which ranks after every
+    coordinate, so each row of kernel remembers the tagged vectors it
+    combines.  A vector in the span of the earlier ones leaves only tag
+    columns, and the relation {tag: 1, t: -c_t, ...} with vector equal to the
+    sum of c_t times vector_t is returned.  Any other vector joins kernel and
+    the result is None.
+    """
+    residue = kernel.reduce({**vector, (_TAG, tag): Fraction(1)})
+    if any(column[0] != _TAG for column in residue):
+        kernel.add(residue)
+        return None
+    return {column[1]: c for column, c in residue.items()}
+
+
 # -- linear-solve construction ---------------------------------------------------
 
 
@@ -353,7 +351,7 @@ def noetherian_linear(gens: Sequence[Polynomial], order: AnyOrder, center=None) 
         raise ZeroPolynomialError("no nonzero generators")
     ring = gens[0].ring
     center = as_center(ring, center)
-    targets = translate_to_origin(gens, center) if any(center) else gens
+    targets = [g.substitute_affine(center) for g in gens] if any(center) else gens
     G0, _ = _prepare(buchberger(targets, order, ring), None)
     stair = staircase(G0)
     mu = stair.multiplicity
@@ -377,28 +375,29 @@ def noetherian_linear(gens: Sequence[Polynomial], order: AnyOrder, center=None) 
                 uniq.append(P)
         pool = uniq
 
-        # Unknowns: one coefficient per pool member.  Constraints: every
-        # generator is annihilated, and each lowering image stays in the
-        # current span.
-        constraints: list[list[Fraction]] = []
-        for g in targets:
-            constraints.append([apply_at(P, g) for P in pool])
-        for j in range(ring.x_count):
-            residues = [span.reduce(P.sigma(j)) for P in pool]
-            for k in sorted({k for res in residues for k in res}, key=reading_key):
-                constraints.append([res.get(k, Fraction(0)) for res in residues])
-
-        solutions = nullspace(constraints, len(pool), Fraction(0), Fraction(1))
+        # Unknowns: one coefficient per pool member, whose column holds its
+        # constraint values: every generator is annihilated, and each lowering
+        # image stays in the current span.  A column that depends on the
+        # earlier ones gives a kernel vector.
+        columns = []
+        for P in pool:
+            column = {("g", i): v for i, g in enumerate(targets) if (v := apply_at(P, g))}
+            for j in range(ring.x_count):
+                column.update((("s", j, k), c) for k, c in span.reduce(P.sigma(j).terms).items())
+            columns.append(column)
+        kernel = Echelon(key=_tags_last)
         added = 0
-        for sol in solutions:
+        for idx, column in enumerate(columns):
+            relation = _relation(kernel, column, idx)
+            if relation is None:
+                continue
             # Solve at the origin; the real center is attached at the end.
             L = DiffOp(ring, {})
-            for c, P in zip(sol, pool):
-                if c:
-                    L = L + P.scale(c)
+            for t in sorted(relation):
+                L = L + pool[t].scale(relation[t])
             if L.is_zero():
                 continue
-            if span.add(L):
+            if span.add(L.terms):
                 found.append(L)
                 added += 1
                 if len(found) == mu:
@@ -418,10 +417,18 @@ def noetherian_linear(gens: Sequence[Polynomial], order: AnyOrder, center=None) 
 # -- inverse problem and membership ----------------------------------------------
 
 
-def ideal_from_conditions(
-    ops: Sequence[DiffOp], degree_bound: int, order: AnyOrder
-) -> GroebnerBasis:
-    """Generators (up to degree_bound) of all polynomials killed by the span."""
+def ideal_from_conditions(ops: Sequence[DiffOp], order: AnyOrder) -> GroebnerBasis:
+    """Reduced Groebner basis of everything the operators annihilate.
+
+    A Buchberger-Moeller walk (Marinari, Moeller and Mora, AAECC 1993): terms
+    are visited in increasing order from the units e_1..e_r, and a term that a
+    lead found so far divides is skipped.  The evaluation vector
+    (L_1(m), ..., L_k(m)) of a term m either depends on those of the earlier
+    staircase terms b, which gives the basis element m - sum c_b b with lead
+    m, or joins them: m is in the staircase and its multiples m x_j become
+    candidates.  At most k terms are independent, so no degree bound is
+    needed, and the elements come out reduced and monic.
+    """
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         raise ZeroPolynomialError("no operators given")
@@ -430,20 +437,29 @@ def ideal_from_conditions(
         raise NoethError("conditions over parameter coefficients are not supported")
     if not is_closed(ops):
         raise NotClosedError("the operator span is not stable under lowering")
-    columns = monomial_keys_below(ring, degree_bound + 1)
-    monos = [Polynomial.monomial(ring, exp, 1, pos) for pos, exp in columns]
-    rows = [[apply_at(L, m) for m in monos] for L in ops]
-    kernel = nullspace(rows, len(columns), Fraction(0), Fraction(1))
-    polys = []
-    for vec in kernel:
-        p = Polynomial.zero(ring)
-        for c, m in zip(vec, monos):
-            if c:
-                p = p + m.scale(c)
-        polys.append(p)
-    if not polys:
-        raise NoethError("the conditions admit no polynomial below the degree bound")
-    return buchberger(polys, order, ring)
+    term_key = as_module_order(order).key(ring)
+    candidates = [(term_key(m), m) for m in ((pos, ring.zero_exp()) for pos in range(1, ring.rank + 1))]
+    heapify(candidates)
+    seen = {m for _, m in candidates}
+    kernel = Echelon(key=_tags_last)
+    elements = []
+    while candidates:
+        _, m = heappop(candidates)
+        if any(lead[0] == m[0] and exp_divides(lead[1], m[1]) for lead, _ in elements):
+            continue
+        mono = Polynomial.monomial(ring, m[1], 1, m[0])
+        vector = {("op", i): v for i, L in enumerate(ops) if (v := apply_at(L, mono))}
+        relation = _relation(kernel, vector, m)
+        if relation is not None:
+            elements.append((m, Polynomial(ring, relation)))
+            continue
+        for j in range(ring.nvars):
+            up = (m[0], exp_add(m[1], ring.var_exp(j)))
+            if up not in seen:
+                seen.add(up)
+                heappush(candidates, (term_key(up), up))
+    # Leads were found in increasing order; buchberger lists them decreasing.
+    return GroebnerBasis(ring, order, tuple(g for _, g in reversed(elements)), True)
 
 
 def membership_by_operators(f: Polynomial, basis: NoetherianBasis) -> bool:

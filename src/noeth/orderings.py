@@ -116,14 +116,6 @@ def leading_term(f, order: AnyOrder) -> tuple[TermKey, object]:
     return best, f.terms[best]
 
 
-def smallest_term(f, order: AnyOrder) -> tuple[TermKey, object]:
-    """Smallest (key, coeff) of f under the order, sign included."""
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no smallest term")
-    worst = min(f.terms, key=as_module_order(order).key(f.ring))
-    return worst, f.terms[worst]
-
-
 def monic(f, order: AnyOrder):
     """f scaled to leading coefficient one under the order; zero stays zero."""
     if f.is_zero():

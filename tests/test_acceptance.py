@@ -344,5 +344,5 @@ def test_criterion_10_round_trip():
     ):
         G = buchberger(gens, DegLex(), ring)
         basis = noetherian_forward(G)
-        recovered = ideal_from_conditions(list(basis.operators), basis.multiplicity, DegLex())
+        recovered = ideal_from_conditions(list(basis.operators), DegLex())
         assert recovered.elements == G.elements

@@ -222,12 +222,12 @@ def test_echelon_matches_dense_rref_over_fractions():
         rng.shuffle(ops)
         span = check_against_dense(ops, ring)
         for L in combinations(rng, ops, lambda: random_fraction(rng), 3):
-            assert span.reduce(L) == {}
-            assert not span.add(L)
+            assert span.reduce(L.terms) == {}
+            assert not span.add(L.terms)
         outside = random_operator(rng, ring, max_deg=5)
         grows = len(dense_echelon(ops + [outside])[0]) > len(span)
-        assert bool(span.reduce(outside)) is grows
-        assert span.add(outside) is grows
+        assert bool(span.reduce(outside.terms)) is grows
+        assert span.add(outside.terms) is grows
         check_against_dense(ops + [outside], ring)
         assert span == Echelon(ops + [outside])
 
@@ -274,7 +274,7 @@ def test_echelon_matches_dense_rref_over_rational_functions():
         for _ in range(3):
             ops = combinations(rng, cleaned, scalar, len(cleaned) + 1)
             span = check_against_dense(ops, ring)
-            assert all(span.reduce(L) == {} for L in cleaned) is (len(span) == len(cleaned))
+            assert all(span.reduce(L.terms) == {} for L in cleaned) is (len(span) == len(cleaned))
         keys = sorted({k for L in cleaned for k in L.terms}, key=reading_key, reverse=True)
         rank = {k: i for i, k in enumerate(keys)}
         check_against_dense(cleaned, ring, lambda k: rank[k])
@@ -282,11 +282,11 @@ def test_echelon_matches_dense_rref_over_rational_functions():
 
 def test_echelon_reduce_and_add():
     span = Echelon([op({(0, 0): 1, (0, 2): 2}), op({(1, 0): 1, (0, 2): 3})])
-    assert span.reduce(op({(0, 0): 2, (1, 0): 1, (0, 2): 7})) == {}
-    assert span.reduce(op({(0, 2): 1})) == {(1, (0, 2)): Fraction(1)}
-    assert span.reduce(op({(0, 0): 2, (1, 0): 1, (0, 2): 8})) == {(1, (0, 2)): Fraction(1)}
-    assert not span.add(op({(0, 0): 2, (1, 0): 1, (0, 2): 7}))
-    assert span.add(op({(0, 2): 5}))
+    assert span.reduce(op({(0, 0): 2, (1, 0): 1, (0, 2): 7}).terms) == {}
+    assert span.reduce(op({(0, 2): 1}).terms) == {(1, (0, 2)): Fraction(1)}
+    assert span.reduce(op({(0, 0): 2, (1, 0): 1, (0, 2): 8}).terms) == {(1, (0, 2)): Fraction(1)}
+    assert not span.add(op({(0, 0): 2, (1, 0): 1, (0, 2): 7}).terms)
+    assert span.add(op({(0, 2): 5}).terms)
     assert span.operators(RXY) == (op({(0, 0): 1}), op({(1, 0): 1}), op({(0, 2): 1}))
 
 

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from itertools import product
-from math import comb
 
 import pytest
 
+import noeth.noetherian
 from noeth import (
+    POT,
+    TOP,
     DegLex,
+    DegRevLex,
     DiffOp,
     Lex,
     ModuleOrder,
@@ -28,7 +30,6 @@ from noeth import (
     normal_form,
     parse_problem,
     staircase,
-    translate_to_origin,
 )
 from noeth.errors import (
     NoethError,
@@ -36,7 +37,6 @@ from noeth.errors import (
     NotPrimaryError,
     ZeroPolynomialError,
 )
-from noeth.noetherian import monomial_keys_below
 from noeth.ring import reading_key
 from support import (
     RM2,
@@ -198,47 +198,20 @@ def test_translate_to_origin():
     e1 = Polynomial.constant(RM2, 1, 1)
     e2 = Polynomial.constant(RM2, 1, 2)
     gens = [x1 - e1 + e2, y1, y1 + x2 - e2]
-    moved = translate_to_origin(gens, (1, 0))
+    moved = [g.substitute_affine((1, 0)) for g in gens]
     assert moved == [x1 + e2, y1, y1 + x2]
     rng = random.Random(311)
     for _ in range(20):
         f = random_polynomial(rng, RXY, max_terms=5, max_deg=4)
         point = (rng.randint(-3, 3), rng.randint(-3, 3))
-        shifted = translate_to_origin([f], point)[0]
+        shifted = f.substitute_affine(point)
         assert shifted.evaluate((0, 0)) == f.evaluate(point)
-
-
-def test_monomial_keys_below():
-    assert monomial_keys_below(RXY, 2) == [(1, (0, 0)), (1, (1, 0)), (1, (0, 1))]
-    assert monomial_keys_below(RM2, 2) == [
-        (1, (0, 0)),
-        (2, (0, 0)),
-        (1, (1, 0)),
-        (1, (0, 1)),
-        (2, (1, 0)),
-        (2, (0, 1)),
-    ]
-
-
-def test_monomial_keys_below_by_degree():
-    for ring, bound in ((RXYZ, 5), (RM2, 4), (RX, 3)):
-        box = [
-            (pos, exp)
-            for exp in product(range(bound), repeat=ring.x_count)
-            for pos in range(1, ring.rank + 1)
-            if sum(exp) < bound
-        ]
-        assert monomial_keys_below(ring, bound) == sorted(box, key=reading_key)
-    start = time.perf_counter()
-    keys = monomial_keys_below(RXYZ, 60)
-    assert time.perf_counter() - start < 1.0
-    assert len(keys) == comb(62, 3)
 
 
 def reference_forward_rows(G, center=None):
     """Operator term dicts read off one normal form per monomial below mu."""
     ring = G.ring
-    G0 = buchberger(translate_to_origin(list(G.elements), center), G.order, ring) if center else G
+    G0 = buchberger([g.substitute_affine(center) for g in G.elements], G.order, ring) if center else G
     stair = staircase(G0)
     mu = stair.multiplicity
     rows = {beta: {} for beta in stair.monomials}
@@ -288,7 +261,7 @@ def test_forward_matches_one_normal_form_per_monomial():
     center = (Fraction(3), Fraction(-1, 2))
     for _ in range(3):
         gens = sheared(random_origin_primary(rng, RXY, 10), rng)
-        gens = translate_to_origin(gens, [-c for c in center])
+        gens = [g.substitute_affine([-c for c in center]) for g in gens]
         cases.append((buchberger(gens, DegLex(), RXY), center))
     spec = parse_problem(MODULE_COMPONENTS)
     for comp in spec.components:
@@ -339,7 +312,7 @@ def random_primary_cases(rng):
     for _ in range(3):
         center = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2), 2))
         gens = sheared(random_origin_primary(rng, RXY, 10), rng)
-        cases.append((translate_to_origin(gens, [-c for c in center]), DegLex(), center))
+        cases.append(([g.substitute_affine([-c for c in center]) for g in gens], DegLex(), center))
     spec = parse_problem(MODULE_COMPONENTS)
     for comp in spec.components:
         cases.append((comp.generators, spec.effective_order, comp.center))
@@ -403,31 +376,70 @@ def test_ideal_from_conditions_goldens():
     x, y = xy_vars()
     one = DiffOp.identity(RXY)
     dx = DiffOp(RXY, {(1, (1, 0)): 1})
-    G = ideal_from_conditions([one], 1, DegLex())
-    assert set(G.elements) == {x, y}
-    G2 = ideal_from_conditions([one, dx], 2, DegLex())
-    assert set(G2.elements) == {y, x**2}
+    dx2 = DiffOp(RXY, {(1, (2, 0)): 1})
+    assert ideal_from_conditions([one], DegLex()).elements == (x, y)
+    assert ideal_from_conditions([one, dx], DegLex()).elements == (x**2, y)
+    # a degree bound of 1 or 2 used to give (y), whose staircase is infinite
+    assert ideal_from_conditions([one, dx, dx2], DegLex()).elements == (x**3, y)
+    at = (1, 0)
+    shifted = [DiffOp.identity(RXY, center=at), DiffOp(RXY, {(1, (1, 0)): 1}, at)]
+    assert ideal_from_conditions(shifted, DegLex()).elements == (x**2 - x.scale(2) + 1, y)
+    x1, y1, x2, y2 = (Polynomial.variable(RM2, n, pos) for pos in (1, 2) for n in ("x", "y"))
+    e2 = Polynomial.constant(RM2, 1, 2)
+    one2 = DiffOp.identity(RM2)
+    dx2 = DiffOp(RM2, {(1, (1, 0)): 1})
+    module_ops = [one2, dx2 + DiffOp(RM2, {(2, (0, 0)): 1})]
+    assert ideal_from_conditions(module_ops, ModuleOrder(DegLex(), TOP)).elements == (
+        x1 - e2,
+        x2,
+        y1,
+        y2,
+    )
+    # repeated and combined operators add nothing; a position that no
+    # operator reads is the whole free module there, so its unit is a lead
+    for precedence in (TOP, POT):
+        order = ModuleOrder(DegLex(), precedence)
+        G = ideal_from_conditions([one2, dx2, dx2.scale(3), one2 + dx2], order)
+        assert G.elements == (Polynomial.monomial(RM2, (2, 0), 1, 1), y1, e2)
 
 
 def test_ideal_from_conditions_round_trip():
     x, y = xy_vars()
     G = buchberger([x**2 - y, y**2], DegLex(), RXY)
     forward = noetherian_forward(G)
-    back = ideal_from_conditions(list(forward), 4, DegLex())
+    back = ideal_from_conditions(list(forward), DegLex())
     assert set(back.elements) == {x**2 - y, y**2}
     backward = noetherian_backward(G)
-    again = ideal_from_conditions(list(backward), 6, DegLex())
+    again = ideal_from_conditions(list(backward), DegLex())
     assert set(again.elements) == {x**2 - y, y**2}
+
+
+def test_round_trip_of_every_construction_under_every_order(monkeypatch):
+    def no_buchberger(*args, **kwargs):
+        raise AssertionError("the inverse must not run buchberger")
+
+    rng = random.Random(430)
+    for base in (DegLex(), DegRevLex(), Lex()):
+        for gens, _, center in random_primary_cases(rng):
+            ring = gens[0].ring
+            order = ModuleOrder(base, rng.choice((TOP, POT))) if ring.rank > 1 else base
+            G = buchberger(gens, order, ring)
+            for build in ALL_METHODS:
+                ops = build(gens, order, ring, center).operators
+                with monkeypatch.context() as patch:
+                    patch.setattr(noeth.noetherian, "buchberger", no_buchberger)
+                    back = ideal_from_conditions(ops, order)
+                assert back.elements == G.elements
 
 
 def test_ideal_from_conditions_errors():
     dx = DiffOp(RXY, {(1, (1, 0)): 1})
     with pytest.raises(NotClosedError):
-        ideal_from_conditions([dx], 3, DegLex())
+        ideal_from_conditions([dx], DegLex())
     with pytest.raises(ZeroPolynomialError):
-        ideal_from_conditions([], 3, DegLex())
+        ideal_from_conditions([], DegLex())
     with pytest.raises(ZeroPolynomialError):
-        ideal_from_conditions([DiffOp(RXY, {})], 3, DegLex())
+        ideal_from_conditions([DiffOp(RXY, {})], DegLex())
 
 
 def test_requires_a_groebner_basis_input():

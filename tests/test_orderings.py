@@ -19,7 +19,6 @@ from noeth.orderings import (
     is_product_compatible,
     leading_term,
     sigma_x_order,
-    smallest_term,
     sorted_terms_desc,
 )
 from support import RM2, RXY, RXYT, RXYZ, random_exponent, random_polynomial
@@ -193,25 +192,14 @@ def test_leading_and_smallest_by_exhaustive_scan():
                 if reference_compare(mo, k, worst, RXYZ) < 0:
                     worst = k
             assert leading_term(f, order) == (best, f.terms[best])
-            assert smallest_term(f, order) == (worst, f.terms[worst])
             ordered = [k for k, _ in sorted_terms_desc(f, order)]
             assert ordered[0] == best and ordered[-1] == worst
-
-
-def test_smallest_term_keeps_the_sign():
-    x = Polynomial.variable(RXY, "x")
-    y = Polynomial.variable(RXY, "y")
-    f = x**2 + x * y - y * 2
-    key, coeff = smallest_term(f, DegLex())
-    assert key == (1, (0, 1)) and coeff == Fraction(-2)
 
 
 def test_zero_polynomial_has_no_extreme_terms():
     zero = Polynomial.zero(RXY)
     with pytest.raises(ZeroPolynomialError):
         leading_term(zero, Lex())
-    with pytest.raises(ZeroPolynomialError):
-        smallest_term(zero, Lex())
 
 
 def test_elimination_and_product_compatibility():
