@@ -16,10 +16,17 @@ from math import factorial
 from typing import Iterable, Mapping
 
 from .errors import NotClosedError, RingMismatchError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, add_into
 from .ring import Exponent, RingDescriptor, as_center, as_coeff, exp_deg, reading_key, t_part, x_part
 
 OpKey = tuple[int, Exponent]  # (position, alpha over the x-block)
+
+
+def _set_fields(op, ring, terms, center):
+    object.__setattr__(op, "ring", ring)
+    object.__setattr__(op, "terms", terms)
+    object.__setattr__(op, "center", center)
+    object.__setattr__(op, "_hash", None)
 
 
 class DiffOp:
@@ -37,10 +44,18 @@ class DiffOp:
             if not (1 <= pos <= ring.rank) or len(alpha) != ring.x_count:
                 raise RingMismatchError(f"bad operator term ({pos}, {alpha})")
             clean[(pos, alpha)] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "_hash", None)
+        _set_fields(self, ring, clean, center)
+
+    @classmethod
+    def _of(cls, ring: RingDescriptor, terms: dict, center: tuple) -> "DiffOp":
+        """Wrap terms and a checked center as they are: the trusted path for results.
+
+        terms must be a dict of the caller's own, with well-formed keys and
+        only nonzero coefficients; the operator takes it over.
+        """
+        op = object.__new__(cls)
+        _set_fields(op, ring, terms, center)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOp is immutable")
@@ -85,32 +100,37 @@ class DiffOp:
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other: "DiffOp") -> "DiffOp":
+    def _operand(self, other) -> "DiffOp | None":
         if not isinstance(other, DiffOp):
-            return NotImplemented
+            return None
         if self.ring != other.ring or self.center != other.center:
             raise RingMismatchError("operator contexts differ")
+        return other
+
+    def __add__(self, other: "DiffOp") -> "DiffOp":
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         acc = dict(self.terms)
-        for key, c in other.terms.items():
-            s = acc.get(key)
-            s = c if s is None else s + c
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-        return DiffOp(self.ring, acc, self.center)
+        add_into(acc, other.terms.items())
+        return DiffOp._of(self.ring, acc, self.center)
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp(self.ring, {k: -c for k, c in self.terms.items()}, self.center)
+        return DiffOp._of(self.ring, {k: -c for k, c in self.terms.items()}, self.center)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        acc = dict(self.terms)
+        add_into(acc, ((k, -c) for k, c in other.terms.items()))
+        return DiffOp._of(self.ring, acc, self.center)
 
     def scale(self, c) -> "DiffOp":
         c = as_coeff(c)
         if not c:
-            return DiffOp(self.ring, {}, self.center)
-        return DiffOp(self.ring, {k: v * c for k, v in self.terms.items()}, self.center)
+            return DiffOp._of(self.ring, {}, self.center)
+        return DiffOp._of(self.ring, {k: v * c for k, v in self.terms.items()}, self.center)
 
     # -- morphisms -------------------------------------------------------------
 
@@ -122,7 +142,7 @@ class DiffOp:
                 continue
             down = tuple(e - 1 if i == j else e for i, e in enumerate(alpha))
             out[(pos, down)] = c
-        return DiffOp(self.ring, out, self.center)
+        return DiffOp._of(self.ring, out, self.center)
 
     def rho(self, j: int) -> "DiffOp":
         """Raise the j-th derivative order on every term."""
@@ -130,7 +150,7 @@ class DiffOp:
             (pos, tuple(e + 1 if i == j else e for i, e in enumerate(alpha))): c
             for (pos, alpha), c in self.terms.items()
         }
-        return DiffOp(self.ring, out, self.center)
+        return DiffOp._of(self.ring, out, self.center)
 
 
 def apply_at(L: DiffOp, f: Polynomial):

@@ -17,8 +17,8 @@ from .errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from .orderings import AnyOrder, as_module_order, is_elimination_for, leading_term, monic
-from .polynomial import Polynomial
+from .orderings import AnyOrder, as_module_order, is_elimination_for, lead_by_key, leading_term, monic_by_key
+from .polynomial import Polynomial, add_shifted
 from .ring import (
     RingDescriptor,
     TermKey,
@@ -57,6 +57,10 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
 
     Basis elements are tried in stored order, which makes the result canonical
     for a fixed basis; for a reduced Groebner basis it is the unique normal form.
+    The dividend is one dict reduced in place: its largest term is popped and
+    either moved to the remainder or cancelled by a multiple of the first
+    basis element whose leading term divides it, of which only the tail is
+    subtracted since the leading terms cancel exactly.
     """
     if isinstance(basis, GroebnerBasis):
         if order is None:
@@ -66,37 +70,49 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
         elements = tuple(basis)
         if order is None:
             raise ValueError("normal_form needs an ordering when given a plain sequence")
-    term_key = as_module_order(order).key(f.ring)
-    lts = [leading_term(g, order) for g in elements]
+    ring = f.ring
+    term_key = as_module_order(order).key(ring)
+    reducers = []
+    for g in elements:
+        if g.ring is not ring and g.ring != ring:
+            raise RingMismatchError("normal_form operands live over different rings")
+        if g.is_zero():
+            raise ZeroPolynomialError("zero polynomial has no leading term")
+        lead, gc = lead_by_key(g, term_key)
+        tail = [kc for kc in g.terms.items() if kc[0] != lead]
+        reducers.append((lead[0], lead[1], gc, tail))
+    p = dict(f.terms)
     remainder: dict[TermKey, object] = {}
-    p = f
-    while not p.is_zero():
-        best = max(p.terms, key=term_key)
-        c = p.terms[best]
-        hit = None
-        for g, (gkey, gc) in zip(elements, lts):
-            if _divides(gkey, best):
-                hit = (g, gkey, gc)
+    while p:
+        best = max(p, key=term_key)
+        c = p.pop(best)
+        pos, exp = best
+        for gpos, gexp, gc, tail in reducers:
+            if gpos == pos and exp_divides(gexp, exp):
+                add_shifted(p, tail, exp_sub(exp, gexp), -(c / gc))
                 break
-        if hit is None:
-            remainder[best] = c
-            p = p - Polynomial.monomial(p.ring, best[1], c, best[0])
         else:
-            g, gkey, gc = hit
-            p = p - g.mul_monomial(exp_sub(best[1], gkey[1]), c / gc)
-    return Polynomial(f.ring, remainder)
+            remainder[best] = c
+    return Polynomial._of(ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: AnyOrder) -> Polynomial:
     """S-polynomial; zero when the leading terms sit in different positions."""
-    (fk, fc) = leading_term(f, order)
-    (gk, gc) = leading_term(g, order)
+    if f.is_zero() or g.is_zero():
+        raise ZeroPolynomialError("zero polynomial has no leading term")
+    term_key = as_module_order(order).key(f.ring)
+    (fk, fc) = lead_by_key(f, term_key)
+    (gk, gc) = lead_by_key(g, term_key)
     if fk[0] != gk[0]:
         return Polynomial.zero(f.ring)
+    if f.ring is not g.ring and f.ring != g.ring:
+        raise RingMismatchError("cannot add over different rings")
     lcm = exp_lcm(fk[1], gk[1])
-    inv_f = (fc / fc) / fc
-    inv_g = (gc / gc) / gc
-    return f.mul_monomial(exp_sub(lcm, fk[1]), inv_f) - g.mul_monomial(exp_sub(lcm, gk[1]), inv_g)
+    # The scaled leading terms are both one at the lcm and cancel exactly.
+    acc: dict[TermKey, object] = {}
+    add_shifted(acc, [kc for kc in f.terms.items() if kc[0] != fk], exp_sub(lcm, fk[1]), (fc / fc) / fc)
+    add_shifted(acc, [kc for kc in g.terms.items() if kc[0] != gk], exp_sub(lcm, gk[1]), -((gc / gc) / gc))
+    return Polynomial._of(f.ring, acc)
 
 
 def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> GroebnerBasis:
@@ -119,9 +135,9 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     for g in gens:
         r = normal_form(g, basis, order) if basis else g
         if not r.is_zero():
-            basis.append(monic(r, order))
+            basis.append(monic_by_key(r, term_key))
 
-    lts: list[TermKey] = [leading_term(g, order)[0] for g in basis]
+    lts: list[TermKey] = [lead_by_key(g, term_key)[0] for g in basis]
 
     def lcm_key(i: int, j: int) -> TermKey | None:
         a, b = lts[i], lts[j]
@@ -166,8 +182,8 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
         r = normal_form(s, basis, order)
         if r.is_zero():
             continue
-        basis.append(monic(r, order))
-        lts.append(leading_term(basis[-1], order)[0])
+        basis.append(monic_by_key(r, term_key))
+        lts.append(lead_by_key(basis[-1], term_key)[0])
         new = len(basis) - 1
         for k in range(new):
             if lcm_key(k, new) is not None:
@@ -185,9 +201,9 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     reduced: list[Polynomial] = list(minimal)
     for i in range(len(reduced)):
         others = reduced[:i] + reduced[i + 1 :]
-        reduced[i] = monic(normal_form(reduced[i], others, order), order)
+        reduced[i] = monic_by_key(normal_form(reduced[i], others, order), term_key)
 
-    reduced.sort(key=lambda g: term_key(leading_term(g, order)[0]), reverse=True)
+    reduced.sort(key=lambda g: term_key(lead_by_key(g, term_key)[0]), reverse=True)
     return GroebnerBasis(ring, order, tuple(reduced), True)
 
 

@@ -365,7 +365,7 @@ def noetherian_linear(gens: Sequence[Polynomial], order: AnyOrder, center=None) 
         for L in found:
             for j in range(ring.x_count):
                 free = {(pos, a): c for (pos, a), c in L.terms.items() if not any(a[:j])}
-                pool.append(DiffOp(ring, free).rho(j))
+                pool.append(DiffOp._of(ring, free, L.center).rho(j))
         uniq: list[DiffOp] = []
         seen_terms = set()
         for P in pool:

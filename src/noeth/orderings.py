@@ -112,15 +112,29 @@ def leading_term(f, order: AnyOrder) -> tuple[TermKey, object]:
     """Largest (key, coeff) of f under the order."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no leading term")
-    best = max(f.terms, key=as_module_order(order).key(f.ring))
+    return lead_by_key(f, as_module_order(order).key(f.ring))
+
+
+def lead_by_key(f, term_key: SortKey) -> tuple[TermKey, object]:
+    """Largest (key, coeff) of a nonzero f under a sort key bound to its ring.
+
+    Loops that rank many elements of one ring bind the key once and call this
+    instead of leading_term.
+    """
+    best = max(f.terms, key=term_key)
     return best, f.terms[best]
 
 
 def monic(f, order: AnyOrder):
     """f scaled to leading coefficient one under the order; zero stays zero."""
+    return monic_by_key(f, as_module_order(order).key(f.ring))
+
+
+def monic_by_key(f, term_key: SortKey):
+    """monic under a sort key bound to f's ring."""
     if f.is_zero():
         return f
-    _, lc = leading_term(f, order)
+    _, lc = lead_by_key(f, term_key)
     one = lc / lc
     return f if lc == one else f.scale(one / lc)
 

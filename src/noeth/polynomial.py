@@ -27,6 +27,12 @@ from .ring import (
 )
 
 
+def _set_fields(poly, ring, terms):
+    object.__setattr__(poly, "ring", ring)
+    object.__setattr__(poly, "terms", terms)
+    object.__setattr__(poly, "_hash", None)
+
+
 class Polynomial:
     """Immutable sparse polynomial over a RingDescriptor."""
 
@@ -43,9 +49,18 @@ class Polynomial:
             if len(exp) != ring.nvars or any(e < 0 for e in exp):
                 raise RingMismatchError(f"bad exponent {exp} for {ring.nvars} variables")
             clean[(pos, exp)] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_fields(self, ring, clean)
+
+    @classmethod
+    def _of(cls, ring: RingDescriptor, terms: dict) -> "Polynomial":
+        """Wrap terms as they are, checking nothing: the trusted path for results.
+
+        terms must be a dict of the caller's own, with well-formed keys and
+        only nonzero field-element coefficients; the polynomial takes it over.
+        """
+        poly = object.__new__(cls)
+        _set_fields(poly, ring, terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -119,35 +134,42 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other) -> "Polynomial":
+    def _operand(self, other) -> "Polynomial | None":
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ring, other)
+            return Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.ring != other.ring:
+            return None
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError("cannot add over different rings")
+        return other
+
+    def __add__(self, other) -> "Polynomial":
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         acc = dict(self.terms)
-        for key, c in other.terms.items():
-            s = acc.get(key)
-            s = c if s is None else s + c
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-        return Polynomial(self.ring, acc)
+        add_into(acc, other.terms.items())
+        return Polynomial._of(self.ring, acc)
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {k: -c for k, c in self.terms.items()})
+        return Polynomial._of(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ring, other)
-        if not isinstance(other, Polynomial):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            s = acc.get(key)
+            s = -c if s is None else s - c
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+        return Polynomial._of(self.ring, acc)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self).__add__(other)
@@ -155,15 +177,17 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         c = as_coeff(c)
         if not c:
-            return Polynomial.zero(self.ring)
-        return Polynomial(self.ring, {k: v * c for k, v in self.terms.items()})
+            return Polynomial._of(self.ring, {})
+        return Polynomial._of(self.ring, {k: v * c for k, v in self.terms.items()})
 
     def mul_monomial(self, exp: Exponent, coeff=1) -> "Polynomial":
         """Multiply by a scalar monomial (position unchanged)."""
         coeff = as_coeff(coeff)
+        if len(exp) != self.ring.nvars or any(e < 0 for e in exp):
+            raise RingMismatchError(f"bad exponent {exp} for {self.ring.nvars} variables")
         if not coeff:
-            return Polynomial.zero(self.ring)
-        return Polynomial(
+            return Polynomial._of(self.ring, {})
+        return Polynomial._of(
             self.ring,
             {(pos, exp_add(e, exp)): c * coeff for (pos, e), c in self.terms.items()},
         )
@@ -246,7 +270,34 @@ class Polynomial:
                     acc[key] = s
                 elif key in acc:
                     del acc[key]
-        return Polynomial(self.ring, acc)
+        return Polynomial._of(self.ring, acc)
+
+
+def add_into(acc: dict, items) -> None:
+    """acc += items, in place: (key, nonzero coefficient) pairs summed, cancelled keys dropped."""
+    for key, c in items:
+        s = acc.get(key)
+        s = c if s is None else s + c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+
+
+def add_shifted(acc: dict, items, shift: Exponent, factor) -> None:
+    """acc += factor * x^shift * items, in place, dropping cancelled entries.
+
+    items are (key, nonzero coefficient) pairs and factor is nonzero.
+    """
+    for (pos, exp), c in items:
+        key = (pos, exp_add(exp, shift))
+        c = c * factor
+        s = acc.get(key)
+        s = c if s is None else s + c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
 
 
 def _unit(n: int, i: int, e: int) -> Exponent:
@@ -271,4 +322,4 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
                 acc[key] = s
             elif key in acc:
                 del acc[key]
-    return Polynomial(ring, acc)
+    return Polynomial._of(ring, acc)

@@ -29,7 +29,7 @@ from .orderings import (
     ProductOrder,
     TermOrder,
 )
-from .polynomial import Polynomial
+from .polynomial import Polynomial, add_into
 from .ring import RingDescriptor
 
 KEYWORDS = {
@@ -384,14 +384,16 @@ class _Parser:
     # -- polynomial expressions ---------------------------------------------
 
     def parse_polynomial(self, ring: RingDescriptor) -> Polynomial:
-        poly = self.parse_term(ring, self._consume_sign())
+        """A sum of terms, added into one dict so that parsing stays linear."""
+        acc: dict = {}
+        add_into(acc, self.parse_term(ring, self._consume_sign()))
         while self.at_punct("+") or self.at_punct("-"):
             op = self.next()
             sign = (-1 if op.text == "-" else 1) * self._consume_sign()
             if not self._starts_factor():
                 self.fail(f"expected a term after {op.text!r}", op)
-            poly = poly + self.parse_term(ring, sign)
-        return poly
+            add_into(acc, self.parse_term(ring, sign))
+        return Polynomial(ring, acc)
 
     def _consume_sign(self) -> int:
         sign = 1
@@ -406,50 +408,53 @@ class _Parser:
             return True
         return tok.kind == "punct" and tok.text == "("
 
-    def parse_term(self, ring: RingDescriptor, sign: int) -> Polynomial:
-        poly = self.parse_factor(ring)
+    def parse_term(self, ring: RingDescriptor, sign: int):
+        """The (key, coefficient) items of one product of factors.
+
+        Numbers and variables fold into one coefficient and one exponent;
+        only parenthesised factors are multiplied as polynomials.
+        """
+        coeff = Fraction(sign)
+        exp = [0] * ring.nvars
+        poly = None  # product of the parenthesised factors
         while True:
+            tok = self.peek()
+            if tok.kind == "int":
+                coeff *= self.parse_signed_rational() ** self.parse_power()
+            elif tok.kind == "ident":
+                self.next()
+                try:
+                    index = ring.var_index(tok.text)
+                except ValueError:
+                    self.fail(f"unknown variable {tok.text!r}", tok)
+                exp[index] += self.parse_power()
+            elif tok.kind == "punct" and tok.text == "(":
+                self.next()
+                inner = self.parse_polynomial(ring)
+                self.expect_punct(")")
+                inner = inner ** self.parse_power()
+                poly = inner if poly is None else poly * inner
+            else:
+                self.fail("expected a number, variable, or parenthesized expression", tok)
             if self.at_punct("*"):
                 op = self.next()
                 if not self._starts_factor():
                     self.fail("expected a factor after '*'", op)
-                poly = poly * self.parse_factor(ring)
-            elif self._starts_factor():
-                poly = poly * self.parse_factor(ring)
-            else:
+            elif not self._starts_factor():
                 break
-        if sign < 0:
-            poly = -poly
-        return poly
+        if poly is None:
+            return [((1, tuple(exp)), coeff)] if coeff else []
+        return poly.mul_monomial(tuple(exp), coeff).terms.items()
 
-    def parse_factor(self, ring: RingDescriptor) -> Polynomial:
-        base = self.parse_base(ring)
-        if self.at_punct("^"):
-            self.next()
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail("expected an integer exponent", tok)
-            return base ** int(self.next().text)
-        return base
-
-    def parse_base(self, ring: RingDescriptor) -> Polynomial:
+    def parse_power(self) -> int:
+        """The exponent after an optional '^'; 1 without one."""
+        if not self.at_punct("^"):
+            return 1
+        self.next()
         tok = self.peek()
-        if tok.kind == "int":
-            value = self.parse_signed_rational()
-            return Polynomial.constant(ring, value)
-        if tok.kind == "ident":
-            self.next()
-            try:
-                index = ring.var_index(tok.text)
-            except ValueError:
-                self.fail(f"unknown variable {tok.text!r}", tok)
-            return Polynomial.variable(ring, index)
-        if tok.kind == "punct" and tok.text == "(":
-            self.next()
-            inner = self.parse_polynomial(ring)
-            self.expect_punct(")")
-            return inner
-        self.fail("expected a number, variable, or parenthesized expression", tok)
+        if tok.kind != "int":
+            self.fail("expected an integer exponent", tok)
+        return int(self.next().text)
 
 
 def parse_problem(text: str) -> ProblemSpec:

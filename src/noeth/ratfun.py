@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import RingMismatchError, ZeroPolynomialError
-from .orderings import DegLex, leading_term, monic
-from .polynomial import Polynomial, poly_mul
+from .orderings import DegLex, as_module_order, lead_by_key, leading_term, monic
+from .polynomial import Polynomial, add_shifted, poly_mul
 from .ring import RingDescriptor, exp_sub
 
 _DEGLEX = DegLex()
@@ -51,20 +51,21 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact quotient f/g; raises when the division leaves a remainder."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    q = Polynomial.zero(f.ring)
-    r = f
-    (gkey, gc) = leading_term(g, _DEGLEX)
-    gexp = gkey[1]
-    while not r.is_zero():
-        (rkey, rc) = leading_term(r, _DEGLEX)
-        rexp = rkey[1]
-        diff = exp_sub(rexp, gexp)
+    term_key = as_module_order(_DEGLEX).key(f.ring)
+    gkey, gc = lead_by_key(g, term_key)
+    tail = [kc for kc in g.terms.items() if kc[0] != gkey]
+    q = {}
+    r = dict(f.terms)
+    while r:
+        rkey = max(r, key=term_key)
+        rc = r.pop(rkey)
+        diff = exp_sub(rkey[1], gkey[1])
         if any(e < 0 for e in diff):
             raise ZeroPolynomialError("division is not exact")
         coeff = rc / gc
-        q = q + Polynomial.monomial(f.ring, diff, coeff, rkey[0])
-        r = r - g.mul_monomial(diff, coeff)
-    return q
+        q[(rkey[0], diff)] = coeff
+        add_shifted(r, tail, diff, -coeff)
+    return Polynomial._of(f.ring, q)
 
 
 def _gcd_univar(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
@@ -102,15 +103,28 @@ def _content_and_primitive(f: Polynomial, k: int) -> tuple[Polynomial, Polynomia
 
 
 def _pseudo_rem(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
+    """Pseudo-remainder in variable k, reduced in one dict.
+
+    While r has degree d >= n = deg_k g, r becomes lc(g) r - lc(r) x_k^(d-n) g,
+    the leading coefficients taken in x_k.
+    """
     n = _deg_in(g, k)
-    lc_g = _univar_coeffs(g, k)[n]
-    r = f
-    while not r.is_zero() and _deg_in(r, k) >= n:
-        d = _deg_in(r, k)
-        lc_r = _univar_coeffs(r, k)[d]
-        shift = _var_power(r.ring, k, d - n)
-        r = poly_mul(lc_g, r) - poly_mul(lc_r, g).mul_monomial(shift)
-    return r
+    lc_g = _univar_coeffs(g, k)[n].terms.items()
+    g_items = g.terms.items()
+    down = _var_power(f.ring, k, n)
+    r = dict(f.terms)
+    while r:
+        d = max(exp[k] for _, exp in r)
+        if d < n:
+            break
+        nxt: dict = {}
+        for (_, exp), c in lc_g:
+            add_shifted(nxt, r.items(), exp, c)
+        for (_, exp), c in r.items():
+            if exp[k] == d:  # a term c x^exp of lc(r) x_k^d: shift g by x^exp / x_k^n
+                add_shifted(nxt, g_items, exp_sub(exp, down), -c)
+        r = nxt
+    return Polynomial._of(f.ring, r)
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
+from operator import add, le, sub
 
 from .errors import RingMismatchError
 
@@ -105,20 +106,20 @@ def as_center(ring: RingDescriptor, center) -> tuple:
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_divides(a: Exponent, b: Exponent) -> bool:
     """True when the monomial with exponent a divides the one with exponent b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_deg(a: Exponent) -> int:

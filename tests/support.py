@@ -229,6 +229,27 @@ def exponential_shift_apply(gen: Polynomial, component_polys, shifts) -> Polynom
 # plain tuple comparison (lex).
 
 
+def reference_normal_form(f, elements, order):
+    """Textbook division: the largest term of the dividend is either moved to
+    the remainder or cancelled by subtracting a whole multiple of the first
+    element whose leading term divides it, a new Polynomial at every step."""
+    p = f
+    remainder = Polynomial.zero(f.ring)
+    while not p.is_zero():
+        key, c = leading_term(p, order)
+        for g in elements:
+            gkey, gc = leading_term(g, order)
+            if gkey[0] == key[0] and exp_divides(gkey[1], key[1]):
+                shift = tuple(a - b for a, b in zip(key[1], gkey[1]))
+                p = p - g.mul_monomial(shift, c / gc)
+                break
+        else:
+            lead = Polynomial(f.ring, {key: c})
+            remainder = remainder + lead
+            p = p - lead
+    return remainder
+
+
 def oracle_zero(ring):
     from noeth import RationalFunction
 

@@ -53,8 +53,26 @@ def test_constructor_filters_and_validates():
         DiffOp(RXY, {(1, (0, 0, 0)): 1})
     with pytest.raises(RingMismatchError):
         DiffOp(RXY, {(1, (0, 0)): 1}, center=(1,))
+    with pytest.raises(RingMismatchError, match="0.5"):
+        DiffOp(RXY, {(1, (0, 0)): 1}, center=(0.5, 0))
+    with pytest.raises(RingMismatchError, match="1.5"):
+        DiffOp(RXY, {(1, (0, 0)): 1.5})
     with pytest.raises(AttributeError):
         L.terms = {}
+
+
+def test_operator_arithmetic_holds_no_zero_coefficient():
+    rng = random.Random(43)
+    center = (Fraction(1), Fraction(-1, 2))
+    for _ in range(40):
+        L = DiffOp(RXY, random_operator(rng, RXY).terms, center)
+        M = DiffOp(RXY, random_operator(rng, RXY).terms, center) - L  # L + M cancels L
+        results = [L + M, M + L, L - L, L - (L + M), -L, L.scale(0), L.scale(random_fraction(rng))]
+        results += [L.sigma(j) for j in range(2)] + [L.rho(j) for j in range(2)]
+        for R in results:
+            assert all(R.terms.values())
+            assert R == DiffOp(R.ring, R.terms, R.center)
+            assert R.center == L.center
 
 
 def test_alpha_factorial():

@@ -33,8 +33,10 @@ from support import (
     mu_by_linear_algebra,
     random_combination,
     random_fraction,
+    random_nonzero,
     random_origin_primary,
     random_polynomial,
+    reference_normal_form,
 )
 
 
@@ -175,6 +177,36 @@ def test_normal_form_properties_randomized():
         f = random_polynomial(rng, RXY, max_terms=6, max_deg=5)
         reordered = list(G.elements)[::-1]
         assert normal_form(f, reordered, DegLex()) == normal_form(f, G)
+
+
+@pytest.mark.parametrize(
+    "ring,order",
+    [
+        (RXYZ, DegLex()),
+        (RXYZ, DegRevLex()),
+        (RXYZ, Lex()),
+        (RM2, ModuleOrder(DegLex(), "top")),
+        (RM2, ModuleOrder(DegRevLex(), "pot")),
+        (RM2, ModuleOrder(Lex(), "pot")),
+    ],
+)
+def test_normal_form_matches_reference_division(ring, order):
+    rng = random.Random(811)
+    for _ in range(6):
+        if ring.rank == 1:
+            G = buchberger(random_origin_primary(rng, ring, cap=10), order, ring)
+        else:
+            G = buchberger([random_nonzero(rng, ring, 3, 2) for _ in range(3)], order, ring)
+        # a plain divisor list that is no Groebner basis divides as well
+        divisors = [random_nonzero(rng, ring, 3, 2) for _ in range(3)]
+        for _ in range(8):
+            f = random_polynomial(rng, ring, max_terms=6, max_deg=5)
+            for elements in (G.elements, divisors):
+                nf = normal_form(f, elements, order)
+                reference = reference_normal_form(f, elements, order)
+                assert nf == reference
+                assert list(nf.terms) == list(reference.terms)
+                assert all(nf.terms.values())
 
 
 def test_buchberger_criterion_on_every_pair():

@@ -35,9 +35,41 @@ def test_constructor_rejects_bad_keys():
     with pytest.raises(RingMismatchError):
         Polynomial(RXY, {(2, (0, 0)): 1})
     with pytest.raises(RingMismatchError):
+        Polynomial(RXY, {(0, (0, 0)): 1})
+    with pytest.raises(RingMismatchError):
         Polynomial(RXY, {(1, (0, 0, 0)): 1})
     with pytest.raises(RingMismatchError):
         Polynomial(RXY, {(1, (-1, 0)): 1})
+    with pytest.raises(RingMismatchError, match="1.5"):
+        Polynomial(RXY, {(1, (1, 0)): 1.5})
+    x, _ = xy()
+    with pytest.raises(RingMismatchError):
+        x.mul_monomial((1, -1))
+    with pytest.raises(RingMismatchError):
+        x.mul_monomial((1,))
+    with pytest.raises(RingMismatchError, match="0.5"):
+        x.scale(0.5)
+
+
+def test_arithmetic_results_hold_no_zero_coefficient():
+    rng = random.Random(41)
+    scalars = RM2.with_rank(1)
+    for ring in (RXYZ, RM2):
+        for _ in range(40):
+            f = random_nonzero(rng, ring)
+            h = random_polynomial(rng, ring)
+            g = h - f  # f + g cancels every term of f that h lacks
+            s = random_polynomial(rng, scalars if ring.rank > 1 else ring)
+            exp = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+            results = [
+                f + g, g + f, f - (f + h), g - h, -f, f - f,
+                f.scale(random_fraction(rng)), f.scale(0),
+                f.mul_monomial(exp, random_fraction(rng)),
+                poly_mul(s, f), poly_mul(s + 1, s - 1), 1 - f, f + 1,
+            ]
+            for r in results:
+                assert all(r.terms.values())
+                assert r == Polynomial(r.ring, r.terms)
 
 
 def test_arithmetic_goldens():

@@ -47,7 +47,9 @@ from support import (
     oracle_multiplicity,
     oracle_nf,
     oracle_zero,
+    random_nonzero,
     random_polynomial,
+    reference_normal_form,
 )
 
 RXYT2 = RingDescriptor(("x", "y", "t"), 2, 1)
@@ -182,6 +184,29 @@ def test_extension_matches_independent_division_loop(ring, gens_builder):
         poly = Polynomial(xring, {(1, e): c for e, c in b.items()})
         assert normal_form(poly, Gx).is_zero()
     assert oracle_multiplicity(oracle) == multiplicity_extended(G)
+
+
+def test_normal_form_matches_reference_division_over_rational_functions():
+    rng = random.Random(812)
+    cases = [(worked_generators(), Lex()), (worked_generators(RXYZ2), Lex())]
+    cases += [random_sheared_posdim(rng) for _ in range(4)]
+    for gens, order in cases:
+        ring = gens[0].ring
+        Gx = extend_to_rational_coeffs(buchberger(gens, order, ring))
+        tring = ring.t_subring()
+        for _ in range(4):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exp = tuple(rng.randint(0, 3) for _ in range(ring.x_count))
+                num = random_polynomial(rng, tring, max_terms=2, max_deg=2)
+                den = random_nonzero(rng, tring, max_terms=2, max_deg=1)
+                terms[(1, exp)] = RationalFunction(num, den)
+            f = Polynomial(Gx.ring, terms)
+            nf = normal_form(f, Gx)
+            reference = reference_normal_form(f, Gx.elements, Gx.order)
+            assert nf == reference
+            assert list(nf.terms) == list(reference.terms)
+            assert all(nf.terms.values())
 
 
 def test_unit_extension_has_multiplicity_zero():

@@ -190,6 +190,46 @@ def test_parse_polynomial_standalone():
         parse_polynomial("x y extra ;", RXY)
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("x*2*y^2", lambda x, y: 2 * x * y**2),
+        ("x*x", lambda x, y: x**2),
+        ("2^3*x", lambda x, y: 8 * x),
+        ("-(x+1)^2*y", lambda x, y: -((x + 1) ** 2 * y)),
+        ("- -x", lambda x, y: x),
+        ("(x+1)*3", lambda x, y: 3 * x + 3),
+        ("(x - y) 3/4 y", lambda x, y: (x * y - y**2).scale(Fraction(3, 4))),
+        ("x^0*0*(x+y)", lambda x, y: Polynomial.zero(RXY)),
+        ("x*(x+y)^0", lambda x, y: x),
+        ("(x+1)(x-1)*2", lambda x, y: 2 * x**2 - 2),
+        ("y (x+y)^2 x (x-y)", lambda x, y: x * y * (x + y) ** 2 * (x - y)),
+    ],
+)
+def test_term_folds_numbers_and_variables(text, expected):
+    x = Polynomial.variable(RXY, "x")
+    y = Polynomial.variable(RXY, "y")
+    assert parse_polynomial(text, RXY) == expected(x, y)
+
+
+def test_long_sum_parses_like_its_terms_added():
+    rng = random.Random(509)
+    terms = []
+    for _ in range(300):
+        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
+        mono = "*".join(f"{v}^{rng.randint(0, 3)}" for v in ("x", "y", "z"))
+        terms.append(f"{coeff}*{mono}")
+    # repeated monomials with opposite signs cancel along the way
+    terms += [t[1:] if t.startswith("-") else "-" + t for t in terms[:40]]
+    text = " + ".join(terms).replace("+ -", "- ")
+    total = Polynomial.zero(RXYZ)
+    for t in terms:
+        total = total + parse_polynomial(t, RXYZ)
+    f = parse_polynomial(text, RXYZ)
+    assert f == total
+    assert all(f.terms.values())
+
+
 def test_render_parse_round_trip_500():
     rng = random.Random(503)
     rings = [RXY, RXYZ, RXT, RM2]
