@@ -191,6 +191,24 @@ COMMANDS = {
 }
 
 
+def _add_command_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    if name in ("nf", "member"):
+        parser.add_argument("expression", help="polynomial (or [f1, ..., fs] vector)")
+    if name == "noether":
+        parser.add_argument(
+            "--method",
+            choices=["forward", "backward", "linear"],
+            default="forward",
+        )
+        parser.add_argument(
+            "--check-all",
+            action="store_true",
+            help="run all three constructions and verify span equality",
+        )
+    parser.add_argument("file", help="problem file")
+    parser.add_argument("--json", action="store_true", help="emit JSON")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noeth",
@@ -198,28 +216,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        if name in ("nf", "member"):
-            p.add_argument("expression", help="polynomial (or [f1, ..., fs] vector)")
-        if name == "noether":
-            p.add_argument(
-                "--method",
-                choices=["forward", "backward", "linear"],
-                default="forward",
-            )
-            p.add_argument(
-                "--check-all",
-                action="store_true",
-                help="run all three constructions and verify span equality",
-            )
-        p.add_argument("file", help="problem file")
-        p.add_argument("--json", action="store_true", help="emit JSON")
+        _add_command_arguments(sub.add_parser(name), name)
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the full subparser tree would, building one parser if possible.
+
+    The tree's subparser for the command gets exactly argv[1:], so a
+    parser for that command alone gives the same result, help and errors.
+    Anything else (no command, top-level help, an unknown command, arguments
+    left over) goes to the full tree, which prints its usage or error.
+    """
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"noeth {name}")
+        _add_command_arguments(parser, name)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = name
+            return args
+    return build_arg_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()

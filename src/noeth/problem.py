@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 from .orderings import (
@@ -50,8 +51,11 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+_DIGITS = "0123456789"
+_WORD_TAIL = _DIGITS + "_"
+
+
+class Token(NamedTuple):
     kind: str  # "ident", "keyword", "int", "punct", "end"
     text: str
     line: int
@@ -59,6 +63,7 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """Split text into tokens; integers are ASCII digits, words start with a letter or _."""
     tokens: list[Token] = []
     line = 1
     col = 1
@@ -66,41 +71,41 @@ def tokenize(text: str) -> list[Token]:
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+        if ch in ",;|^*+-()[]/":
+            tokens.append(Token("punct", ch, line, col))
             i += 1
+            col += 1
             continue
         if ch in " \t\r":
             i += 1
             col += 1
             continue
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            startcol = col
-            while i < n and text[i].isdigit():
+            i += 1
+            while i < n and text[i] in _DIGITS:
                 i += 1
-                col += 1
-            tokens.append(Token("int", text[start:i], line, startcol))
+            tokens.append(Token("int", text[start:i], line, col))
+            col += i - start
             continue
         if ch.isalpha() or ch == "_":
             start = i
-            startcol = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            i += 1
+            while i < n and (text[i] in _WORD_TAIL or text[i].isalpha()):
                 i += 1
-                col += 1
             word = text[start:i]
             kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, startcol))
-            continue
-        if ch in ",;|^*+-()[]/":
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
+            tokens.append(Token(kind, word, line, col))
+            col += i - start
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("end", "", line, col))

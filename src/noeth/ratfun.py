@@ -168,6 +168,12 @@ def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     return monic(divexact(poly_mul(f, g), poly_gcd(f, g)), _DEGLEX)
 
 
+def _set_fields(rf: "RationalFunction", num: Polynomial, den: Polynomial) -> None:
+    object.__setattr__(rf, "num", num)
+    object.__setattr__(rf, "den", den)
+    object.__setattr__(rf, "_hash", None)
+
+
 class RationalFunction:
     """Quotient of parameter-block polynomials in canonical reduced form."""
 
@@ -193,16 +199,27 @@ class RationalFunction:
                 inv = Fraction(1) / lc
                 num = num.scale(inv)
                 den = den.scale(inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_fields(self, num, den)
+
+    @classmethod
+    def _of(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap num/den as they are, checking nothing: the trusted path for results.
+
+        num and den must already be coprime with den monic under DegLex (den 1
+        when num is zero), as every RationalFunction stores them.
+        """
+        rf = object.__new__(cls)
+        _set_fields(rf, num, den)
+        return rf
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def from_fraction(cls, q, ring: RingDescriptor) -> "RationalFunction":
-        return cls(Polynomial.constant(ring, Fraction(q)))
+        if ring.rank != 1:
+            raise RingMismatchError("numerator and denominator must share a rank-1 ring")
+        return cls._of(Polynomial.constant(ring, Fraction(q)), Polynomial.constant(ring, 1))
 
     @property
     def ring(self) -> RingDescriptor:
@@ -243,7 +260,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._of(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from noeth.cli import main
+import noeth.cli
+from noeth.cli import build_arg_parser, main
 
 STANDARD = "ring x, y;\norder deglex;\nideal x^2 - y, y^2, x*y;\n"
 PARAMETER = "ring x, y | t;\norder lex;\nideal x^2, y^2, -x*t + y;\n"
@@ -244,6 +246,113 @@ def test_json_output_is_deterministic(capsys, standard, parameter):
     third = run(capsys, "noether-posdim", "--json", parameter)
     fourth = run(capsys, "noether-posdim", "--json", parameter)
     assert third == fourth
+
+
+def test_non_ascii_digit_is_a_parse_error(capsys, tmp_path, standard):
+    path = tmp_path / "superscript.noeth"
+    path.write_text("ring x, y;\norder lex;\nideal x^², y^2;\n")
+    code, out, err = run(capsys, "gb", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: unexpected character")
+    code2, out2, _ = run(capsys, "gb", "--json", str(path))
+    assert code2 == 2
+    doc = json.loads(out2)
+    assert (doc["line"], doc["column"]) == (3, 9)
+    code3, _, err3 = run(capsys, "nf", "x^²", standard)
+    assert code3 == 2
+    assert err3.startswith("parse error:")
+
+
+# Every command, top-level and subcommand help, and the usage errors.  {std},
+# {par}, {ep} and {absent} name the problem files of the parity test.
+PARITY_ARGVS = [
+    ["gb", "{std}"],
+    ["nf", "x^2 + x", "{std}"],
+    ["mult", "{std}"],
+    ["staircase", "{std}"],
+    ["corners", "{std}"],
+    ["noether", "{std}"],
+    ["noether-posdim", "{par}"],
+    ["member", "x^2 - y", "{std}"],
+    ["ep-solution", "{ep}"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["gb", "-h"],
+    ["noether", "-h"],
+    ["member", "--help"],
+    ["bogus", "{std}"],
+    ["gb", "{absent}"],
+    ["gb"],
+    ["nf", "{std}"],
+    ["gb", "{std}", "extra"],
+    ["gb", "--method", "backward", "{std}"],
+    ["noether", "--method", "sideways", "{std}"],
+    ["noether", "--method=backward", "{std}"],
+    ["noether", "--meth", "backward", "{std}"],
+    ["noether", "--check", "{std}"],
+    ["noether", "--method", "linear", "--check-all", "--json", "{std}"],
+    ["gb", "--json", "--json", "{std}"],
+    ["gb", "--", "{std}"],
+    ["--json", "gb", "{std}"],
+    ["gb", "{std}", "--json"],
+    ["corners", "-hx"],
+    ["mult", "--bogus", "{std}"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _recording(parse, namespaces):
+    def parse_and_record(argv):
+        namespaces.append(parse(argv))
+        return namespaces[-1]
+
+    return parse_and_record
+
+
+@pytest.mark.parametrize("template", PARITY_ARGVS, ids=" ".join)
+def test_one_command_parser_matches_the_full_tree(capsys, monkeypatch, tmp_path, template):
+    monkeypatch.setenv("COLUMNS", "80")
+    files = {"std": STANDARD, "par": PARAMETER, "ep": MODULE_EP}
+    paths = {name: tmp_path / f"{name}.noeth" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    paths["absent"] = tmp_path / "absent.noeth"
+    argv = [arg.format(**paths) for arg in template]
+
+    results = []
+    for parse in (noeth.cli.parse_args, lambda args: build_arg_parser().parse_args(args)):
+        namespaces = []
+        monkeypatch.setattr(noeth.cli, "parse_args", _recording(parse, namespaces))
+        results.append((_outcome(capsys, list(argv)), namespaces))
+    (fast, fast_ns), (full, full_ns) = results
+    assert fast == full
+    assert fast_ns == full_ns
+
+
+@pytest.mark.parametrize(
+    "argv", [["gb", "{std}"], ["noether", "--method", "backward", "{std}"]]
+)
+def test_a_run_builds_one_argument_parser(capsys, monkeypatch, standard, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _, _ = run(capsys, *[arg.format(std=standard) for arg in argv])
+    assert code == 0
+    assert built == [f"noeth {argv[0]}"]
 
 
 def test_console_script(tmp_path):

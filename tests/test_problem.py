@@ -155,6 +155,20 @@ def test_unexpected_character():
     assert err.value.column == 28
 
 
+@pytest.mark.parametrize(
+    "expression, bad, column",
+    [("x^²", "²", 3), ("x^2²", "²", 4), ("٣*x", "٣", 1)],
+)
+def test_non_ascii_digits_are_unexpected_characters(expression, bad, column):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(expression, RXY)
+    assert f"unexpected character {bad!r}" in str(err.value)
+    assert (err.value.line, err.value.column) == (1, column)
+    with pytest.raises(ParseError) as err2:
+        parse_problem(f"ring x, y;\norder lex;\nideal y, {expression};\n")
+    assert (err2.value.line, err2.value.column) == (3, 9 + column)
+
+
 def test_missing_clauses():
     with pytest.raises(ParseError) as err:
         parse_problem("order lex; ideal x;")

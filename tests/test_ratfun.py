@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from noeth import Polynomial, RationalFunction, RingDescriptor, poly_gcd, poly_lcm
+from noeth import (
+    Polynomial,
+    RationalFunction,
+    RingDescriptor,
+    noetherian_positive,
+    parse_problem,
+    poly_gcd,
+    poly_lcm,
+)
 from noeth.errors import RingMismatchError, ZeroPolynomialError
 from noeth.ratfun import divexact
 from support import random_fraction, random_nonzero, random_polynomial
@@ -162,3 +170,45 @@ def test_gcd_rejects_module_vectors():
     v = Polynomial.constant(rm, 1, 1)
     with pytest.raises(RingMismatchError):
         poly_gcd(v, v)
+
+
+def _checked_and_trusted_agree(trusted, checked):
+    assert (trusted.num, trusted.den, hash(trusted)) == (checked.num, checked.den, hash(checked))
+
+
+def test_trusted_negation_and_constants_match_the_checked_constructor(monkeypatch):
+    # every rational function the posdim construction builds, negated both ways
+    rng = random.Random(89)
+    texts = [
+        "ring x, y | t;\norder lex;\nideal x^2, y^2, -x*t + y;\n",
+        "ring x, y | s, t;\norder product(deglex, lex);\nideal x^2, y^2, -x*t + y - s*x;\n",
+    ]
+    for k in (2, 3):
+        a = rng.choice([-3, -2, -1, 1, 2, 3])
+        texts.append(
+            f"ring x, y, z | t;\norder product(deglex, lex);\n"
+            f"ideal (x + {a}*t*y)^{k}, y^{k}, z^{k};\n"
+        )
+    built = []
+    checked_init = RationalFunction.__init__
+
+    def recording(self, num, den=None):
+        checked_init(self, num, den)
+        built.append(self)
+
+    monkeypatch.setattr(RationalFunction, "__init__", recording)
+    for text in texts:
+        spec = parse_problem(text)
+        noetherian_positive(spec.generators, spec.effective_order, spec.ring)
+    monkeypatch.undo()
+    assert sum(not r.is_polynomial() for r in built) > 0
+    for r in built:
+        _checked_and_trusted_agree(-r, RationalFunction(-r.num, r.den))
+    ring = built[0].ring
+    for q in [0, 1, -1, Fraction(7, 3)] + [random_fraction(rng) for _ in range(50)]:
+        _checked_and_trusted_agree(
+            RationalFunction.from_fraction(q, ring),
+            RationalFunction(Polynomial.constant(ring, q)),
+        )
+    with pytest.raises(RingMismatchError):
+        RationalFunction.from_fraction(1, RingDescriptor(("t",), 1, 0, 2))
