@@ -65,16 +65,17 @@ def _noether_basis(spec: ProblemSpec, method: str, check_all: bool):
     order = spec.effective_order
     G = _groebner(spec) if method != "linear" or check_all else None
     if method == "linear":
-        basis = noetherian_linear(_require_generators(spec), order, center=center)
+        basis = noetherian_linear(G if check_all else _require_generators(spec), order, center=center)
     else:
         basis = METHODS[method](G, center=center)
     if check_all:
+        # the constructions share G and its translate to the center
         others = []
         for name in ("forward", "backward"):
             if name != method:
                 others.append(METHODS[name](G, center=center))
         if method != "linear":
-            others.append(noetherian_linear(_require_generators(spec), order, center=center))
+            others.append(noetherian_linear(G, order, center=center))
         for other in others:
             if not span_equal_operators(basis.operators, other.operators):
                 raise NoethError(

@@ -4,12 +4,18 @@ Works uniformly for ideals and for submodules of a free module: every term
 carries a (position, exponent) key and S-pairs are only formed between
 elements whose leading terms share a position.  Output bases are reduced and
 monic, hence canonical for the given ordering.
+
+Every term is ranked once: a basis element's lead is found when it is
+prepared as a reducer (a GroebnerBasis keeps its reducers), a dividend term
+when it enters the dividend, and an S-pair when it is queued.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
+from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InfiniteStaircaseError,
@@ -17,7 +23,7 @@ from .errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from .orderings import AnyOrder, as_module_order, is_elimination_for, lead_by_key, leading_term, monic_by_key
+from .orderings import AnyOrder, SortKey, as_module_order, is_elimination_for, lead_by_key, monic_by_key
 from .polynomial import Polynomial, add_shifted
 from .ring import (
     RingDescriptor,
@@ -31,6 +37,25 @@ from .ring import (
 )
 
 
+def _reducer(g: Polynomial, term_key: SortKey) -> tuple:
+    """(position, lead exponent, lead coefficient, tail terms) of a nonzero g."""
+    if g.is_zero():
+        raise ZeroPolynomialError("zero polynomial has no leading term")
+    lead, lc = lead_by_key(g, term_key)
+    return lead[0], lead[1], lc, [kc for kc in g.terms.items() if kc[0] != lead]
+
+
+class _Reducers(list):
+    """Prepared reducers in stored order, with the ring and sort key that ranked them."""
+
+    __slots__ = ("ring", "term_key")
+
+    def __init__(self, ring: RingDescriptor, term_key: SortKey, entries=()):
+        super().__init__(entries)
+        self.ring = ring
+        self.term_key = term_key
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     ring: RingDescriptor
@@ -38,8 +63,18 @@ class GroebnerBasis:
     elements: tuple[Polynomial, ...]
     reduced: bool = True
 
+    @cached_property
+    def _reducers(self) -> _Reducers:
+        term_key = as_module_order(self.order).key(self.ring)
+        return _Reducers(self.ring, term_key, [_reducer(g, term_key) for g in self.elements])
+
+    @cached_property
+    def translates(self) -> dict:
+        """Reduced bases of this input moved so that a center becomes the origin, by center."""
+        return {}
+
     def leading_terms(self) -> list[tuple[TermKey, object]]:
-        return [leading_term(g, self.order) for g in self.elements]
+        return [((pos, exp), lc) for pos, exp, lc, _ in self._reducers]
 
     def __iter__(self):
         return iter(self.elements)
@@ -60,36 +95,56 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
     The dividend is one dict reduced in place: its largest term is popped and
     either moved to the remainder or cancelled by a multiple of the first
     basis element whose leading term divides it, of which only the tail is
-    subtracted since the leading terms cancel exactly.
+    subtracted since the leading terms cancel exactly.  The dividend's terms
+    are ranked once, as they enter it, in a list sorted by their sort keys; an
+    entry whose term has since cancelled is skipped when it comes up.  A
+    GroebnerBasis under its own order supplies its cached reducers.
     """
-    if isinstance(basis, GroebnerBasis):
-        if order is None:
-            order = basis.order
-        elements = basis.elements
-    else:
-        elements = tuple(basis)
-        if order is None:
-            raise ValueError("normal_form needs an ordering when given a plain sequence")
     ring = f.ring
-    term_key = as_module_order(order).key(ring)
-    reducers = []
-    for g in elements:
-        if g.ring is not ring and g.ring != ring:
+    if isinstance(basis, GroebnerBasis) and (order is None or order == basis.order):
+        basis = basis._reducers
+    if isinstance(basis, _Reducers):
+        reducers, term_key = basis, basis.term_key
+        if reducers and ring is not reducers.ring and ring != reducers.ring:
             raise RingMismatchError("normal_form operands live over different rings")
-        if g.is_zero():
-            raise ZeroPolynomialError("zero polynomial has no leading term")
-        lead, gc = lead_by_key(g, term_key)
-        tail = [kc for kc in g.terms.items() if kc[0] != lead]
-        reducers.append((lead[0], lead[1], gc, tail))
+    else:
+        if isinstance(basis, GroebnerBasis):
+            elements = basis.elements
+        else:
+            elements = tuple(basis)
+            if order is None:
+                raise ValueError("normal_form needs an ordering when given a plain sequence")
+        term_key = as_module_order(order).key(ring)
+        reducers = []
+        for g in elements:
+            if g.ring is not ring and g.ring != ring:
+                raise RingMismatchError("normal_form operands live over different rings")
+            reducers.append(_reducer(g, term_key))
     p = dict(f.terms)
+    queue = sorted((term_key(t), t) for t in p)
     remainder: dict[TermKey, object] = {}
-    while p:
-        best = max(p, key=term_key)
-        c = p.pop(best)
+    while queue:
+        best = queue.pop()[1]
+        c = p.pop(best, None)
+        if c is None:
+            continue  # cancelled after it was queued
         pos, exp = best
         for gpos, gexp, gc, tail in reducers:
             if gpos == pos and exp_divides(gexp, exp):
-                add_shifted(p, tail, exp_sub(exp, gexp), -(c / gc))
+                factor = -(c / gc)
+                shift = exp_sub(exp, gexp)
+                for (tpos, texp), tc in tail:
+                    key = (tpos, exp_add(texp, shift))
+                    s = p.get(key)
+                    if s is None:
+                        p[key] = tc * factor
+                        insort(queue, (term_key(key), key))
+                    else:
+                        s = s + tc * factor
+                        if s:
+                            p[key] = s
+                        else:
+                            del p[key]
                 break
         else:
             remainder[best] = c
@@ -118,8 +173,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: AnyOrder) -> Polynomial:
 def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> GroebnerBasis:
     """Reduced monic Groebner basis, deterministic for a given ordering.
 
-    Pairs are selected by smallest lcm (normal strategy); the coprime-lead and
-    chain criteria prune useless reductions.
+    Pairs are selected by smallest lcm (normal strategy) from a heap whose
+    entries are ranked when the pair is formed; the coprime-lead and chain
+    criteria prune useless reductions.
     """
     gens = [g for g in gens if g is not None and not g.is_zero()]
     if ring is None:
@@ -132,34 +188,31 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     term_key = as_module_order(order).key(ring)
 
     basis: list[Polynomial] = []
+    reducers = _Reducers(ring, term_key)
     for g in gens:
-        r = normal_form(g, basis, order) if basis else g
+        r = normal_form(g, reducers) if reducers else g
         if not r.is_zero():
             basis.append(monic_by_key(r, term_key))
+            reducers.append(_reducer(basis[-1], term_key))
 
-    lts: list[TermKey] = [lead_by_key(g, term_key)[0] for g in basis]
+    lts: list[TermKey] = [entry[:2] for entry in reducers]
+    pending: list[tuple] = []  # heap of (key of the lcm, i, j, lcm)
 
-    def lcm_key(i: int, j: int) -> TermKey | None:
-        a, b = lts[i], lts[j]
-        if a[0] != b[0]:
-            return None
-        return (a[0], exp_lcm(a[1], b[1]))
+    def add_pairs(new: int) -> None:
+        b = lts[new]
+        for k in range(new):
+            a = lts[k]
+            if a[0] == b[0]:
+                lk = (a[0], exp_lcm(a[1], b[1]))
+                heapq.heappush(pending, (term_key(lk), k, new, lk))
 
-    pending: set[tuple[int, int]] = set()
+    for new in range(1, len(basis)):
+        add_pairs(new)
     processed: set[tuple[int, int]] = set()
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        if lcm_key(i, j) is not None:
-            pending.add((i, j))
-
-    def pair_key(pair: tuple[int, int]):
-        return term_key(lcm_key(*pair)), pair
 
     while pending:
-        pair = min(pending, key=pair_key)
-        pending.discard(pair)
-        processed.add(pair)
-        i, j = pair
-        lk = lcm_key(i, j)
+        _, i, j, lk = heapq.heappop(pending)
+        processed.add((i, j))
         # coprime leading terms: S-pair reduces to zero (ideals only; module
         # tails spread over other positions, so the product criterion fails)
         if ring.rank == 1 and lk[1] == exp_add(lts[i][1], lts[j][1]):
@@ -179,15 +232,13 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
         if skip:
             continue
         s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
+        r = normal_form(s, reducers)
         if r.is_zero():
             continue
         basis.append(monic_by_key(r, term_key))
-        lts.append(lead_by_key(basis[-1], term_key)[0])
-        new = len(basis) - 1
-        for k in range(new):
-            if lcm_key(k, new) is not None:
-                pending.add((k, new))
+        reducers.append(_reducer(basis[-1], term_key))
+        lts.append(reducers[-1][:2])
+        add_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another kept lead
     order_idx = sorted(range(len(basis)), key=lambda idx: term_key(lts[idx]))
@@ -195,16 +246,18 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     for idx in order_idx:
         if not any(_divides(lts[k], lts[idx]) for k in kept):
             kept.append(idx)
-    minimal = [basis[idx] for idx in kept]
 
-    # interreduce tails
-    reduced: list[Polynomial] = list(minimal)
+    # interreduce tails against the other kept elements, in kept order; a
+    # minimal basis keeps every lead, so only entry i's tail changes
+    reduced = [basis[idx] for idx in kept]
+    others = _Reducers(ring, term_key, [reducers[idx] for idx in kept])
     for i in range(len(reduced)):
-        others = reduced[:i] + reduced[i + 1 :]
-        reduced[i] = monic_by_key(normal_form(reduced[i], others, order), term_key)
+        del others[i]
+        reduced[i] = monic_by_key(normal_form(reduced[i], others), term_key)
+        others.insert(i, _reducer(reduced[i], term_key))
 
-    reduced.sort(key=lambda g: term_key(lead_by_key(g, term_key)[0]), reverse=True)
-    return GroebnerBasis(ring, order, tuple(reduced), True)
+    ranked = sorted(zip(others, reduced), key=lambda entry: term_key(entry[0][:2]), reverse=True)
+    return GroebnerBasis(ring, order, tuple(g for _, g in ranked), True)
 
 
 @dataclass(frozen=True)
@@ -224,26 +277,38 @@ def staircase(G: GroebnerBasis) -> Staircase:
     """Monomials outside the leading-term module; error when infinite.
 
     Finiteness needs, for every position, a pure power of every variable among
-    the leading terms (a constant lead empties its position).
+    the leading terms (a constant lead empties its position).  The walk climbs
+    from each position's 1 one variable at a time through monomials no lead
+    divides; the residual set is closed under division, so it reaches all of
+    it without visiting the bounding box.
     """
     ring = G.ring
     lts = [key for key, _ in G.leading_terms()]
+    n = ring.nvars
     residual: list[TermKey] = []
     for pos in range(1, ring.rank + 1):
         pos_lts = [exp for p, exp in lts if p == pos]
         if any(not any(exp) for exp in pos_lts):
             continue  # unit leading term: nothing residual in this position
-        bounds = []
-        for j in range(ring.nvars):
-            pure = [exp[j] for exp in pos_lts if all(e == 0 for i, e in enumerate(exp) if i != j)]
-            if not pure:
+        for j in range(n):
+            if not any(all(e == 0 for i, e in enumerate(exp) if i != j) for exp in pos_lts):
                 raise InfiniteStaircaseError(
                     f"infinite staircase: no pure power of {ring.names[j]} in the leading terms"
                 )
-            bounds.append(min(pure))
-        for exp in itertools.product(*(range(b) for b in bounds)):
-            if not any(exp_divides(lexp, exp) for lexp in pos_lts):
-                residual.append((pos, exp))
+        # A lead that divides exp + e_j but not exp has exactly that j-th
+        # exponent, so only those leads are tried.
+        with_exp = [{} for _ in range(n)]
+        for lexp in pos_lts:
+            for j in range(n):
+                with_exp[j].setdefault(lexp[j], []).append(lexp)
+        # each monomial is reached once, from the one with its last variable lowered
+        found = [(ring.zero_exp(), 0)]
+        for exp, last in found:  # grows while it is walked
+            for j in range(last, n):
+                up = exp[:j] + (exp[j] + 1,) + exp[j + 1 :]
+                if not any(exp_divides(lexp, up) for lexp in with_exp[j].get(up[j], ())):
+                    found.append((up, j))
+        residual.extend((pos, exp) for exp, _ in found)
     residual.sort(key=reading_key)
     return Staircase(ring, tuple(residual))
 

@@ -90,7 +90,10 @@ def _prepare(G, center):
         raise NoethError("variables after the separator require the parameter-coefficient construction")
     center = as_center(ring, center)
     if any(center):
-        G0 = buchberger([g.substitute_affine(center) for g in G.elements], G.order, ring)
+        G0 = G.translates.get(center)
+        if G0 is None:
+            G0 = buchberger([g.substitute_affine(center) for g in G.elements], G.order, ring)
+            G.translates[center] = G0
     elif G.reduced:
         G0 = G
     else:
@@ -337,22 +340,31 @@ def _relation(kernel: Echelon, vector: dict, tag):
 # -- linear-solve construction ---------------------------------------------------
 
 
-def noetherian_linear(gens: Sequence[Polynomial], order: AnyOrder, center=None) -> NoetherianBasis:
+def noetherian_linear(
+    gens: Sequence[Polynomial] | GroebnerBasis, order: AnyOrder, center=None
+) -> NoetherianBasis:
     """Degree-climbing construction from closure and annihilation constraints.
 
     Candidates are the units and the restricted integrals of the operators
     found so far: x_j raises only the terms free of x_1, ..., x_(j-1), which
     reaches every closed operator (Mourrain, JPAA 1997).  The search is
     therefore complete, and ending with fewer than mu operators means the
-    input is not primary at the center.
+    input is not primary at the center.  A GroebnerBasis may stand in for the
+    generators, as in eliminate; its order is used and its translate to the
+    center is shared with the other constructions.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ZeroPolynomialError("no nonzero generators")
-    ring = gens[0].ring
-    center = as_center(ring, center)
-    targets = [g.substitute_affine(center) for g in gens] if any(center) else gens
-    G0, _ = _prepare(buchberger(targets, order, ring), None)
+    if isinstance(gens, GroebnerBasis):
+        G0, center = _prepare(gens, center)
+        ring = G0.ring
+        targets = G0.elements
+    else:
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            raise ZeroPolynomialError("no nonzero generators")
+        ring = gens[0].ring
+        center = as_center(ring, center)
+        targets = [g.substitute_affine(center) for g in gens] if any(center) else gens
+        G0, _ = _prepare(buchberger(targets, order, ring), None)
     stair = staircase(G0)
     mu = stair.multiplicity
 

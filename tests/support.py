@@ -250,6 +250,46 @@ def reference_normal_form(f, elements, order):
     return remainder
 
 
+def reference_buchberger(gens, order):
+    """Reduced monic Groebner basis by the textbook algorithm, as a set.
+
+    Every pair of elements whose leads share a position is reduced, with no
+    criterion and no pair ordering, by reference_normal_form; the basis is
+    then minimalized and each element replaced by its monic remainder modulo
+    the others.  Independent of the library's S-polynomials and reducers.
+    """
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        (fk, fc), (gk, gc) = leading_term(basis[i], order), leading_term(basis[j], order)
+        if fk[0] != gk[0]:
+            continue
+        lcm = tuple(max(a, b) for a, b in zip(fk[1], gk[1]))
+        up_f = tuple(a - b for a, b in zip(lcm, fk[1]))
+        up_g = tuple(a - b for a, b in zip(lcm, gk[1]))
+        s = basis[i].mul_monomial(up_f, 1 / fc) - basis[j].mul_monomial(up_g, 1 / gc)
+        r = reference_normal_form(s, basis, order)
+        if not r.is_zero():
+            basis.append(r)
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    leads = [leading_term(g, order)[0] for g in basis]
+    minimal = []
+    for i, (pos, exp) in enumerate(leads):
+        # drop an element whose lead another lead divides; of equal leads keep the first
+        if not any(
+            other[0] == pos and exp_divides(other[1], exp) and (other != (pos, exp) or k < i)
+            for k, other in enumerate(leads)
+            if k != i
+        ):
+            minimal.append(basis[i])
+    reduced = set()
+    for g in minimal:
+        r = reference_normal_form(g, [h for h in minimal if h is not g], order)
+        reduced.add(r.scale(1 / leading_term(r, order)[1]))
+    return reduced
+
+
 def oracle_zero(ring):
     from noeth import RationalFunction
 

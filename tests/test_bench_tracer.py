@@ -2,7 +2,8 @@
 
 perfbench/tracer.py wraps every name in its SPANNED and COUNTED tables before
 a traced pass; a name that no longer resolves would break that pass.  The
-tables are read from the file itself, without installing any wrapper.
+tables are read from the file itself; one test installs the wrappers around
+a single Buchberger run and restores every binding afterwards.
 """
 
 from __future__ import annotations
@@ -38,3 +39,44 @@ def test_every_traced_name_resolves():
     spanned = {f"{layer}.{qual}" for layer, names in tracer.SPANNED.items() for qual in names}
     assert set(tracer.OBSERVERS) <= spanned
     assert set(tracer.CONSTRUCTIONS) <= spanned
+
+
+def test_tracer_sees_the_normal_forms_inside_buchberger(monkeypatch):
+    # The kernel must reach normal_form and s_polynomial through the module
+    # globals, or the S-pair counters of a traced pass read zero.
+    import sys
+
+    from noeth import DegLex, Polynomial, RingDescriptor, groebner
+
+    tracer_module = load_tracer()
+    # Pin every binding install() may replace, so that undo() restores it.
+    for name, module in list(sys.modules.items()):
+        if name != "noeth" and not name.startswith("noeth."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if callable(value):
+                monkeypatch.setattr(module, attr, value)
+            elif isinstance(value, dict):
+                for key, entry in list(value.items()):
+                    monkeypatch.setitem(value, key, entry)
+    for table in (tracer_module.SPANNED, tracer_module.COUNTED):
+        for layer, names in table.items():
+            for qual in names:
+                if "." in qual:
+                    cls_name, attr = qual.split(".")
+                    cls = getattr(importlib.import_module(f"noeth.{layer}"), cls_name)
+                    monkeypatch.setattr(cls, attr, vars(cls)[attr])
+    original = groebner.normal_form
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert groebner.normal_form is not original
+        ring = RingDescriptor(("x", "y"), 2)
+        x, y = Polynomial.variable(ring, "x"), Polynomial.variable(ring, "y")
+        groebner.buchberger([x**2 - y, x * y - 1, y**3 - x], DegLex(), ring)
+    finally:
+        monkeypatch.undo()
+    assert groebner.normal_form is original
+    spans = range(len(tracer.names))
+    outcomes = {tracer.outcome[i] for i in spans if tracer.names[i] == "groebner.normal_form"}
+    assert {"spair-zero", "spair-nonzero"} <= outcomes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from noeth import (
     Lex,
     ModuleOrder,
     Polynomial,
+    ProductOrder,
     RingDescriptor,
     buchberger,
     corner_monomials,
@@ -22,12 +24,14 @@ from noeth import (
     s_polynomial,
     staircase,
 )
-from noeth.errors import InfiniteStaircaseError, NotEliminationOrderError
+from noeth.errors import InfiniteStaircaseError, NotEliminationOrderError, RingMismatchError
 from noeth.orderings import leading_term
+from noeth.ring import exp_divides
 from support import (
     RM2,
     RXT,
     RXY,
+    RXYT,
     RXYZ,
     mu_by_box_count,
     mu_by_linear_algebra,
@@ -36,7 +40,9 @@ from support import (
     random_nonzero,
     random_origin_primary,
     random_polynomial,
+    reference_buchberger,
     reference_normal_form,
+    variables,
 )
 
 
@@ -209,6 +215,117 @@ def test_normal_form_matches_reference_division(ring, order):
                 assert all(nf.terms.values())
 
 
+ORACLE_CASES = [
+    (RXYZ, DegLex()),
+    (RXYZ, DegRevLex()),
+    (RXY, Lex()),
+    (RXYT, ProductOrder(DegLex(), Lex())),
+    (RM2, ModuleOrder(DegLex(), "top")),
+    (RM2, ModuleOrder(DegRevLex(), "pot")),
+]
+
+
+def oracle_input(rng, ring):
+    """Triangular powers (x_i + sum_(j>i) (c_j x_j + d_j x_j^2))^p_i and two
+    random elements without terms below degree 2; random vectors for a module."""
+    if ring.rank > 1:
+        return [random_nonzero(rng, ring, 3, 2) for _ in range(3)]
+    xs = variables(ring)
+    gens = []
+    for i, x in enumerate(xs):
+        for y in xs[i + 1 :]:
+            x = x + y.scale(rng.randint(-2, 2)) + (y * y).scale(rng.randint(-2, 2))
+        gens.append(x ** rng.randint(2, 3))
+    for _ in range(2):
+        f = random_polynomial(rng, ring, max_terms=3, max_deg=4)
+        gens.append(Polynomial(ring, {key: c for key, c in f.terms.items() if sum(key[1]) >= 2}))
+    return gens
+
+
+@pytest.mark.parametrize("ring,order", ORACLE_CASES)
+def test_buchberger_matches_textbook_buchberger(ring, order):
+    rng = random.Random(821)
+    for _ in range(4):
+        gens = oracle_input(rng, ring)
+        G = buchberger(gens, order, ring)
+        assert set(G.elements) == reference_buchberger(gens, order)
+        assert len(set(G.elements)) == len(G.elements)
+
+
+@pytest.mark.parametrize("ring,order", ORACLE_CASES)
+def test_cached_normal_form_matches_the_per_call_paths(ring, order):
+    rng = random.Random(823)
+    other = ModuleOrder(Lex(), "pot") if ring.rank > 1 else Lex()
+    for _ in range(3):
+        G = buchberger(oracle_input(rng, ring), order, ring)
+        for _ in range(6):
+            f = random_polynomial(rng, ring, max_terms=6, max_deg=5)
+            nf = normal_form(f, G)
+            assert nf == reference_normal_form(f, G.elements, order)
+            assert list(nf.terms) == list(normal_form(f, G.elements, order).terms)
+            assert normal_form(f, G, order) == nf
+            # an order override divides by the same elements under that order
+            assert normal_form(f, G, other) == reference_normal_form(f, G.elements, other)
+
+
+def test_cached_normal_form_keeps_the_ring_check():
+    G = parabola_basis()
+    x = Polynomial.variable(RXY, "x")
+    assert normal_form(x**3, G) == x * Polynomial.variable(RXY, "y")  # fills the cache
+    for f in (Polynomial.variable(RXYZ, "x"), Polynomial.variable(RXT, "x")):
+        with pytest.raises(RingMismatchError):
+            normal_form(f, G)
+        with pytest.raises(RingMismatchError):
+            is_member(f, G)
+
+
+class CountingDegLex(DegLex):
+    """DegLex whose sort key counts its calls."""
+
+    calls = 0
+
+    def key(self, ring):
+        inner = super().key(ring)
+
+        def counted(a):
+            CountingDegLex.calls += 1
+            return inner(a)
+
+        return counted
+
+
+def entered_terms(f, elements, order) -> int:
+    """Terms that enter the dividend of a textbook division of f: its own
+    terms, then every term a reduction step adds that was not there."""
+    p, count = f, len(f.terms)
+    while not p.is_zero():
+        key, c = leading_term(p, order)
+        for g in elements:
+            gkey, gc = leading_term(g, order)
+            if gkey[0] == key[0] and exp_divides(gkey[1], key[1]):
+                shift = tuple(a - b for a, b in zip(key[1], gkey[1]))
+                after = p - g.mul_monomial(shift, c / gc)
+                count += len(after.terms.keys() - p.terms.keys())
+                p = after
+                break
+        else:
+            p = p - Polynomial(f.ring, {key: c})
+    return count
+
+
+def test_normal_form_ranks_each_dividend_term_once():
+    rng = random.Random(827)
+    order = CountingDegLex()
+    for _ in range(4):
+        G = buchberger(random_origin_primary(rng, RXYZ, cap=12), order, RXYZ)
+        f = random_polynomial(rng, RXYZ, max_terms=6, max_deg=6)
+        normal_form(f, G)
+        entered = entered_terms(f, G.elements, order)
+        CountingDegLex.calls = 0
+        normal_form(f, G)
+        assert CountingDegLex.calls <= entered
+
+
 def test_buchberger_criterion_on_every_pair():
     rng = random.Random(109)
     bases = [parabola_basis(), module_m1_basis()]
@@ -259,6 +376,38 @@ def test_corner_monomials_are_the_staircase_maxima():
                 for j in [i]
             )
             assert ((pos, exp) in corners) == bumps_leave
+
+
+def test_staircase_walk_matches_the_box_count():
+    rng = random.Random(829)
+    cases = [(RXY, DegLex()), (RXYZ, DegRevLex()), (RM2, ModuleOrder(DegLex(), "top"))]
+    for ring, order in cases:
+        for _ in range(5):
+            if ring.rank == 1:
+                gens = random_origin_primary(rng, ring, cap=12)
+            else:
+                powers = [((2, 0), 1), ((0, 3), 1), ((1, 0), 2), ((0, 2), 2)]
+                gens = [Polynomial.monomial(ring, exp, 1, pos) for exp, pos in powers]
+                gens += [random_nonzero(rng, ring, 2, 2) for _ in range(2)]
+            G = buchberger(gens, order, ring)
+            try:
+                stair = staircase(G)
+            except InfiniteStaircaseError:
+                continue
+            assert stair.multiplicity == mu_by_box_count(G)
+            assert len(set(stair.monomials)) == stair.multiplicity
+
+
+def test_staircase_of_a_tall_thin_box_is_fast():
+    R4 = RingDescriptor(("x", "y", "z", "w"), 4)
+    v = [Polynomial.variable(R4, i) for i in range(4)]
+    gens = [g**40 for g in v] + [v[i] * v[j] for i in range(4) for j in range(i + 1, 4)]
+    G = buchberger(gens, DegLex(), R4)
+    t0 = time.perf_counter()
+    stair = staircase(G)
+    assert time.perf_counter() - t0 < 2.0
+    assert stair.multiplicity == 1 + 4 * 39
+    assert stair.monomials[:5] == ((1, (0, 0, 0, 0)),) + tuple((1, R4.var_exp(i)) for i in range(4))
 
 
 def test_infinite_staircase_is_detected():
