@@ -8,6 +8,14 @@ monic, hence canonical for the given ordering.
 Every term is ranked once: a basis element's lead is found when it is
 prepared as a reducer (a GroebnerBasis keeps its reducers), a dividend term
 when it enters the dividend, and an S-pair when it is queued.
+
+Where every coefficient is a Fraction, the division runs over the integers,
+fraction-free: a reducer holds an integer multiple of its element, the
+dividend is scaled to integers, and S-polynomials are integer combinations
+of reducers.  Fractions remain at the edges: the input polynomials, the
+remainder terms normal_form returns, and the monic elements of a
+GroebnerBasis.  Rational-function coefficients (positive dimension) are
+divided as field elements throughout.
 """
 
 from __future__ import annotations
@@ -15,7 +23,9 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .errors import (
     InfiniteStaircaseError,
@@ -37,23 +47,47 @@ from .ring import (
 )
 
 
-def _reducer(g: Polynomial, term_key: SortKey) -> tuple:
-    """(position, lead exponent, lead coefficient, tail terms) of a nonzero g."""
+def _all_rational(polys) -> bool:
+    return all(type(c) is Fraction for g in polys for c in g.terms.values())
+
+
+def _integers(terms: dict, scale: int) -> dict:
+    """scale * terms over the integers; scale must be a multiple of every denominator."""
+    return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}
+
+
+def _reducer(g: Polynomial, term_key: SortKey, integral: bool) -> tuple:
+    """(position, lead exponent, lead coefficient, tail terms) of a nonzero g.
+
+    When integral, the entry describes D*g instead, for D the lcm of g's
+    denominators signed like its lead: integer coefficients, a positive lead,
+    and the same remainders as g.
+    """
     if g.is_zero():
         raise ZeroPolynomialError("zero polynomial has no leading term")
     lead, lc = lead_by_key(g, term_key)
-    return lead[0], lead[1], lc, [kc for kc in g.terms.items() if kc[0] != lead]
+    terms = g.terms
+    if integral:
+        scale = lcm(*[c.denominator for c in terms.values()])
+        terms = _integers(terms, -scale if lc < 0 else scale)
+        lc = terms[lead]
+    return lead[0], lead[1], lc, [kc for kc in terms.items() if kc[0] != lead]
 
 
 class _Reducers(list):
-    """Prepared reducers in stored order, with the ring and sort key that ranked them."""
+    """Prepared reducers in stored order, with the ring and sort key that ranked them.
 
-    __slots__ = ("ring", "term_key")
+    integral is fixed when the container is made: its entries are integer
+    multiples of elements with Fraction coefficients.
+    """
 
-    def __init__(self, ring: RingDescriptor, term_key: SortKey, entries=()):
+    __slots__ = ("ring", "term_key", "integral")
+
+    def __init__(self, ring: RingDescriptor, term_key: SortKey, integral: bool, entries=()):
         super().__init__(entries)
         self.ring = ring
         self.term_key = term_key
+        self.integral = integral
 
 
 @dataclass(frozen=True)
@@ -66,7 +100,8 @@ class GroebnerBasis:
     @cached_property
     def _reducers(self) -> _Reducers:
         term_key = as_module_order(self.order).key(self.ring)
-        return _Reducers(self.ring, term_key, [_reducer(g, term_key) for g in self.elements])
+        integral = _all_rational(self.elements)
+        return _Reducers(self.ring, term_key, integral, [_reducer(g, term_key, integral) for g in self.elements])
 
     @cached_property
     def translates(self) -> dict:
@@ -74,7 +109,7 @@ class GroebnerBasis:
         return {}
 
     def leading_terms(self) -> list[tuple[TermKey, object]]:
-        return [((pos, exp), lc) for pos, exp, lc, _ in self._reducers]
+        return [((pos, exp), g.terms[pos, exp]) for (pos, exp, *_), g in zip(self._reducers, self.elements)]
 
     def __iter__(self):
         return iter(self.elements)
@@ -99,6 +134,14 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
     are ranked once, as they enter it, in a list sorted by their sort keys; an
     entry whose term has since cancelled is skipped when it comes up.  A
     GroebnerBasis under its own order supplies its cached reducers.
+
+    When f and the basis have Fraction coefficients only, the dividend is
+    lam * f over the integers, lam the lcm of f's denominators.  A step at
+    coefficient c against an integer lead gc with h = gcd(c, gc) first
+    multiplies the dividend (and lam) by gc/h, unless that is 1, and then
+    subtracts c/h times the shifted integer tail.  A term moved to the
+    remainder leaves as Fraction(c, lam), so the result is the same
+    Polynomial with Fraction coefficients as division over the field gives.
     """
     ring = f.ring
     if isinstance(basis, GroebnerBasis) and (order is None or order == basis.order):
@@ -114,13 +157,19 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
             elements = tuple(basis)
             if order is None:
                 raise ValueError("normal_form needs an ordering when given a plain sequence")
-        term_key = as_module_order(order).key(ring)
-        reducers = []
         for g in elements:
             if g.ring is not ring and g.ring != ring:
                 raise RingMismatchError("normal_form operands live over different rings")
-            reducers.append(_reducer(g, term_key))
-    p = dict(f.terms)
+        term_key = as_module_order(order).key(ring)
+        integral = _all_rational(elements)
+        reducers = _Reducers(ring, term_key, integral, [_reducer(g, term_key, integral) for g in elements])
+    p = f.terms
+    integral = reducers.integral and _all_rational((f,))
+    if integral:
+        lam = lcm(*[c.denominator for c in p.values()])
+        p = _integers(p, lam)
+    else:
+        p = dict(p)
     queue = sorted((term_key(t), t) for t in p)
     remainder: dict[TermKey, object] = {}
     while queue:
@@ -131,7 +180,15 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
         pos, exp = best
         for gpos, gexp, gc, tail in reducers:
             if gpos == pos and exp_divides(gexp, exp):
-                factor = -(c / gc)
+                if integral:
+                    h = gcd(c, gc)
+                    if h != gc:
+                        m = gc // h
+                        lam *= m
+                        p = {k: v * m for k, v in p.items()}
+                    factor = -(c // h)
+                else:
+                    factor = -(c / gc)
                 shift = exp_sub(exp, gexp)
                 for (tpos, texp), tc in tail:
                     key = (tpos, exp_add(texp, shift))
@@ -147,27 +204,46 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
                             del p[key]
                 break
         else:
-            remainder[best] = c
+            remainder[best] = Fraction(c, lam) if integral else c
     return Polynomial._of(ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: AnyOrder) -> Polynomial:
-    """S-polynomial; zero when the leading terms sit in different positions."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no leading term")
-    term_key = as_module_order(order).key(f.ring)
-    (fk, fc) = lead_by_key(f, term_key)
-    (gk, gc) = lead_by_key(g, term_key)
-    if fk[0] != gk[0]:
-        return Polynomial.zero(f.ring)
-    if f.ring is not g.ring and f.ring != g.ring:
-        raise RingMismatchError("cannot add over different rings")
-    lcm = exp_lcm(fk[1], gk[1])
-    # The scaled leading terms are both one at the lcm and cancel exactly.
+    """S-polynomial; zero when the leading terms sit in different positions.
+
+    buchberger passes two of its prepared reducers instead, with their
+    _Reducers container as order, so that no lead is ranked and no tail is
+    built again.  Over the integers the result is then the integer
+    combination (gc/h) x^u f - (fc/h) x^v g, for leads fc, gc with
+    h = gcd(fc, gc): a positive multiple of the S-polynomial with the same
+    normal form up to that factor.
+    """
+    if isinstance(order, _Reducers):
+        ring, integral = order.ring, order.integral
+    else:
+        ring, integral = f.ring, False
+        same_ring = g.ring is ring or g.ring == ring
+        term_key = as_module_order(order).key(ring)
+        f, g = _reducer(f, term_key, False), _reducer(g, term_key, False)
+        if f[0] == g[0] and not same_ring:
+            raise RingMismatchError("cannot add over different rings")
+    fpos, fexp, fc, ftail = f
+    gpos, gexp, gc, gtail = g
+    if fpos != gpos:
+        return Polynomial.zero(ring)
+    if integral:
+        h = gcd(fc, gc)
+        ffactor, gfactor = gc // h, -(fc // h)
+    else:
+        ffactor, gfactor = (fc / fc) / fc, -((gc / gc) / gc)
+    lcm_exp = exp_lcm(fexp, gexp)
+    # The scaled leading terms are equal at the lcm and cancel exactly.
     acc: dict[TermKey, object] = {}
-    add_shifted(acc, [kc for kc in f.terms.items() if kc[0] != fk], exp_sub(lcm, fk[1]), (fc / fc) / fc)
-    add_shifted(acc, [kc for kc in g.terms.items() if kc[0] != gk], exp_sub(lcm, gk[1]), -((gc / gc) / gc))
-    return Polynomial._of(f.ring, acc)
+    add_shifted(acc, ftail, exp_sub(lcm_exp, fexp), ffactor)
+    add_shifted(acc, gtail, exp_sub(lcm_exp, gexp), gfactor)
+    if integral:
+        acc = {k: Fraction(c) for k, c in acc.items()}
+    return Polynomial._of(ring, acc)
 
 
 def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> GroebnerBasis:
@@ -175,7 +251,9 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
 
     Pairs are selected by smallest lcm (normal strategy) from a heap whose
     entries are ranked when the pair is formed; the coprime-lead and chain
-    criteria prune useless reductions.
+    criteria prune useless reductions.  S-polynomials are formed from the
+    elements' prepared reducers, over the integers when every coefficient
+    is a Fraction.
     """
     gens = [g for g in gens if g is not None and not g.is_zero()]
     if ring is None:
@@ -187,13 +265,14 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
             raise RingMismatchError("generators live over different rings")
     term_key = as_module_order(order).key(ring)
 
+    integral = _all_rational(gens)
     basis: list[Polynomial] = []
-    reducers = _Reducers(ring, term_key)
+    reducers = _Reducers(ring, term_key, integral)
     for g in gens:
         r = normal_form(g, reducers) if reducers else g
         if not r.is_zero():
             basis.append(monic_by_key(r, term_key))
-            reducers.append(_reducer(basis[-1], term_key))
+            reducers.append(_reducer(basis[-1], term_key, integral))
 
     lts: list[TermKey] = [entry[:2] for entry in reducers]
     pending: list[tuple] = []  # heap of (key of the lcm, i, j, lcm)
@@ -231,12 +310,12 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
                     break
         if skip:
             continue
-        s = s_polynomial(basis[i], basis[j], order)
+        s = s_polynomial(reducers[i], reducers[j], reducers)
         r = normal_form(s, reducers)
         if r.is_zero():
             continue
         basis.append(monic_by_key(r, term_key))
-        reducers.append(_reducer(basis[-1], term_key))
+        reducers.append(_reducer(basis[-1], term_key, integral))
         lts.append(reducers[-1][:2])
         add_pairs(len(basis) - 1)
 
@@ -250,11 +329,11 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     # interreduce tails against the other kept elements, in kept order; a
     # minimal basis keeps every lead, so only entry i's tail changes
     reduced = [basis[idx] for idx in kept]
-    others = _Reducers(ring, term_key, [reducers[idx] for idx in kept])
+    others = _Reducers(ring, term_key, integral, [reducers[idx] for idx in kept])
     for i in range(len(reduced)):
         del others[i]
         reduced[i] = monic_by_key(normal_form(reduced[i], others), term_key)
-        others.insert(i, _reducer(reduced[i], term_key))
+        others.insert(i, _reducer(reduced[i], term_key, integral))
 
     ranked = sorted(zip(others, reduced), key=lambda entry: term_key(entry[0][:2]), reverse=True)
     return GroebnerBasis(ring, order, tuple(g for _, g in ranked), True)

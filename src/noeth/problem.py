@@ -51,6 +51,9 @@ KEYWORDS = {
 }
 
 
+# Clauses a file may give at most once; only `component` repeats.
+_SINGLE_CLAUSES = {"ring", "order", "moduleorder", "ideal", "module", "center"}
+
 _DIGITS = "0123456789"
 _WORD_TAIL = _DIGITS + "_"
 
@@ -176,11 +179,18 @@ class _Parser:
         components: list[Component] = []
         module_rows: list[list[Polynomial]] | None = None
         component_rows: list[tuple[list, tuple, Token]] = []
+        seen: set[str] = set()
 
         while self.peek().kind != "end":
             tok = self.peek()
             if tok.kind != "keyword":
                 self.fail("expected a clause keyword", tok)
+            if tok.text in seen:
+                self.fail(f"repeated {tok.text!r} clause", tok)
+            if tok.text in ("ideal", "module") and seen & {"ideal", "module"}:
+                self.fail("a file gives either an 'ideal' or a 'module' clause", tok)
+            if tok.text in _SINGLE_CLAUSES:
+                seen.add(tok.text)
             if tok.text == "ring":
                 self.next()
                 ring = self.parse_ring_clause()
@@ -272,15 +282,16 @@ class _Parser:
         return Polynomial(ring, terms)
 
     def parse_ring_clause(self) -> RingDescriptor:
-        x_names = self.parse_name_list()
+        x_names = self.parse_name_list([])
         t_names: list[str] = []
         if self.at_punct("|"):
             self.next()
-            t_names = self.parse_name_list()
+            t_names = self.parse_name_list(x_names)
         self.expect_punct(";")
         return RingDescriptor(tuple(x_names + t_names), len(x_names), len(t_names))
 
-    def parse_name_list(self) -> list[str]:
+    def parse_name_list(self, earlier: list[str]) -> list[str]:
+        """Comma-separated variable names, none repeating another or one in earlier."""
         names = []
         while True:
             tok = self.peek()
@@ -288,6 +299,8 @@ class _Parser:
                 self.fail(f"{tok.text!r} is reserved and cannot name a variable", tok)
             if tok.kind != "ident":
                 self.fail("expected a variable name", tok)
+            if tok.text in names or tok.text in earlier:
+                self.fail(f"duplicate variable name {tok.text!r}", tok)
             names.append(self.next().text)
             if self.at_punct(","):
                 self.next()
@@ -383,6 +396,8 @@ class _Parser:
             if dtok.kind != "int":
                 self.fail("expected a denominator", dtok)
             den = int(self.next().text)
+            if not den:
+                self.fail("zero denominator", tok)
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 

@@ -263,6 +263,72 @@ def test_non_ascii_digit_is_a_parse_error(capsys, tmp_path, standard):
     assert err3.startswith("parse error:")
 
 
+def assert_parse_error(capsys, argv, message, line, column):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message} (line {line}, column {column})\n"
+    code, out, _ = run(capsys, *argv[:-1], "--json", argv[-1])
+    assert code == 2
+    assert json.loads(out) == {"error": f"{message} (line {line}, column {column})", "line": line, "column": column}
+
+
+@pytest.mark.parametrize(
+    "clause, column",
+    [
+        ("center 1/0, 0;", 8),
+        ("center 1/2, 0/0;", 13),
+        ("ideal 1/0*x, y;", 7),
+        ("ideal 3/0, y;", 7),
+        ("component x^2 at 1/0;", 18),
+    ],
+)
+def test_zero_denominator_is_a_parse_error(capsys, tmp_path, clause, column):
+    path = tmp_path / "zero.noeth"
+    path.write_text(f"ring x, y;\norder lex;\n{clause}\n")
+    assert_parse_error(capsys, ["gb", str(path)], "zero denominator", 3, column)
+
+
+def test_zero_denominator_in_an_nf_argument_is_a_parse_error(capsys, standard):
+    assert_parse_error(capsys, ["nf", "1/0*x", standard], "zero denominator", 1, 1)
+
+
+def test_duplicate_variable_name_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "twice.noeth"
+    path.write_text("ring x, x;\norder lex;\nideal x;\n")
+    assert_parse_error(capsys, ["gb", str(path)], "duplicate variable name 'x'", 1, 9)
+    path.write_text("ring x, y | x;\norder lex;\nideal x;\n")
+    assert_parse_error(capsys, ["gb", str(path)], "duplicate variable name 'x'", 1, 13)
+
+
+@pytest.mark.parametrize(
+    "text, keyword, line",
+    [
+        ("ring x;\nring y;\norder lex;\nideal x;\n", "ring", 2),
+        ("ring x;\norder lex;\norder deglex;\nideal x^2;\n", "order", 3),
+        ("ring x;\norder lex;\nmoduleorder top;\nmoduleorder pot;\nmodule [x, 1];\n", "moduleorder", 4),
+        ("ring x;\norder lex;\nideal x^2;\nideal x^3;\n", "ideal", 4),
+        ("ring x;\norder lex;\nmodule [x, 1];\nmodule [1, x];\n", "module", 4),
+        ("ring x;\norder lex;\nideal x^2;\ncenter 0;\ncenter 1;\n", "center", 5),
+    ],
+)
+def test_repeated_clause_is_a_parse_error(capsys, tmp_path, text, keyword, line):
+    path = tmp_path / "repeated.noeth"
+    path.write_text(text)
+    assert_parse_error(capsys, ["gb", str(path)], f"repeated {keyword!r} clause", line, 1)
+
+
+def test_ideal_and_module_clauses_exclude_each_other(capsys, tmp_path):
+    path = tmp_path / "both.noeth"
+    path.write_text("ring x, y;\norder lex;\nideal x^3, y;\nmodule [x, 1], [y, 0];\n")
+    assert_parse_error(capsys, ["gb", str(path)], "a file gives either an 'ideal' or a 'module' clause", 4, 1)
+
+
+def test_component_clauses_may_repeat(capsys, tmp_path):
+    path = tmp_path / "components.noeth"
+    path.write_text(MODULE_EP)
+    assert run(capsys, "ep-solution", str(path))[0] == 0
+
+
 # Every command, top-level and subcommand help, and the usage errors.  {std},
 # {par}, {ep} and {absent} name the problem files of the parity test.
 PARITY_ARGVS = [

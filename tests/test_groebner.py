@@ -25,7 +25,10 @@ from noeth import (
     staircase,
 )
 from noeth.errors import InfiniteStaircaseError, NotEliminationOrderError, RingMismatchError
-from noeth.orderings import leading_term
+from noeth.groebner import _reducer
+from noeth.orderings import as_module_order, leading_term
+from noeth.posdim import extend_to_rational_coeffs
+from noeth.ratfun import RationalFunction
 from noeth.ring import exp_divides
 from support import (
     RM2,
@@ -439,3 +442,115 @@ def test_is_member_matches_normal_form():
         assert is_member(member, G)
         f = random_polynomial(rng, RXY, max_terms=4, max_deg=4)
         assert is_member(f, G) == normal_form(f, G).is_zero()
+
+
+def wide_fraction(rng: random.Random) -> Fraction:
+    """A nonzero rational with a large numerator and a large, mixed denominator."""
+    den = 1
+    for p in rng.sample([2, 3, 5, 7, 11, 13, 9973, 65537], rng.randint(0, 3)):
+        den *= p ** rng.randint(1, 3)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**9), den)
+
+
+def wide_polynomial(rng: random.Random, ring, max_terms: int, max_deg: int, min_deg: int = 0) -> Polynomial:
+    terms = {}
+    while len(terms) < rng.randint(1, max_terms):
+        exp = tuple(rng.randint(0, max_deg) for _ in range(ring.nvars))
+        if min_deg <= sum(exp) <= max_deg:
+            terms[(rng.randint(1, ring.rank), exp)] = wide_fraction(rng)
+    return Polynomial(ring, terms)
+
+
+def wide_primary(rng: random.Random, ring) -> list[Polynomial]:
+    """Generators primary at the origin with wide coefficients.
+
+    An ideal gets powers of x_i + sum_(j>i) (c_j x_j + d_j x_j^2), as in
+    oracle_input, and one element of degree 2 to 3; a module gets a wide
+    multiple of x_i^2 in every position and two vectors of degree 1 to 2.
+    """
+    if ring.rank > 1:
+        gens = [
+            Polynomial.monomial(ring, tuple(2 * e for e in ring.var_exp(i)), wide_fraction(rng), pos)
+            for pos in range(1, ring.rank + 1)
+            for i in range(ring.nvars)
+        ]
+        return gens + [wide_polynomial(rng, ring, 3, 2, min_deg=1) for _ in range(2)]
+    xs = variables(ring)
+    gens = []
+    for i, x in enumerate(xs):
+        for y in xs[i + 1 :]:
+            x = x + y.scale(wide_fraction(rng)) + (y * y).scale(wide_fraction(rng))
+        gens.append(x ** rng.randint(2, 3))
+    return gens + [wide_polynomial(rng, ring, 3, 3, min_deg=2)]
+
+
+FRACTION_FREE_CASES = [
+    (RXY, DegLex()),
+    (RXYZ, DegRevLex()),
+    (RXY, Lex()),
+    (RM2, ModuleOrder(DegLex(), "top")),
+    (RM2, ModuleOrder(Lex(), "pot")),
+]
+
+
+@pytest.mark.parametrize("ring,order", FRACTION_FREE_CASES)
+def test_fraction_free_division_matches_the_reference(ring, order):
+    # Non-monic divisors, some with negative leads, and wide denominators make
+    # many steps rescale the integer dividend, so its scale lam keeps growing.
+    rng = random.Random(839)
+    term_key = as_module_order(order).key(ring)
+    for _ in range(4):
+        divisors = [wide_polynomial(rng, ring, 3, 2) for _ in range(3)]
+        divisors[0] = -divisors[0].scale(1 / leading_term(divisors[0], order)[1])  # lead -1
+        for g in divisors:
+            pos, exp, lc, tail = _reducer(g, term_key, True)
+            assert type(lc) is int and lc > 0
+            scale = Fraction(lc) / g.terms[pos, exp]
+            assert scale.denominator == 1
+            assert dict(tail) == {k: c * scale for k, c in g.terms.items() if k != (pos, exp)}
+        for _ in range(4):
+            f = wide_polynomial(rng, ring, 6, 4)
+            nf = normal_form(f, divisors, order)
+            reference = reference_normal_form(f, divisors, order)
+            assert nf == reference
+            assert list(nf.terms) == list(reference.terms)
+            assert all(type(c) is Fraction and c for c in nf.terms.values())
+
+
+@pytest.mark.parametrize("ring,order", [case for case in FRACTION_FREE_CASES if case[0] is not RXYZ])
+def test_fraction_free_buchberger_matches_the_textbook_one(ring, order):
+    # three variables are left out: the textbook algorithm runs for minutes
+    rng = random.Random(853)
+    for _ in range(5):
+        gens = wide_primary(rng, ring)
+        G = buchberger(gens, order, ring)
+        assert set(G.elements) == reference_buchberger(gens, order)
+        for _ in range(4):
+            f = wide_polynomial(rng, ring, 5, 3)
+            nf = normal_form(f, G)
+            assert nf == normal_form(f, list(G.elements), order)
+            assert nf == reference_normal_form(f, G.elements, order)
+        for i, f in enumerate(G.elements):
+            for j in range(i + 1, len(G)):
+                s = s_polynomial(f, G.elements[j], order)
+                from_reducers = s_polynomial(G._reducers[i], G._reducers[j], G._reducers)
+                # a positive multiple of the same S-polynomial
+                assert s.is_zero() == from_reducers.is_zero()
+                if not s.is_zero():
+                    key, c = leading_term(s, order)
+                    ratio = from_reducers.terms[key] / c
+                    assert ratio > 0 and from_reducers == s.scale(ratio)
+
+
+def test_rational_function_coefficients_keep_the_field_path():
+    x, y, t = variables(RXYT)
+    G = buchberger([x**2, y**2, x * t - y], Lex(), RXYT)
+    assert G._reducers.integral
+    Gx = extend_to_rational_coeffs(G)
+    assert not Gx._reducers.integral
+    xx, yy = variables(Gx.ring)
+    # Fraction dividends against rational-function reducers divide in the field
+    for f in (xx + yy.scale(Fraction(3, 7)), xx * yy + xx.scale(Fraction(3, 7))):
+        nf = normal_form(f, Gx)
+        assert nf == reference_normal_form(f, Gx.elements, Gx.order)
+        assert all(isinstance(c, RationalFunction) for c in nf.terms.values())
