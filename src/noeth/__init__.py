@@ -44,7 +44,6 @@ from .groebner import (
 )
 from .noetherian import (
     NoetherianBasis,
-    backward_step,
     ideal_from_conditions,
     membership_by_operators,
     noetherian_backward,
@@ -67,7 +66,6 @@ from .posdim import (
     cleanup_operators,
     extend_to_rational_coeffs,
     member_positive,
-    multiplicity_extended,
     noetherian_positive,
 )
 from .problem import ProblemSpec, parse_polynomial, parse_problem
@@ -105,7 +103,6 @@ __all__ = [
     "TOP",
     "ZeroPolynomialError",
     "apply_at",
-    "backward_step",
     "buchberger",
     "build_solution",
     "canonical_operator_basis",
@@ -121,7 +118,6 @@ __all__ = [
     "is_member",
     "member_positive",
     "membership_by_operators",
-    "multiplicity_extended",
     "noetherian_backward",
     "noetherian_forward",
     "noetherian_linear",

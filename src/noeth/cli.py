@@ -36,6 +36,7 @@ from .render import (
 METHODS = {
     "forward": noetherian_forward,
     "backward": noetherian_backward,
+    "linear": noetherian_linear,
 }
 
 
@@ -61,26 +62,16 @@ def _groebner(spec: ProblemSpec):
 
 
 def _noether_basis(spec: ProblemSpec, method: str, check_all: bool):
-    center = spec.center
-    order = spec.effective_order
-    G = _groebner(spec) if method != "linear" or check_all else None
-    if method == "linear":
-        basis = noetherian_linear(G if check_all else _require_generators(spec), order, center=center)
-    else:
-        basis = METHODS[method](G, center=center)
+    G = _groebner(spec)
+    basis = METHODS[method](G, center=spec.center)
     if check_all:
         # the constructions share G and its translate to the center
-        others = []
-        for name in ("forward", "backward"):
-            if name != method:
-                others.append(METHODS[name](G, center=center))
-        if method != "linear":
-            others.append(noetherian_linear(G, order, center=center))
-        for other in others:
+        for name, build in METHODS.items():
+            if name == method:
+                continue
+            other = build(G, center=spec.center)
             if not span_equal_operators(basis.operators, other.operators):
-                raise NoethError(
-                    f"method disagreement: {method} and {other.method} spans differ"
-                )
+                raise NoethError(f"method disagreement: {method} and {name} spans differ")
     return basis
 
 
@@ -198,7 +189,7 @@ def _add_command_arguments(parser: argparse.ArgumentParser, name: str) -> None:
     if name == "noether":
         parser.add_argument(
             "--method",
-            choices=["forward", "backward", "linear"],
+            choices=list(METHODS),
             default="forward",
         )
         parser.add_argument(

@@ -1,8 +1,10 @@
 """Dual operator bases for primary ideals and submodules with finite staircase.
 
-Three constructions of the same span are provided: a forward pass reading
-normal-form coefficients, a backward pass anti-rewriting corner monomials, and
-a degree-climbing linear solve.  All return a NoetherianBasis whose operator
+Three constructions of the same span are provided, each called as f(G, center)
+on a GroebnerBasis of the input and sharing its translate to the center: a
+forward pass reading normal-form coefficients, a backward pass anti-rewriting
+corner monomials against the leads the basis has cached, and a
+degree-climbing linear solve.  All return a NoetherianBasis whose operator
 list is in the canonical row form anchored at the residual monomials, so
 results from different routes compare equal term by term.  The inverse,
 ideal_from_conditions, recovers the reduced Groebner basis from the span.
@@ -10,6 +12,7 @@ ideal_from_conditions, recovers the reduced Groebner basis from the span.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Sequence
@@ -20,7 +23,6 @@ from .diffop import (
     apply_at,
     canonical_operator_basis,
     closure,
-    dual_of_polynomial,
     is_closed,
 )
 from .errors import (
@@ -30,7 +32,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .groebner import GroebnerBasis, Staircase, buchberger, corner_monomials, normal_form, staircase
-from .orderings import AnyOrder, as_module_order, leading_term
+from .orderings import AnyOrder, as_module_order
 from .polynomial import Polynomial
 from .ring import (
     TermKey,
@@ -43,20 +45,15 @@ from .ring import (
 )
 
 
+@dataclass(frozen=True, eq=False)
 class NoetherianBasis:
     """A canonical basis of the dual space attached to a primary input."""
 
-    __slots__ = ("operators", "multiplicity", "center", "method", "source")
-
-    def __init__(self, operators, multiplicity, center, method, source):
-        object.__setattr__(self, "operators", tuple(operators))
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "center", tuple(center))
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "source", source)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NoetherianBasis is immutable")
+    operators: tuple[DiffOp, ...]
+    multiplicity: int
+    center: tuple
+    method: str
+    source: GroebnerBasis | None
 
     def __iter__(self):
         return iter(self.operators)
@@ -210,7 +207,7 @@ def noetherian_forward(G: GroebnerBasis, center=None) -> NoetherianBasis:
     """
     G0, center = _prepare(G, center)
     stair = staircase(G0)
-    ops = [DiffOp(G0.ring, row, center) for row in dual_rows(G0, stair)]
+    ops = tuple(DiffOp(G0.ring, row, center) for row in dual_rows(G0, stair))
     basis = NoetherianBasis(ops, stair.multiplicity, center, "forward", G0)
     basis.validate()
     return basis
@@ -219,81 +216,64 @@ def noetherian_forward(G: GroebnerBasis, center=None) -> NoetherianBasis:
 # -- backward construction -----------------------------------------------------
 
 
-def backward_step(state: Polynomial, g: Polynomial, order: AnyOrder):
-    """One anti-rewriting move of a single-term state against a generator.
-
-    Rewriting sends LT(g) to -tail(g)/LC(g); this is its transpose.  Every
-    non-leading term tau of g that divides the state's term pushes the state
-    up to (state / tau) * LT(g) with coefficient -c_tau / LC(g).  Returns
-    None when no non-leading term divides the state.  The caller must keep
-    only targets whose division rewriter is g itself, or targets shared by
-    several relations would be counted once per relation.
-    """
-    if len(state.terms) != 1:
-        raise ZeroPolynomialError("backward states must be single terms")
-    ((skey, sc),) = state.terms.items()
-    lt_key, lc = leading_term(g, order)
-    out = {}
-    for tkey, tc in g.terms.items():
-        if tkey == lt_key or tkey[0] != skey[0] or not exp_divides(tkey[1], skey[1]):
-            continue
-        target = (lt_key[0], exp_add(lt_key[1], exp_sub(skey[1], tkey[1])))
-        out[target] = -(tc / lc) * sc
-    return Polynomial(g.ring, out) if out else None
-
-
-def _accumulate_backward(corner, G0: GroebnerBasis, mu: int) -> Polynomial:
-    """Corner coefficient of every normal form, collected as a polynomial.
+def _accumulate_backward(corner, G0: GroebnerBasis, mu: int) -> dict:
+    """Corner coefficient of every normal form, as terms keyed by monomial.
 
     The coefficient at key k is the corner-monomial coefficient of NF(x^k).
-    Keys are visited in ascending term order; every move strictly increases
-    the order, so the smallest pending key always carries its final value.
-    Keys of total degree >= mu normal-form to zero and are dropped.
+    Anti-rewriting is the transpose of a division step: rewriting sends the
+    lead of a monic element g to -tail(g), so every tail term tc x^tau of g
+    with tau dividing k moves c x^k up to (k / tau) LT(g) with coefficient
+    -tc * c.  A target counts only for the first element whose lead divides
+    it, the one the division itself uses, or targets shared by several
+    relations would be counted once per relation.  Keys are popped in
+    ascending term order; every move strictly increases the order, so the
+    smallest pending key always carries its final value.  Keys of total
+    degree >= mu normal-form to zero and are dropped.
     """
-    ring = G0.ring
-    term_key = as_module_order(G0.order).key(ring)
-    leads = [(g, leading_term(g, G0.order)[0]) for g in G0.elements]
-
-    def rewriter(key):
-        for g, lt in leads:
-            if lt[0] == key[0] and exp_divides(lt[1], key[1]):
-                return g
-        return None
-
+    reducers = G0._reducers
+    term_key = reducers.term_key
+    moves = []
+    for (pos, lexp, *_), g in zip(reducers, G0.elements):
+        moves.append((pos, lexp, [kc for kc in g.terms.items() if kc[0] != (pos, lexp)]))
     coeffs = {corner: Fraction(1)}
-    pending = {corner}
+    pending = [(term_key(corner), corner)]
     total = {}
     while pending:
-        key = min(pending, key=term_key)
-        pending.discard(key)
+        key = heappop(pending)[1]
         c = coeffs.pop(key)
         if not c:
             continue
         total[key] = c
-        state = Polynomial.monomial(ring, key[1], c, key[0])
-        for g, _ in leads:
-            pushed = backward_step(state, g, G0.order)
-            if pushed is None:
-                continue
-            for tkey, tc in pushed.terms.items():
-                if exp_deg(tkey[1]) >= mu or rewriter(tkey) is not g:
+        pos, exp = key
+        for i, (gpos, gexp, tail) in enumerate(moves):
+            for (tpos, texp), tc in tail:
+                if tpos != pos or not exp_divides(texp, exp):
                     continue
-                coeffs[tkey] = coeffs.get(tkey, Fraction(0)) + tc
-                pending.add(tkey)
-    return Polynomial(ring, total)
+                up = exp_add(gexp, exp_sub(exp, texp))
+                if exp_deg(up) >= mu or any(p == gpos and exp_divides(e, up) for p, e, _ in moves[:i]):
+                    continue
+                target = (gpos, up)
+                if target in coeffs:
+                    coeffs[target] += -tc * c
+                else:
+                    coeffs[target] = -tc * c
+                    heappush(pending, (term_key(target), target))
+    return total
 
 
 def noetherian_backward(G: GroebnerBasis, center=None) -> NoetherianBasis:
-    """Anti-rewriting construction seeded at the corner monomials."""
+    """Anti-rewriting construction seeded at the corner monomials.
+
+    Each corner's operator collects the corner coefficients of the normal
+    forms, accumulated against the leads of the basis's cached reducers; the
+    lowering closure of those operators spans the dual space.
+    """
     G0, center = _prepare(G, center)
     ring = G0.ring
     stair = staircase(G0)
     mu = stair.multiplicity
-    duals = []
-    for corner in corner_monomials(stair, G0):
-        accumulated = _accumulate_backward(corner, G0, mu)
-        duals.append(dual_of_polynomial(accumulated, center))
-    closed = closure(duals)
+    corners = corner_monomials(stair, G0)
+    closed = closure([DiffOp(ring, _accumulate_backward(corner, G0, mu), center) for corner in corners])
     # The corner sums drop every monomial of degree >= mu, which loses nothing
     # only on input primary at the center; there every operator kills the
     # input at the origin.  Conversely, mu independent closed operators that
@@ -340,31 +320,19 @@ def _relation(kernel: Echelon, vector: dict, tag):
 # -- linear-solve construction ---------------------------------------------------
 
 
-def noetherian_linear(
-    gens: Sequence[Polynomial] | GroebnerBasis, order: AnyOrder, center=None
-) -> NoetherianBasis:
+def noetherian_linear(G: GroebnerBasis, center=None) -> NoetherianBasis:
     """Degree-climbing construction from closure and annihilation constraints.
 
     Candidates are the units and the restricted integrals of the operators
     found so far: x_j raises only the terms free of x_1, ..., x_(j-1), which
     reaches every closed operator (Mourrain, JPAA 1997).  The search is
     therefore complete, and ending with fewer than mu operators means the
-    input is not primary at the center.  A GroebnerBasis may stand in for the
-    generators, as in eliminate; its order is used and its translate to the
-    center is shared with the other constructions.
+    input is not primary at the center.  The constraints are annihilation of
+    the basis translated to the center, which is shared with the other
+    constructions.
     """
-    if isinstance(gens, GroebnerBasis):
-        G0, center = _prepare(gens, center)
-        ring = G0.ring
-        targets = G0.elements
-    else:
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            raise ZeroPolynomialError("no nonzero generators")
-        ring = gens[0].ring
-        center = as_center(ring, center)
-        targets = [g.substitute_affine(center) for g in gens] if any(center) else gens
-        G0, _ = _prepare(buchberger(targets, order, ring), None)
+    G0, center = _prepare(G, center)
+    ring = G0.ring
     stair = staircase(G0)
     mu = stair.multiplicity
 
@@ -388,12 +356,12 @@ def noetherian_linear(
         pool = uniq
 
         # Unknowns: one coefficient per pool member, whose column holds its
-        # constraint values: every generator is annihilated, and each lowering
+        # constraint values: every basis element is annihilated, and each lowering
         # image stays in the current span.  A column that depends on the
         # earlier ones gives a kernel vector.
         columns = []
         for P in pool:
-            column = {("g", i): v for i, g in enumerate(targets) if (v := apply_at(P, g))}
+            column = {("g", i): v for i, g in enumerate(G0.elements) if (v := apply_at(P, g))}
             for j in range(ring.x_count):
                 column.update((("s", j, k), c) for k, c in span.reduce(P.sigma(j).terms).items())
             columns.append(column)

@@ -157,17 +157,6 @@ def is_elimination_for(order: AnyOrder, ring: RingDescriptor) -> bool:
     return isinstance(order, (ProductOrder, Lex))
 
 
-def is_product_compatible(order: AnyOrder, ring: RingDescriptor) -> bool:
-    """True when leading terms survive extension over the parameter block.
-
-    Product orders do by construction.  Lex is literally the product of Lex on
-    the x-block with Lex on the t-block, so it qualifies as well.
-    """
-    if ring.t_count == 0:
-        return True
-    return isinstance(base_order(order), (ProductOrder, Lex))
-
-
 def sigma_x_order(order: AnyOrder, ring: RingDescriptor) -> TermOrder:
     """The order induced on the x-block after extending over the parameters."""
     b = base_order(order)

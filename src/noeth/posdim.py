@@ -29,7 +29,7 @@ from .orderings import (
     AnyOrder,
     DegLex,
     as_module_order,
-    is_product_compatible,
+    is_elimination_for,
     leading_term,
     monic,
     sigma_x_order,
@@ -70,7 +70,7 @@ class NormalPositionReport:
 def _require_posdim_input(ring: RingDescriptor, order: AnyOrder) -> None:
     if ring.rank != 1:
         raise NoethError("the parameter-coefficient construction handles ideals only")
-    if not is_product_compatible(order, ring):
+    if not is_elimination_for(order, ring):
         raise NotEliminationOrderError(
             "a block order comparing the x-variables first is required"
         )
@@ -83,8 +83,7 @@ def _report_from_basis(G: GroebnerBasis) -> NormalPositionReport:
     monic: list[int | None] = [None] * ring.x_count
     origin_ok = [False] * ring.x_count
     gamma = [0] * ring.t_count
-    for g in G.elements:
-        (pos, exp), _ = leading_term(g, G.order)
+    for (pos, exp), _ in G.leading_terms():
         xe = x_part(ring, exp)
         te = t_part(ring, exp)
         gamma = [a + b for a, b in zip(gamma, te)]
@@ -143,8 +142,7 @@ def extend_to_rational_coeffs(G: GroebnerBasis) -> GroebnerBasis:
     sx = sigma_x_order(G.order, ring)
     term_key = as_module_order(sx).key(xring)
     extended = []
-    for g in G.elements:
-        (pos, exp), _ = leading_term(g, G.order)
+    for ((pos, exp), _), g in zip(G.leading_terms(), G.elements):
         lead_x = (pos, x_part(ring, exp))
         terms = {key: RationalFunction(tpoly) for key, tpoly in group_by_x(g).items()}
         ext = Polynomial(xring, terms)
@@ -153,12 +151,6 @@ def extend_to_rational_coeffs(G: GroebnerBasis) -> GroebnerBasis:
         extended.append((term_key(lead_x), monic(ext, sx)))
     extended.sort(key=lambda pair: pair[0], reverse=True)
     return GroebnerBasis(xring, sx, tuple(ext for _, ext in extended), reduced=False)
-
-
-def multiplicity_extended(G: GroebnerBasis) -> int:
-    """Multiplicity of the extension over rational parameter coefficients."""
-    Gx = extend_to_rational_coeffs(G) if G.ring.t_count else G
-    return staircase(Gx).multiplicity
 
 
 def noetherian_positive(
@@ -203,7 +195,7 @@ def noetherian_positive(
         [DiffOp(ring, {k: lift(c) for k, c in row.items()}) for row in dual_rows(Gx, stair)]
     )
     basis = NoetherianBasis(
-        ops, stair.multiplicity, (Fraction(0),) * ring.nvars, "positive", G
+        tuple(ops), stair.multiplicity, (Fraction(0),) * ring.nvars, "positive", G
     )
     basis.validate()
     return basis

@@ -196,6 +196,7 @@ class _Parser:
                 ring = self.parse_ring_clause()
             elif tok.text == "order":
                 self.next()
+                order_tok = self.peek()
                 order = self.parse_order_expr()
                 self.expect_punct(";")
             elif tok.text == "moduleorder":
@@ -208,12 +209,12 @@ class _Parser:
             elif tok.text == "ideal":
                 self.next()
                 self.require_ring(ring, tok)
-                generators = self.parse_poly_list(ring)
+                generators = self.parse_list(self.parse_polynomial, ring)
                 self.expect_punct(";")
             elif tok.text == "module":
                 self.next()
                 self.require_ring(ring, tok)
-                module_rows = self.parse_vector_list(ring)
+                module_rows = self.parse_list(self.parse_vector, ring)
                 self.expect_punct(";")
             elif tok.text == "component":
                 self.next()
@@ -233,6 +234,8 @@ class _Parser:
             self.fail("missing ring clause")
         if order is None:
             self.fail("missing order clause")
+        if isinstance(order, ProductOrder) and not ring.t_count:
+            self.fail("product order needs a ring with a parameter block", order_tok)
 
         # Vector widths decide the module rank; every vector in the file has
         # to agree, and scalar generators cannot mix with proper vectors.
@@ -251,12 +254,12 @@ class _Parser:
         spec_ring = ring.with_rank(rank) if rank > 1 else ring
 
         if module_rows is not None:
-            generators = [self._assemble_vector(spec_ring, row) for row in module_rows]
+            generators = [_assemble_vector(spec_ring, row) for row in module_rows]
         for rows, point, _ in component_rows:
             gens = []
             for row in rows:
                 if isinstance(row, list):
-                    gens.append(self._assemble_vector(spec_ring, row) if rank > 1 else row[0])
+                    gens.append(_assemble_vector(spec_ring, row) if rank > 1 else row[0])
                 else:
                     gens.append(row)
             components.append(Component(gens, point))
@@ -273,13 +276,6 @@ class _Parser:
     def require_ring(self, ring, tok):
         if ring is None:
             self.fail("generators appear before the ring clause", tok)
-
-    def _assemble_vector(self, ring: RingDescriptor, row: list[Polynomial]) -> Polynomial:
-        terms = {}
-        for i, entry in enumerate(row):
-            for (pos, exp), c in entry.terms.items():
-                terms[(i + 1, exp)] = c
-        return Polynomial(ring, terms)
 
     def parse_ring_clause(self) -> RingDescriptor:
         x_names = self.parse_name_list([])
@@ -332,40 +328,26 @@ class _Parser:
             return ProductOrder(inner_x, inner_t)
         self.fail(f"unknown ordering {tok.text!r}", tok)
 
-    def parse_poly_list(self, ring: RingDescriptor) -> list[Polynomial]:
-        polys = [self.parse_polynomial(ring)]
+    def parse_list(self, item, *args) -> list:
+        """item(*args) (',' item(*args))*: one or more comma-separated items."""
+        items = [item(*args)]
         while self.at_punct(","):
             self.next()
-            polys.append(self.parse_polynomial(ring))
-        return polys
-
-    def parse_vector_list(self, ring: RingDescriptor) -> list[list[Polynomial]]:
-        rows = [self.parse_vector(ring)]
-        while self.at_punct(","):
-            self.next()
-            rows.append(self.parse_vector(ring))
-        return rows
+            items.append(item(*args))
+        return items
 
     def parse_vector(self, ring: RingDescriptor) -> list[Polynomial]:
         self.expect_punct("[")
-        entries = [self.parse_polynomial(ring)]
-        while self.at_punct(","):
-            self.next()
-            entries.append(self.parse_polynomial(ring))
+        entries = self.parse_list(self.parse_polynomial, ring)
         self.expect_punct("]")
         return entries
 
+    def parse_row(self, ring: RingDescriptor):
+        """A bracketed vector, as a list of entries, or a polynomial."""
+        return self.parse_vector(ring) if self.at_punct("[") else self.parse_polynomial(ring)
+
     def parse_component_body(self, ring: RingDescriptor):
-        rows: list = []
-        while True:
-            if self.at_punct("["):
-                rows.append(self.parse_vector(ring))
-            else:
-                rows.append(self.parse_polynomial(ring))
-            if self.at_punct(","):
-                self.next()
-                continue
-            break
+        rows = self.parse_list(self.parse_row, ring)
         if not self.at_keyword("at"):
             self.fail("expected 'at' after component generators")
         self.next()
@@ -373,19 +355,13 @@ class _Parser:
         return rows, point
 
     def parse_point(self, ring: RingDescriptor) -> tuple[Fraction, ...]:
-        coords = [self.parse_signed_rational()]
-        while self.at_punct(","):
-            self.next()
-            coords.append(self.parse_signed_rational())
+        coords = self.parse_list(self.parse_signed_rational)
         if len(coords) != ring.nvars:
             self.fail(f"expected {ring.nvars} coordinates, got {len(coords)}")
         return tuple(coords)
 
     def parse_signed_rational(self) -> Fraction:
-        sign = 1
-        while self.at_punct("-") or self.at_punct("+"):
-            if self.next().text == "-":
-                sign = -sign
+        sign = self._consume_sign()
         tok = self.peek()
         if tok.kind != "int":
             self.fail("expected a number", tok)
@@ -416,9 +392,11 @@ class _Parser:
         return Polynomial(ring, acc)
 
     def _consume_sign(self) -> int:
+        """Fold a run of unary '+' and '-' into +1 or -1; only punctuation has those texts."""
         sign = 1
-        while self.at_punct("-") or self.at_punct("+"):
-            if self.next().text == "-":
+        while (text := self.tokens[self.pos].text) == "-" or text == "+":
+            self.pos += 1
+            if text == "-":
                 sign = -sign
         return sign
 
@@ -477,6 +455,15 @@ class _Parser:
         return int(self.next().text)
 
 
+def _assemble_vector(ring: RingDescriptor, row: list[Polynomial]) -> Polynomial:
+    """The module element whose i-th entry is row[i - 1]."""
+    terms = {}
+    for i, entry in enumerate(row):
+        for (_, exp), c in entry.terms.items():
+            terms[(i + 1, exp)] = c
+    return Polynomial(ring, terms)
+
+
 def parse_problem(text: str) -> ProblemSpec:
     parser = _Parser(tokenize(text))
     return parser.parse_problem()
@@ -485,22 +472,16 @@ def parse_problem(text: str) -> ProblemSpec:
 def parse_polynomial(text: str, ring: RingDescriptor) -> Polynomial:
     """Parse a standalone polynomial or bracketed vector in the given ring."""
     parser = _Parser(tokenize(text))
+    inner_ring = ring.with_rank(1) if ring.rank > 1 else ring
     if parser.at_punct("["):
-        row = parser.parse_vector(ring.with_rank(1) if ring.rank > 1 else ring)
+        row = parser.parse_vector(inner_ring)
         if ring.rank > 1 and len(row) != ring.rank:
             raise ParseError(f"expected {ring.rank} entries, got {len(row)}", 1, 1)
-        terms = {}
-        for i, entry in enumerate(row):
-            for (pos, exp), c in entry.terms.items():
-                terms[(i + 1, exp)] = c
-        result = Polynomial(ring, terms)
+        result = _assemble_vector(ring, row)
     else:
-        inner_ring = ring.with_rank(1) if ring.rank > 1 else ring
-        scalar = parser.parse_polynomial(inner_ring)
+        result = parser.parse_polynomial(inner_ring)
         if ring.rank > 1:
-            result = Polynomial(ring, {(1, exp): c for (_, exp), c in scalar.terms.items()})
-        else:
-            result = scalar
+            result = _assemble_vector(ring, [result])
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError("trailing input after expression", tok.line, tok.column)

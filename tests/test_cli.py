@@ -226,9 +226,11 @@ def test_check_all_at_a_shifted_center_counts_buchberger_runs(capsys, tmp_path, 
         monkeypatch.setattr(module, "buchberger", counted)
     path = tmp_path / "shifted.noeth"
     path.write_text("ring x, y;\norder deglex;\nideal (x-1)^2, y^2;\ncenter 1, 0;\n")
-    code, out, _ = run(capsys, "noether", "--check-all", str(path))
-    assert (code, out) == (0, "1\ndx\ndy\ndx dy\n")
-    assert len(calls) == 2
+    for argv in (["--check-all"], ["--method", "linear"], ["--method", "linear", "--check-all"]):
+        calls.clear()
+        code, out, _ = run(capsys, "noether", *argv, str(path))
+        assert (code, out) == (0, "1\ndx\ndy\ndx dy\n")
+        assert len(calls) == 2
 
 
 def test_no_generators_error(capsys, tmp_path):
@@ -321,6 +323,17 @@ def test_ideal_and_module_clauses_exclude_each_other(capsys, tmp_path):
     path = tmp_path / "both.noeth"
     path.write_text("ring x, y;\norder lex;\nideal x^3, y;\nmodule [x, 1], [y, 0];\n")
     assert_parse_error(capsys, ["gb", str(path)], "a file gives either an 'ideal' or a 'module' clause", 4, 1)
+
+
+@pytest.mark.parametrize("command", ["gb", "noether"])
+def test_product_order_without_parameters_is_a_parse_error(capsys, tmp_path, command):
+    path = tmp_path / "product.noeth"
+    message = "product order needs a ring with a parameter block"
+    path.write_text("ring x;\norder product(lex, lex);\nideal x;\n")
+    assert_parse_error(capsys, [command, str(path)], message, 2, 7)
+    # the order clause may come first
+    path.write_text("order product(deglex, lex);\nring x, y;\nideal x, y;\n")
+    assert_parse_error(capsys, [command, str(path)], message, 1, 7)
 
 
 def test_component_clauses_may_repeat(capsys, tmp_path):

@@ -16,7 +16,6 @@ from noeth.orderings import (
     as_module_order,
     base_order,
     is_elimination_for,
-    is_product_compatible,
     leading_term,
     sigma_x_order,
     sorted_terms_desc,
@@ -207,7 +206,7 @@ def test_elimination_and_product_compatibility():
     assert is_elimination_for(ProductOrder(DegLex(), Lex()), RXYT)
     assert not is_elimination_for(DegLex(), RXYT)
     assert is_elimination_for(DegLex(), RXY)  # nothing to eliminate
-    assert is_product_compatible(Lex(), RXYT)
-    assert not is_product_compatible(DegRevLex(), RXYT)
+    assert is_elimination_for(Lex(), RXYT)
+    assert not is_elimination_for(DegRevLex(), RXYT)
     assert sigma_x_order(ProductOrder(DegRevLex(), Lex()), RXYT) == DegRevLex()
     assert sigma_x_order(Lex(), RXYT) == Lex()

@@ -6,6 +6,7 @@ import inspect
 
 import noeth
 import noeth.errors
+import noeth.orderings
 
 
 def test_every_exported_name_resolves():
@@ -32,5 +33,7 @@ def test_helpers_stay_importable_from_their_modules():
     for helper in helpers:
         assert callable(helper)
         assert helper.__name__ not in noeth.__all__
-    for gone in ("translate_to_origin", "smallest_term", "monomial_keys_below"):
+    for gone in ("translate_to_origin", "smallest_term", "monomial_keys_below", "backward_step",
+                 "multiplicity_extended"):
         assert gone not in noeth.__all__ and not hasattr(noeth, gone)
+    assert not hasattr(noeth.orderings, "is_product_compatible")
