@@ -51,14 +51,10 @@ def _base_doc(command: str, spec: ProblemSpec) -> dict:
     return doc
 
 
-def _require_generators(spec: ProblemSpec):
+def _groebner(spec: ProblemSpec):
     if not spec.generators:
         raise NoethError("the problem file declares no ideal or module generators")
-    return spec.generators
-
-
-def _groebner(spec: ProblemSpec):
-    return buchberger(_require_generators(spec), spec.effective_order, spec.ring)
+    return buchberger(spec.generators, spec.effective_order, spec.ring)
 
 
 def _noether_basis(spec: ProblemSpec, method: str, check_all: bool):
@@ -128,12 +124,11 @@ def cmd_noether(spec, args):
 
 
 def cmd_noether_posdim(spec, args):
-    basis = noetherian_positive(
-        _require_generators(spec), spec.effective_order, spec.ring
-    )
+    basis = noetherian_positive(_groebner(spec), spec.center)
     order = spec.effective_order
     doc = _base_doc("noether-posdim", spec)
     doc["multiplicity"] = basis.multiplicity
+    doc["center"] = [str(c) for c in basis.center]
     doc["operators"] = [operator_json(L, order) for L in basis.operators]
     text = [render_operator(L, order) for L in basis.operators]
     return doc, text
@@ -142,10 +137,7 @@ def cmd_noether_posdim(spec, args):
 def cmd_member(spec, args):
     f = parse_polynomial(args.expression, spec.ring)
     if spec.ring.t_count:
-        basis = noetherian_positive(
-            _require_generators(spec), spec.effective_order, spec.ring
-        )
-        verdict = member_positive(f, basis)
+        verdict = member_positive(f, noetherian_positive(_groebner(spec), spec.center))
     else:
         verdict = is_member(f, _groebner(spec))
     doc = _base_doc("member", spec)
@@ -156,14 +148,11 @@ def cmd_member(spec, args):
 def cmd_ep_solution(spec, args):
     if not spec.components:
         raise NoethError("ep-solution needs component clauses (a primary decomposition)")
-    parts = []
-    for comp in spec.components:
-        if spec.ring.t_count:
-            basis = noetherian_positive(comp.generators, spec.effective_order, spec.ring)
-            parts.append((comp.center, basis))
-        else:
-            G = buchberger(comp.generators, spec.effective_order, spec.ring)
-            parts.append((comp.center, noetherian_forward(G, center=comp.center)))
+    build = noetherian_positive if spec.ring.t_count else noetherian_forward
+    parts = [
+        (comp.center, build(buchberger(comp.generators, spec.effective_order, spec.ring), comp.center))
+        for comp in spec.components
+    ]
     family = build_solution(spec.ring, parts)
     doc = _base_doc("ep-solution", spec)
     doc["summands"] = solution_json(family)

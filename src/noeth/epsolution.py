@@ -6,7 +6,9 @@ to the exponential with frequency at the component's center.  A derivative
 monomial with exponent alpha turns into the physical monomial x^alpha/alpha!,
 so each summand is a polynomial vector times an exponential, scaled by a free
 constant.  Components with parameter variables keep a free frequency for each
-parameter and are wrapped in a formal integral against an unknown measure.
+parameter and are wrapped in a formal integral against an unknown measure;
+an operator coefficient, a polynomial in the parameters, is read at the
+frequency's parameter coordinate, the center's plus the free one.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ def build_solution(ring: RingDescriptor, parts) -> SolutionFamily:
     constants = 0
     measures = 0
     for index, (center, basis) in enumerate(parts, start=1):
+        shift = tuple(center)[ring.x_count :]
         integral = ring.t_count > 0 and any(
             isinstance(c, RationalFunction)
             for L in basis.operators
@@ -76,7 +79,7 @@ def build_solution(ring: RingDescriptor, parts) -> SolutionFamily:
                 if isinstance(c, RationalFunction):
                     if not c.is_polynomial():
                         raise ValueError("operator coefficients must be polynomial here")
-                    scalar = c.num.scale(scale)
+                    scalar = c.num.substitute_affine(shift).scale(scale)
                 else:
                     scalar = c * scale
                 terms.append(SolutionTerm(pos, alpha, scalar))

@@ -1,7 +1,8 @@
 """Dual operator bases for primary ideals and submodules with finite staircase.
 
 Three constructions of the same span are provided, each called as f(G, center)
-on a GroebnerBasis of the input and sharing its translate to the center: a
+on a GroebnerBasis of the input and reaching the center through one
+translate, which posdim's parameter-coefficient construction shares: a
 forward pass reading normal-form coefficients, a backward pass anti-rewriting
 corner monomials against the leads the basis has cached, and a
 degree-climbing linear solve.  All return a NoetherianBasis whose operator
@@ -78,25 +79,39 @@ class NoetherianBasis:
                 raise NoethError("operator order exceeds the multiplicity bound")
 
 
-def _prepare(G, center):
-    """Translate if needed and return (reduced basis at origin, center tuple)."""
+def translate(G, center):
+    """The reduced basis of G moved so that center's x-block becomes the origin, and the center.
+
+    The center is a point of the whole ring.  Parameter coordinates are not
+    moved: the parameter-coefficient construction describes the ideal along
+    x = c_x at every parameter value, in the input's coordinates.  Translates
+    are cached on G by the moved point, and a reduced G is its own translate
+    to the origin.
+    """
     if not isinstance(G, GroebnerBasis):
         raise NoethError("expected a Groebner basis; run buchberger() first")
     ring = G.ring
-    if ring.t_count:
-        raise NoethError("variables after the separator require the parameter-coefficient construction")
     center = as_center(ring, center)
-    if any(center):
-        G0 = G.translates.get(center)
+    moved = center[: ring.x_count] + (Fraction(0),) * ring.t_count
+    if any(moved):
+        G0 = G.translates.get(moved)
         if G0 is None:
-            G0 = buchberger([g.substitute_affine(center) for g in G.elements], G.order, ring)
-            G.translates[center] = G0
+            G0 = buchberger([g.substitute_affine(moved) for g in G.elements], G.order, ring)
+            G.translates[moved] = G0
     elif G.reduced:
         G0 = G
     else:
         G0 = buchberger(list(G.elements), G.order, ring)
-    if ring.rank == 1:
-        origin = (Fraction(0),) * ring.nvars
+    return G0, center
+
+
+def _prepare(G, center):
+    """translate for the zero-dimensional constructions, whose center must be a zero of the input."""
+    if isinstance(G, GroebnerBasis) and G.ring.t_count:
+        raise NoethError("variables after the separator require the parameter-coefficient construction")
+    G0, center = translate(G, center)
+    if G0.ring.rank == 1:
+        origin = (Fraction(0),) * G0.ring.nvars
         for g in G0.elements:
             if g.evaluate(origin) != 0:
                 raise NoethError("the center is not a zero of the input ideal")

@@ -125,13 +125,8 @@ def lead_by_key(f, term_key: SortKey) -> tuple[TermKey, object]:
     return best, f.terms[best]
 
 
-def monic(f, order: AnyOrder):
-    """f scaled to leading coefficient one under the order; zero stays zero."""
-    return monic_by_key(f, as_module_order(order).key(f.ring))
-
-
 def monic_by_key(f, term_key: SortKey):
-    """monic under a sort key bound to f's ring."""
+    """f scaled to leading coefficient one under a sort key bound to its ring; zero stays zero."""
     if f.is_zero():
         return f
     _, lc = lead_by_key(f, term_key)

@@ -162,13 +162,7 @@ class Polynomial:
         if other is None:
             return NotImplemented
         acc = dict(self.terms)
-        for key, c in other.terms.items():
-            s = acc.get(key)
-            s = -c if s is None else s - c
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+        add_into(acc, ((key, -c) for key, c in other.terms.items()))
         return Polynomial._of(self.ring, acc)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -237,39 +231,22 @@ class Polynomial:
         point = [as_coeff(p) for p in point]
         if len(point) != self.ring.nvars:
             raise RingMismatchError("point length does not match variable count")
+        n = self.ring.nvars
         acc: dict[TermKey, object] = {}
         for (pos, exp), c in self.terms.items():
-            # expand prod_i (v_i + p_i)^{e_i} by binomial convolution
-            partial: dict[Exponent, object] = {self.ring.zero_exp(): c}
+            # expand prod_i (v_i + p_i)^{e_i} by binomial convolution, on keys of position pos
+            partial: dict[TermKey, object] = {(pos, self.ring.zero_exp()): c}
             for i, (e, p) in enumerate(zip(exp, point)):
                 if e == 0:
                     continue
                 if not p:
-                    partial = {exp_add(m, _unit(self.ring.nvars, i, e)): v for m, v in partial.items()}
+                    partial = {(pos, exp_add(m, _unit(n, i, e))): v for (_, m), v in partial.items()}
                     continue
-                nxt: dict[Exponent, object] = {}
+                nxt: dict[TermKey, object] = {}
                 for k in range(e + 1):
-                    w = comb(e, k) * p ** (e - k)
-                    if not w:
-                        continue
-                    shift = _unit(self.ring.nvars, i, k)
-                    for m, v in partial.items():
-                        key = exp_add(m, shift)
-                        s = nxt.get(key)
-                        s = v * w if s is None else s + v * w
-                        if s:
-                            nxt[key] = s
-                        elif key in nxt:
-                            del nxt[key]
+                    add_shifted(nxt, partial.items(), _unit(n, i, k), comb(e, k) * p ** (e - k))
                 partial = nxt
-            for m, v in partial.items():
-                key = (pos, m)
-                s = acc.get(key)
-                s = v if s is None else s + v
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
+            add_into(acc, partial.items())
         return Polynomial._of(self.ring, acc)
 
 
@@ -309,17 +286,9 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     check_same_variables(f.ring, g.ring)
     if f.ring.rank > 1 and g.ring.rank > 1:
         raise RingMismatchError("cannot multiply two module vectors")
-    ring = f.ring if f.ring.rank > 1 else g.ring
+    if f.ring.rank > 1:
+        f, g = g, f  # g's terms keep their positions
     acc: dict[TermKey, object] = {}
-    for (pf, ef), cf in f.terms.items():
-        for (pg, eg), cg in g.terms.items():
-            pos = pf if f.ring.rank > 1 else pg
-            key = (pos, exp_add(ef, eg))
-            c = cf * cg
-            s = acc.get(key)
-            s = c if s is None else s + c
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-    return Polynomial._of(ring, acc)
+    for (_, ef), cf in f.terms.items():
+        add_shifted(acc, g.terms.items(), ef, cf)
+    return Polynomial._of(g.ring, acc)

@@ -1,37 +1,39 @@
 """Dual operators for primary ideals whose variety has positive dimension.
 
 The variable list is split into a leading x-block and a trailing parameter
-block.  When the input is primary, contracts trivially to the parameter ring,
-and is in normal position (monic in each x-variable, origin variety after
+block.  The input is a GroebnerBasis and a center, a point of the whole ring;
+the translate the zero-dimensional constructions share moves its x-block to
+the origin and leaves the parameters as they are, so the operators hold
+along x = c_x at every parameter value, in the input's coordinates.  When
+the translate is primary, contracts trivially to the parameter ring, and is
+in normal position (monic in each x-variable, origin variety after
 extension), the ideal extends to a zero-dimensional one over rational
-functions in the parameters.  Its dual basis is the forward construction run
-on that extension: the multiplication matrices and the degree walk of the
-zero-dimensional case, with rational-function coefficients, followed by a
-cleanup that clears denominators and common parameter factors per operator.
+functions in the parameters.  Its dual basis is the forward
+construction run on that extension: the multiplication matrices and the
+degree walk of the zero-dimensional case, with rational-function
+coefficients, followed by a cleanup that clears denominators and common
+parameter factors per operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .diffop import DiffOp
-from .errors import (
-    NoethError,
-    NormalPositionError,
-    NotEliminationOrderError,
-    ZeroPolynomialError,
-)
-from .groebner import GroebnerBasis, buchberger, eliminate, staircase
-from .noetherian import NoetherianBasis, dual_rows, noetherian_forward
+from .errors import NoethError, NormalPositionError, NotEliminationOrderError
+from .groebner import GroebnerBasis, eliminate, staircase
+from .noetherian import NoetherianBasis, dual_rows, noetherian_forward, translate
 from .orderings import (
     AnyOrder,
     DegLex,
     as_module_order,
     is_elimination_for,
+    lead_by_key,
     leading_term,
-    monic,
+    monic_by_key,
     sigma_x_order,
 )
 from .polynomial import Polynomial
@@ -76,7 +78,14 @@ def _require_posdim_input(ring: RingDescriptor, order: AnyOrder) -> None:
         )
 
 
-def _report_from_basis(G: GroebnerBasis) -> NormalPositionReport:
+def check_normal_position(G: GroebnerBasis) -> NormalPositionReport:
+    """Report whether the operational preconditions hold for this basis at the origin."""
+    G = translate(G, None)[0]
+    _require_posdim_input(G.ring, G.order)
+    return _normal_position_report(G)
+
+
+def _normal_position_report(G: GroebnerBasis) -> NormalPositionReport:
     ring = G.ring
     residual = eliminate(G, G.order)
     witness = residual[0] if residual else None
@@ -103,20 +112,6 @@ def _report_from_basis(G: GroebnerBasis) -> NormalPositionReport:
         extended_variety_is_origin=all(origin_ok),
         gamma=tuple(gamma),
     )
-
-
-def check_normal_position(
-    gens: Sequence[Polynomial], order: AnyOrder, ring: RingDescriptor | None = None
-) -> NormalPositionReport:
-    """Report whether the operational preconditions hold for this input."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ZeroPolynomialError("no nonzero generators")
-    if ring is None:
-        ring = gens[0].ring
-    _require_posdim_input(ring, order)
-    G = buchberger(gens, order, ring)
-    return _report_from_basis(G)
 
 
 def group_by_x(f: Polynomial) -> dict[tuple[int, Exponent], Polynomial]:
@@ -146,44 +141,38 @@ def extend_to_rational_coeffs(G: GroebnerBasis) -> GroebnerBasis:
         lead_x = (pos, x_part(ring, exp))
         terms = {key: RationalFunction(tpoly) for key, tpoly in group_by_x(g).items()}
         ext = Polynomial(xring, terms)
-        if leading_term(ext, sx)[0] != lead_x:
+        if lead_by_key(ext, term_key)[0] != lead_x:
             raise NoethError("the order does not preserve leading terms under extension")
-        extended.append((term_key(lead_x), monic(ext, sx)))
+        extended.append((term_key(lead_x), monic_by_key(ext, term_key)))
     extended.sort(key=lambda pair: pair[0], reverse=True)
     return GroebnerBasis(xring, sx, tuple(ext for _, ext in extended), reduced=False)
 
 
-def noetherian_positive(
-    gens: Sequence[Polynomial],
-    order: AnyOrder,
-    ring: RingDescriptor | None = None,
-) -> NoetherianBasis:
-    """Dual basis with parameter-dependent coefficients.
+def noetherian_positive(G: GroebnerBasis, center=None) -> NoetherianBasis:
+    """Dual basis with parameter-dependent coefficients at a center.
 
-    Over the rational functions in the parameters the input is
-    zero-dimensional, so the forward walk runs on the extended basis
-    unchanged; each operator is then cleared of denominators and common
-    parameter factors.  Raises NotPrimaryError when the extension is not
-    primary at the origin.
+    The x-block of the center is moved to the origin and the translate is
+    checked for normal position there; the parameter coordinates only label
+    the point, since the operators, with coefficients in the input's
+    parameters, hold at every parameter value.  Over the rational functions
+    in the parameters the translate is zero-dimensional, so the forward walk
+    runs on the extended basis unchanged; each operator is then cleared of
+    denominators and common parameter factors.  Raises NotPrimaryError when
+    the extension is not primary at the origin, as at a center where the
+    input does not vanish.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ZeroPolynomialError("no nonzero generators")
-    if ring is None:
-        ring = gens[0].ring
-    _require_posdim_input(ring, order)
-    G = buchberger(gens, order, ring)
+    G0, center = translate(G, center)
+    ring = G0.ring
+    _require_posdim_input(ring, G0.order)
     if ring.t_count == 0:
-        inner = noetherian_forward(G)
-        return NoetherianBasis(
-            inner.operators, inner.multiplicity, inner.center, "positive", G
-        )
-    report = _report_from_basis(G)
+        inner = noetherian_forward(G, center)
+        return NoetherianBasis(inner.operators, inner.multiplicity, center, "positive", inner.source)
+    report = _normal_position_report(G0)
     if not report.ok:
         raise NormalPositionError(
             "the input is not in normal position for the chosen variable split", report
         )
-    Gx = extend_to_rational_coeffs(G)
+    Gx = extend_to_rational_coeffs(G0)
     stair = staircase(Gx)
     tring = ring.t_subring()
 
@@ -192,11 +181,9 @@ def noetherian_positive(
         return c if isinstance(c, RationalFunction) else RationalFunction.from_fraction(c, tring)
 
     ops = cleanup_operators(
-        [DiffOp(ring, {k: lift(c) for k, c in row.items()}) for row in dual_rows(Gx, stair)]
+        [DiffOp(ring, {k: lift(c) for k, c in row.items()}, center) for row in dual_rows(Gx, stair)]
     )
-    basis = NoetherianBasis(
-        tuple(ops), stair.multiplicity, (Fraction(0),) * ring.nvars, "positive", G
-    )
+    basis = NoetherianBasis(tuple(ops), stair.multiplicity, center, "positive", G0)
     basis.validate()
     return basis
 
@@ -210,17 +197,12 @@ def cleanup_operators(ops: Sequence[DiffOp]) -> list[DiffOp]:
         ):
             out.append(L)
             continue
-        dens = [c.den for c in L.terms.values()]
-        common_den = dens[0]
-        for d in dens[1:]:
-            common_den = poly_lcm(common_den, d)
+        common_den = reduce(poly_lcm, (c.den for c in L.terms.values()))
         nums = {
             key: c.num * divexact(common_den, c.den) for key, c in L.terms.items()
         }
-        shared = None
-        for p in nums.values():
-            shared = p if shared is None else poly_gcd(shared, p)
-        if shared is not None and shared.total_degree() > 0:
+        shared = reduce(poly_gcd, nums.values())
+        if shared.total_degree() > 0:
             nums = {key: divexact(p, shared) for key, p in nums.items()}
         anchor = min(nums, key=reading_key)
         _, lc = leading_term(nums[anchor], DegLex())
@@ -236,10 +218,13 @@ def member_positive(f: Polynomial, basis: NoetherianBasis) -> bool:
     """Membership through parameter-coefficient operators.
 
     Valid for families produced by noetherian_positive: f belongs to the
-    ideal exactly when every operator pairs to zero with f's x-monomial
-    coefficients, viewed as rational functions of the parameters.
+    ideal exactly when every operator pairs to zero with the x-monomial
+    coefficients of f, its x-block translated to the basis's center, viewed
+    as rational functions of the parameters.
     """
-    groups = group_by_x(f)
+    ring = f.ring
+    point = basis.center[: ring.x_count] + (Fraction(0),) * ring.t_count
+    groups = group_by_x(f.substitute_affine(point) if any(point) else f)
     for L in basis.operators:
         total = None
         for key, c in L.terms.items():

@@ -11,11 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import RingMismatchError, ZeroPolynomialError
-from .orderings import DegLex, as_module_order, lead_by_key, leading_term, monic
+from .orderings import DegLex, ModuleOrder, lead_by_key, monic_by_key
 from .polynomial import Polynomial, add_shifted, poly_mul
 from .ring import RingDescriptor, exp_sub
 
-_DEGLEX = DegLex()
+_DEGLEX_KEY = ModuleOrder(DegLex()).key(None)  # DegLex ranks terms without the ring
 
 
 def _occurring_vars(f: Polynomial) -> set[int]:
@@ -51,13 +51,12 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact quotient f/g; raises when the division leaves a remainder."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    term_key = as_module_order(_DEGLEX).key(f.ring)
-    gkey, gc = lead_by_key(g, term_key)
+    gkey, gc = lead_by_key(g, _DEGLEX_KEY)
     tail = [kc for kc in g.terms.items() if kc[0] != gkey]
     q = {}
     r = dict(f.terms)
     while r:
-        rkey = max(r, key=term_key)
+        rkey = max(r, key=_DEGLEX_KEY)
         rc = r.pop(rkey)
         diff = exp_sub(rkey[1], gkey[1])
         if any(e < 0 for e in diff):
@@ -98,7 +97,7 @@ def _content_and_primitive(f: Polynomial, k: int) -> tuple[Polynomial, Polynomia
         content = poly_gcd(content, c)
         if content.total_degree() == 0:
             break
-    content = monic(content, _DEGLEX)
+    content = monic_by_key(content, _DEGLEX_KEY)
     return content, divexact(f, content)
 
 
@@ -134,9 +133,9 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.ring != g.ring:
         raise RingMismatchError("gcd operands live over different rings")
     if f.is_zero():
-        return monic(g, _DEGLEX)
+        return monic_by_key(g, _DEGLEX_KEY)
     if g.is_zero():
-        return monic(f, _DEGLEX)
+        return monic_by_key(f, _DEGLEX_KEY)
     used = _occurring_vars(f) | _occurring_vars(g)
     if not used:
         return Polynomial.constant(f.ring, 1)
@@ -159,13 +158,13 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
             break
         _, rp = _content_and_primitive(r, k)
         pf, pg = pg, rp
-    return monic(poly_mul(c, pf), _DEGLEX)
+    return monic_by_key(poly_mul(c, pf), _DEGLEX_KEY)
 
 
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() or g.is_zero():
         return Polynomial.zero(f.ring)
-    return monic(divexact(poly_mul(f, g), poly_gcd(f, g)), _DEGLEX)
+    return monic_by_key(divexact(poly_mul(f, g), poly_gcd(f, g)), _DEGLEX_KEY)
 
 
 def _set_fields(rf: "RationalFunction", num: Polynomial, den: Polynomial) -> None:
@@ -194,7 +193,7 @@ class RationalFunction:
             if g.total_degree() > 0:
                 num = divexact(num, g)
                 den = divexact(den, g)
-            _, lc = leading_term(den, _DEGLEX)
+            _, lc = lead_by_key(den, _DEGLEX_KEY)
             if lc != 1:
                 inv = Fraction(1) / lc
                 num = num.scale(inv)

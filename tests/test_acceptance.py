@@ -211,10 +211,10 @@ def test_criterion_05_positive_dimensional_golden():
     G = buchberger(gens, Lex(), RXYT2)
     x, y, t = vars_of(RXYT2, "x", "y", "t")
     assert set(G.elements) == {x**2, x * y, y**2, x * t - y}
-    cleaned = noetherian_positive(gens, Lex())
+    cleaned = noetherian_positive(buchberger(gens, Lex()))
     assert cleaned.multiplicity == 2
     assert [render_operator(L, Lex()) for L in cleaned.operators] == ["1", "dx + t dy"]
-    variant = noetherian_positive(curve_gens(RXYZ2), Lex())
+    variant = noetherian_positive(buchberger(curve_gens(RXYZ2), Lex()))
     assert [render_operator(L, Lex()) for L in variant.operators] == ["1", "dx + z dy"]
 
 
@@ -227,7 +227,7 @@ def test_criterion_06_normal_position_negative_golden():
         t**2 - x,
     }
     assert set(buchberger(gens, Lex(), RXT).elements) == {x - t**2, t**3 - 1}
-    report = check_normal_position(gens, Lex())
+    report = check_normal_position(buchberger(gens, Lex()))
     assert report.contraction_trivial is False
     assert report.contraction_witness == t**3 - 1
     assert not report.ok

@@ -212,6 +212,72 @@ def test_posdim_non_primary_input_is_exit_one(capsys, tmp_path, ideal):
     assert err.startswith("error: the input is not primary at the center: ")
 
 
+NOT_PRIMARY_AT_CENTER = (
+    "error: the input is not primary at the center: a monomial of degree {} "
+    "(the multiplicity) has a nonzero normal form\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, body, out, err",
+    [
+        (
+            ["ep-solution"],
+            "component x^2 - y*(t-3), y^2 at 0, 0, 3;\n",
+            "f = Int[ 1 e^(3 t + t t_) dnu1(t_) ]\n"
+            "  + Int[ x e^(3 t + t t_) dnu2(t_) ]\n"
+            "  + Int[ (y + 1/2 x^2 t_) e^(3 t + t t_) dnu3(t_) ]\n"
+            "  + Int[ (x y + 1/6 x^3 t_) e^(3 t + t t_) dnu4(t_) ]\n",
+            "",
+        ),
+        (
+            ["ep-solution"],
+            "component (x-1)^2, y at 1, 0, 0;\n",
+            "f = Int[ 1 e^(x + t t_) dnu1(t_) ]\n  + Int[ x e^(x + t t_) dnu2(t_) ]\n",
+            "",
+        ),
+        (["ep-solution"], "component x^2, y at 1, 0, 0;\n", "", NOT_PRIMARY_AT_CENTER.format(2)),
+        (
+            ["noether-posdim"],
+            "ideal (x-1)^2 - y*t, y^2;\ncenter 1, 0, 0;\n",
+            "1\ndx\n1/2 t dx^2 + dy\n1/6 t dx^3 + dx dy\n",
+            "",
+        ),
+        (
+            ["noether-posdim"],
+            "ideal (x-1)^2 - y*(t-3), y^2;\ncenter 1, 0, 3;\n",
+            "1\ndx\n(-3/2 + 1/2 t) dx^2 + dy\n(-1/2 + 1/6 t) dx^3 + dx dy\n",
+            "",
+        ),
+        (["member", "(x-1)^2 - y*t"], "ideal (x-1)^2 - y*t, y^2;\ncenter 1, 0, 0;\n", "true\n", ""),
+        (["member", "x^2 - y*t"], "ideal (x-1)^2 - y*t, y^2;\ncenter 1, 0, 0;\n", "false\n", ""),
+        (["member", "(x-1)^2 - y*(t-3)"], "ideal (x-1)^2 - y*(t-3), y^2;\ncenter 1, 0, 3;\n", "true\n", ""),
+        (["member", "(x-1)^2 - y*t"], "ideal (x-1)^2 - y*(t-3), y^2;\ncenter 1, 0, 3;\n", "false\n", ""),
+        (["noether-posdim"], "ideal x^2 - y*t, y^2;\ncenter 1, 0, 0;\n", "", NOT_PRIMARY_AT_CENTER.format(4)),
+        (
+            ["noether-posdim"],
+            "ideal 0;\n",
+            "",
+            "error: the input is not in normal position for the chosen variable split\n",
+        ),
+    ],
+    ids=["ep-at-t", "ep-at-x", "ep-off-center", "posdim-at-x", "posdim-at-x-and-t", "member-in",
+         "member-out", "member-in-at-t", "member-out-at-t", "posdim-off-center", "posdim-zero-ideal"],
+)
+def test_parameter_rings_honour_the_center(capsys, tmp_path, argv, body, out, err):
+    path = tmp_path / "centered.noeth"
+    path.write_text("ring x, y | t;\norder lex;\n" + body)
+    assert run(capsys, *argv, str(path)) == (1 if err else 0, out, err)
+
+
+def test_posdim_json_names_the_center(capsys, tmp_path):
+    path = tmp_path / "centered.noeth"
+    path.write_text("ring x, y | t;\norder lex;\nideal (x-1)^2 - y*(t-3), y^2;\ncenter 1, 0, 3;\n")
+    code, out, _ = run(capsys, "noether-posdim", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["center"] == ["1", "0", "3"]
+
+
 def test_check_all_at_a_shifted_center_counts_buchberger_runs(capsys, tmp_path, monkeypatch):
     # one basis of the input and one translate, shared by the three constructions
     import noeth.cli

@@ -46,7 +46,7 @@ def module_family():
 def posdim_family():
     spec = parse_problem(POSDIM_TEXT)
     comp = spec.components[0]
-    basis = noetherian_positive(comp.generators, spec.effective_order, spec.ring)
+    basis = noetherian_positive(buchberger(comp.generators, spec.effective_order, spec.ring))
     return spec, build_solution(spec.ring, [(comp.center, basis)])
 
 

@@ -37,3 +37,16 @@ def test_helpers_stay_importable_from_their_modules():
                  "multiplicity_extended"):
         assert gone not in noeth.__all__ and not hasattr(noeth, gone)
     assert not hasattr(noeth.orderings, "is_product_compatible")
+
+
+def test_the_four_constructions_share_one_signature():
+    builds = (noeth.noetherian_forward, noeth.noetherian_backward, noeth.noetherian_linear,
+              noeth.noetherian_positive)
+    for build in builds:
+        params = inspect.signature(build).parameters.values()
+        assert [(p.name, p.default) for p in params] == [("G", inspect.Parameter.empty), ("center", None)]
+
+
+def test_orderings_keeps_one_monic():
+    assert not hasattr(noeth.orderings, "monic")
+    assert callable(noeth.orderings.monic_by_key)

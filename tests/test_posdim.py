@@ -21,6 +21,7 @@ from noeth import (
     check_normal_position,
     cleanup_operators,
     extend_to_rational_coeffs,
+    is_member,
     member_positive,
     noetherian_forward,
     noetherian_positive,
@@ -46,6 +47,7 @@ from support import (
     oracle_multiplicity,
     oracle_nf,
     oracle_zero,
+    random_combination,
     random_nonzero,
     random_polynomial,
     reference_normal_form,
@@ -76,7 +78,7 @@ def rf_t(ring, exps_to_coeffs):
 
 
 def test_normal_position_report_positive():
-    report = check_normal_position(worked_generators(), Lex())
+    report = check_normal_position(buchberger(worked_generators(), Lex()))
     assert report.ok
     assert report.contraction_trivial
     assert report.contraction_witness is None
@@ -87,12 +89,12 @@ def test_normal_position_report_positive():
     assert d["ok"] is True
     assert d["gamma"] == [1]
     assert d["monic_powers"] == [2, 2]
-    product = check_normal_position(worked_generators(), ProductOrder(DegLex(), Lex()))
+    product = check_normal_position(buchberger(worked_generators(), ProductOrder(DegLex(), Lex())))
     assert product.ok
 
 
 def test_normal_position_report_negative():
-    report = check_normal_position(unit_after_extension(), Lex())
+    report = check_normal_position(buchberger(unit_after_extension(), Lex()))
     assert not report.ok
     assert not report.contraction_trivial
     t = Polynomial.variable(RXT, "t")
@@ -103,7 +105,7 @@ def test_normal_position_report_negative():
 def test_normal_position_single_generator():
     x = Polynomial.variable(RXT, "x")
     t = Polynomial.variable(RXT, "t")
-    report = check_normal_position([x - t], Lex())
+    report = check_normal_position(buchberger([x - t], Lex()))
     assert report.ok
     assert report.monic_powers == (1,)
     assert report.gamma == (0,)
@@ -111,13 +113,19 @@ def test_normal_position_single_generator():
 
 def test_posdim_input_guards():
     with pytest.raises(NotEliminationOrderError):
-        check_normal_position(worked_generators(), DegLex())
+        check_normal_position(buchberger(worked_generators(), DegLex()))
     with pytest.raises(ZeroPolynomialError):
-        check_normal_position([Polynomial.zero(RXT)], Lex())
+        check_normal_position(buchberger([Polynomial.zero(RXT)], Lex()))
     module_ring = RingDescriptor(("x", "t"), 1, 1, 2)
     vec = Polynomial.variable(module_ring, "x", 1)
     with pytest.raises(NoethError):
-        noetherian_positive([vec], Lex(), module_ring)
+        noetherian_positive(buchberger([vec], Lex(), module_ring))
+
+
+def test_posdim_entry_points_need_a_groebner_basis():
+    for build in (check_normal_position, noetherian_positive):
+        with pytest.raises(NoethError, match="expected a Groebner basis"):
+            build(worked_generators())
 
 
 def test_extension_golden():
@@ -214,7 +222,7 @@ def test_unit_extension_has_multiplicity_zero():
 
 
 def test_positive_worked_example_golden():
-    basis = noetherian_positive(worked_generators(), Lex())
+    basis = noetherian_positive(buchberger(worked_generators(), Lex()))
     assert basis.multiplicity == 2
     assert basis.method == "positive"
     t1 = rf_t(RXYT2, {(1,): 1})
@@ -226,7 +234,7 @@ def test_positive_worked_example_golden():
 
 
 def test_positive_z_variant():
-    basis = noetherian_positive(worked_generators(RXYZ2), Lex())
+    basis = noetherian_positive(buchberger(worked_generators(RXYZ2), Lex()))
     one = rf_t(RXYZ2, {(0,): 1})
     z1 = rf_t(RXYZ2, {(1,): 1})
     assert basis.operators == (
@@ -239,7 +247,7 @@ def test_zero_parameter_count_delegates_to_forward():
     x = Polynomial.variable(RXY, "x")
     y = Polynomial.variable(RXY, "y")
     gens = [x**2 - y, y**2]
-    basis = noetherian_positive(gens, DegLex())
+    basis = noetherian_positive(buchberger(gens, DegLex()))
     forward = noetherian_forward(buchberger(gens, DegLex(), RXY))
     assert basis.method == "positive"
     assert basis.operators == forward.operators
@@ -248,9 +256,9 @@ def test_zero_parameter_count_delegates_to_forward():
 
 def test_positive_rejects_bad_position():
     with pytest.raises(NormalPositionError):
-        noetherian_positive(unit_after_extension(), Lex())
+        noetherian_positive(buchberger(unit_after_extension(), Lex()))
     try:
-        noetherian_positive(unit_after_extension(), Lex())
+        noetherian_positive(buchberger(unit_after_extension(), Lex()))
     except NormalPositionError as err:
         assert err.report is not None
         assert not err.report.ok
@@ -263,7 +271,7 @@ def test_cleanup_preserves_the_span():
     t = Polynomial.variable(tring, 0)
     cases = [worked_generators()] + [random_sheared_posdim(rng)[0] for _ in range(4)]
     for gens in cases:
-        for L in noetherian_positive(gens, Lex()).operators:
+        for L in noetherian_positive(buchberger(gens, Lex())).operators:
             for _ in range(3):
                 num = (t + Polynomial.constant(tring, rng.randint(-3, 3))) ** rng.randint(0, 2)
                 den = t ** rng.randint(0, 2) + Polynomial.constant(tring, rng.randint(1, 3))
@@ -278,7 +286,7 @@ def test_membership_equivalence_randomized():
     rng = random.Random(401)
     gens = worked_generators()
     G = buchberger(gens, Lex(), RXYT2)
-    basis = noetherian_positive(gens, Lex())
+    basis = noetherian_positive(buchberger(gens, Lex()))
     t = Polynomial.variable(RXYT2, "t")
     y = Polynomial.variable(RXYT2, "y")
     residuals = [Polynomial.constant(RXYT2, 1), y]
@@ -312,7 +320,7 @@ def reference_positive_rows(gens, order, rounds=None):
     stair = staircase(extend_to_rational_coeffs(G))
     mu = stair.multiplicity
     residual = set(stair.monomials)
-    gamma = check_normal_position(gens, order).gamma
+    gamma = check_normal_position(buchberger(gens, order)).gamma
     tpow = Polynomial.monomial(ring, (0,) * ring.x_count + gamma)
     states = {
         (1, xe): Polynomial.monomial(ring, xe + (0,) * ring.t_count)
@@ -333,6 +341,52 @@ def reference_positive_rows(gens, order, rounds=None):
         for beta, tpoly in group_by_x(states[col]).items():
             rows[beta][col] = tpoly
     return [rows[beta] for beta in stair.monomials]
+
+
+def random_center(rng):
+    return tuple(Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2)) for _ in range(RXYT2.nvars))
+
+
+def moved_to(gens, center):
+    """The generators with their zero at the origin moved to center."""
+    return [g.substitute_affine([-c for c in center]) for g in gens]
+
+
+def test_positive_at_a_center_matches_the_origin():
+    # only the x-block is moved back; the coefficients stay in the input's t,
+    # so they are the origin's coefficients read at t - c_t
+    rng = random.Random(413)
+    for _ in range(12):
+        gens, order = random_sheared_posdim(rng)
+        center = random_center(rng)
+        at_center = noetherian_positive(buchberger(moved_to(gens, center), order), center)
+        at_origin = noetherian_positive(buchberger(gens, order))
+        back = [-center[2]]
+        assert at_center.center == center
+        assert all(L.center == center for L in at_center.operators)
+        assert [list(L.terms.items()) for L in at_center.operators] == [
+            [(key, RationalFunction(c.num.substitute_affine(back), c.den.substitute_affine(back)))
+             for key, c in L.terms.items()]
+            for L in at_origin.operators
+        ]
+
+
+def test_member_positive_at_a_center_agrees_with_the_basis():
+    rng = random.Random(419)
+    verdicts = []
+    for _ in range(8):
+        gens, order = random_sheared_posdim(rng)
+        center = random_center(rng)
+        moved = moved_to(gens, center)
+        G = buchberger(moved, order)
+        basis = noetherian_positive(G, center)
+        for _ in range(6):
+            f = random_combination(rng, moved, max_terms=2, max_deg=2)
+            if rng.random() < 0.5:
+                f = f + random_nonzero(rng, RXYT2, max_terms=2, max_deg=2)
+            verdicts.append(member_positive(f, basis))
+            assert verdicts[-1] == is_member(f, G)
+    assert set(verdicts) == {True, False}
 
 
 def random_sheared_posdim(rng):
@@ -359,7 +413,7 @@ def random_nonzero_fraction(rng):
 def test_iteration_rows_stabilize_up_to_parameter_power():
     gens = worked_generators()
     mu = staircase(extend_to_rational_coeffs(buchberger(gens, Lex(), RXYT2))).multiplicity
-    gamma = check_normal_position(gens, Lex()).gamma
+    gamma = check_normal_position(buchberger(gens, Lex())).gamma
     first = reference_positive_rows(gens, Lex(), rounds=1)
     # separated after one round: every residual monomial carries a row
     assert len(first) == mu and all(first)
@@ -384,7 +438,7 @@ def test_positive_matches_the_round_loop_reference():
                 for row in reference_positive_rows(gens, order)
             ]
         )
-        basis = noetherian_positive(gens, order)
+        basis = noetherian_positive(buchberger(gens, order))
         assert list(basis.operators) == reference
         assert [list(L.terms.items()) for L in basis.operators] == [
             list(L.terms.items()) for L in reference
@@ -395,7 +449,7 @@ def test_positive_matches_the_round_loop_reference():
 def test_positive_rejects_non_primary_input(ideal):
     spec = parse_problem(f"ring x | t;\norder product(lex, lex);\nideal {ideal};\n")
     with pytest.raises(NotPrimaryError, match="not primary at the center"):
-        noetherian_positive(spec.generators, spec.effective_order, spec.ring)
+        noetherian_positive(buchberger(spec.generators, spec.effective_order, spec.ring))
 
 
 def test_positive_multiplicity_64_runs_without_a_monomial_sweep():
@@ -404,6 +458,6 @@ def test_positive_multiplicity_64_runs_without_a_monomial_sweep():
         "ring x, y, z | t;\norder product(deglex, lex);\nideal (x + 2*t*y)^4, y^4, z^4;\n"
     )
     start = time.perf_counter()
-    basis = noetherian_positive(spec.generators, spec.effective_order, spec.ring)
+    basis = noetherian_positive(buchberger(spec.generators, spec.effective_order, spec.ring))
     assert time.perf_counter() - start < 5.0
     assert basis.multiplicity == len(basis.operators) == 64
