@@ -28,6 +28,7 @@ from .errors import (
     NotEliminationOrderError,
     NotPrimaryError,
     ParseError,
+    ResourceLimitError,
     RingMismatchError,
     ZeroPolynomialError,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "ProblemSpec",
     "ProductOrder",
     "RationalFunction",
+    "ResourceLimitError",
     "RingDescriptor",
     "RingMismatchError",
     "SolutionFamily",

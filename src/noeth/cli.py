@@ -40,7 +40,12 @@ METHODS = {
 }
 
 
-def _base_doc(command: str, spec: ProblemSpec) -> dict:
+def _doc(command: str, spec: ProblemSpec, **fields) -> dict:
+    """The JSON document of a command: the command, ring and order, then fields in order.
+
+    Each command builds only the output that --json selects: this document,
+    or the lines of text.
+    """
     doc = {
         "command": command,
         "ring": ring_json(spec.ring),
@@ -48,6 +53,7 @@ def _base_doc(command: str, spec: ProblemSpec) -> dict:
     }
     if spec.ring.rank > 1:
         doc["module_order"] = spec.module_precedence
+    doc.update(fields)
     return doc
 
 
@@ -73,65 +79,59 @@ def _noether_basis(spec: ProblemSpec, method: str, check_all: bool):
 
 def cmd_gb(spec, args):
     G = _groebner(spec)
-    doc = _base_doc("gb", spec)
-    doc["basis"] = [polynomial_json(g, G.order) for g in G.elements]
-    text = [render_polynomial(g, G.order) for g in G.elements]
-    return doc, text
+    if args.json:
+        return _doc("gb", spec, basis=[polynomial_json(g, G.order) for g in G.elements])
+    return [render_polynomial(g, G.order) for g in G.elements]
 
 
 def cmd_nf(spec, args):
     f = parse_polynomial(args.expression, spec.ring)
     G = _groebner(spec)
     result = normal_form(f, G)
-    doc = _base_doc("nf", spec)
-    doc["result"] = polynomial_json(result, G.order)
-    return doc, [render_polynomial(result, G.order)]
+    if args.json:
+        return _doc("nf", spec, result=polynomial_json(result, G.order))
+    return [render_polynomial(result, G.order)]
 
 
 def cmd_mult(spec, args):
     stair = staircase(_groebner(spec))
-    doc = _base_doc("mult", spec)
-    doc["multiplicity"] = stair.multiplicity
-    return doc, [str(stair.multiplicity)]
+    if args.json:
+        return _doc("mult", spec, multiplicity=stair.multiplicity)
+    return [str(stair.multiplicity)]
+
+
+def _terms_output(command, spec, args, keys):
+    if args.json:
+        return _doc(command, spec, **{command: [{"pos": p, "exp": list(e)} for p, e in keys]})
+    return [render_module_term(spec.ring, key) for key in keys]
 
 
 def cmd_staircase(spec, args):
-    stair = staircase(_groebner(spec))
-    doc = _base_doc("staircase", spec)
-    doc["staircase"] = [{"pos": p, "exp": list(e)} for p, e in stair.monomials]
-    return doc, [render_module_term(spec.ring, key) for key in stair.monomials]
+    return _terms_output("staircase", spec, args, staircase(_groebner(spec)).monomials)
 
 
 def cmd_corners(spec, args):
     G = _groebner(spec)
-    stair = staircase(G)
-    corners = corner_monomials(stair, G)
-    doc = _base_doc("corners", spec)
-    doc["corners"] = [{"pos": p, "exp": list(e)} for p, e in corners]
-    return doc, [render_module_term(spec.ring, key) for key in corners]
+    return _terms_output("corners", spec, args, corner_monomials(staircase(G), G))
+
+
+def _operators_output(command, spec, args, basis, **fields):
+    order = spec.effective_order
+    if not args.json:
+        return [render_operator(L, order) for L in basis.operators]
+    center = [str(c) for c in basis.center]
+    operators = [operator_json(L, order) for L in basis.operators]
+    return _doc(command, spec, **fields, multiplicity=basis.multiplicity, center=center, operators=operators)
 
 
 def cmd_noether(spec, args):
     basis = _noether_basis(spec, args.method, args.check_all)
-    order = spec.effective_order
-    doc = _base_doc("noether", spec)
-    doc["method"] = basis.method
-    doc["multiplicity"] = basis.multiplicity
-    doc["center"] = [str(c) for c in basis.center]
-    doc["operators"] = [operator_json(L, order) for L in basis.operators]
-    text = [render_operator(L, order) for L in basis.operators]
-    return doc, text
+    return _operators_output("noether", spec, args, basis, method=basis.method)
 
 
 def cmd_noether_posdim(spec, args):
     basis = noetherian_positive(_groebner(spec), spec.center)
-    order = spec.effective_order
-    doc = _base_doc("noether-posdim", spec)
-    doc["multiplicity"] = basis.multiplicity
-    doc["center"] = [str(c) for c in basis.center]
-    doc["operators"] = [operator_json(L, order) for L in basis.operators]
-    text = [render_operator(L, order) for L in basis.operators]
-    return doc, text
+    return _operators_output("noether-posdim", spec, args, basis)
 
 
 def cmd_member(spec, args):
@@ -140,9 +140,9 @@ def cmd_member(spec, args):
         verdict = member_positive(f, noetherian_positive(_groebner(spec), spec.center))
     else:
         verdict = is_member(f, _groebner(spec))
-    doc = _base_doc("member", spec)
-    doc["member"] = verdict
-    return doc, ["true" if verdict else "false"]
+    if args.json:
+        return _doc("member", spec, member=verdict)
+    return ["true" if verdict else "false"]
 
 
 def cmd_ep_solution(spec, args):
@@ -154,9 +154,9 @@ def cmd_ep_solution(spec, args):
         for comp in spec.components
     ]
     family = build_solution(spec.ring, parts)
-    doc = _base_doc("ep-solution", spec)
-    doc["summands"] = solution_json(family)
-    return doc, [render_solution(family)]
+    if args.json:
+        return _doc("ep-solution", spec, summands=solution_json(family))
+    return [render_solution(family)]
 
 
 COMMANDS = {
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
         return 1
     try:
         spec = parse_problem(text)
-        doc, lines = COMMANDS[args.command](spec, args)
+        output = COMMANDS[args.command](spec, args)
     except ParseError as exc:
         if args.json:
             print(emit_json({"error": str(exc), "line": exc.line, "column": exc.column}))
@@ -244,8 +244,8 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(emit_json(doc))
+        print(emit_json(output))
     else:
-        for line in lines:
+        for line in output:
             print(line)
     return 0

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Mapping
+from math import factorial, gcd, lcm
+from typing import Callable, Iterable, Mapping
 
 from .errors import NotClosedError, RingMismatchError
-from .polynomial import Polynomial, add_into
+from .polynomial import Polynomial, add_into, integer_multiple
 from .ring import Exponent, RingDescriptor, as_center, as_coeff, exp_deg, reading_key, t_part, x_part
 
 OpKey = tuple[int, Exponent]  # (position, alpha over the x-block)
@@ -190,16 +190,26 @@ class Echelon:
 
     Vectors are dicts from column to coefficient, such as DiffOp.terms;
     columns are ordered by key (reading_key unless given).  Each row is keyed
-    by its pivot, has coefficient 1 there, 0 at every other pivot and no term
-    before its pivot: the unique RREF of the span, whatever order the vectors
-    arrive in.
+    by its pivot, is 0 at every other pivot and has no term before its pivot:
+    the unique RREF of the span, whatever order the vectors arrive in.
+
+    While every coefficient seen is a Fraction the rows are fraction-free
+    (Bareiss, Math. Comp. 1968): primitive integer dicts with a positive
+    pivot entry d, each standing for itself over d, which keeps them unique.
+    A vector is scaled to integers with a running scale lam, and its entry c
+    at a pivot is cancelled, with h = gcd(c, d), by multiplying it (and lam)
+    by d/h and subtracting c/h times the row.  Fractions appear only in
+    reduce()'s result and in operators().  A vector with another coefficient
+    type, such as RationalFunction, turns the rows into field rows with
+    pivot entry 1 for good.
     """
 
-    __slots__ = ("key", "rows")
+    __slots__ = ("key", "rows", "integral")
 
     def __init__(self, ops: Iterable[DiffOp] = (), key=reading_key):
         self.key = key
         self.rows: dict[OpKey, dict] = {}
+        self.integral = True
         for L in ops:
             self.add(L.terms)
 
@@ -209,40 +219,82 @@ class Echelon:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Echelon):
             return NotImplemented
-        return self.rows == other.rows
+        return self._field_rows() == other._field_rows()
+
+    def _field_rows(self) -> dict:
+        """The rows scaled to pivot entry 1."""
+        if not self.integral:
+            return self.rows
+        return {p: {k: Fraction(v, row[p]) for k, v in row.items()} for p, row in self.rows.items()}
 
     def pivots(self) -> list[OpKey]:
         return sorted(self.rows, key=self.key)
 
-    def reduce(self, terms: Mapping) -> dict:
-        """What is left of a term dict after eliminating every pivot; empty in the span."""
-        out = dict(terms)
+    def _eliminate(self, terms: Mapping) -> tuple[dict, int]:
+        """(lam * terms with every pivot eliminated, lam); integers and lam > 0 while integral, else lam 1."""
+        if self.integral and not all(type(c) is Fraction for c in terms.values()):
+            self.rows = self._field_rows()
+            self.integral = False
+        integral, rows = self.integral, self.rows
+        lam = lcm(*[c.denominator for c in terms.values()]) if integral else 1
+        out = integer_multiple(terms, lam) if integral else dict(terms)
         # A row is 0 at every other pivot, so eliminating one pivot leaves
         # the coefficients at the others as they were.
-        for p in [k for k in terms if k in self.rows]:
-            _subtract(out, out[p], self.rows[p])
-        return out
+        for p in [k for k in terms if k in rows]:
+            row = rows[p]
+            out, m = _cancel(out, out[p], row, row[p], integral)
+            lam *= m
+        return out, lam
+
+    def reduce(self, terms: Mapping) -> dict:
+        """What is left of a term dict after eliminating every pivot; empty in the span."""
+        out, lam = self._eliminate(terms)
+        return {k: Fraction(v, lam) for k, v in out.items()} if self.integral else out
 
     def add(self, terms: Mapping) -> bool:
         """Extend the span by a term dict; False when it already lies in it."""
-        row = self.reduce(terms)
+        row, _ = self._eliminate(terms)
         if not row:
             return False
+        integral, rows = self.integral, self.rows
         p = min(row, key=self.key)
-        pv = row[p]
-        if pv != 1:
-            row = {k: c / pv for k, c in row.items()}
-        for other in self.rows.values():
+        row = _normalized(row, row[p], integral)
+        d = row[p]
+        for q, other in rows.items():
             c = other.get(p)
             if c:
-                _subtract(other, c, row)
-        self.rows[p] = row
+                other, _ = _cancel(other, c, row, d, integral)
+                rows[q] = _normalized(other, other[q], integral)
+        rows[p] = row
         return True
 
     def operators(self, ring: RingDescriptor, center=None) -> tuple[DiffOp, ...]:
         """The rows as operators, in pivot order."""
-        rows = [self.rows[p] for p in self.pivots()]
-        return tuple(DiffOp(ring, {k: row[k] for k in sorted(row, key=self.key)}, center) for row in rows)
+        rows = self._field_rows()
+        ordered = ({k: rows[p][k] for k in sorted(rows[p], key=self.key)} for p in self.pivots())
+        return tuple(DiffOp(ring, terms, center) for terms in ordered)
+
+
+def _cancel(vector: dict, c, row: dict, d, integral: bool) -> tuple[dict, int]:
+    """(m * vector - (m * c / d) * row, m), cancelling vector's entry c at row's pivot entry d.
+
+    m = d / gcd(c, d) over the integers; a field row has d = 1, and m = 1."""
+    m = 1
+    if integral:
+        h = gcd(c, d)
+        m, c = d // h, c // h
+        if m != 1:
+            vector = {k: v * m for k, v in vector.items()}
+    _subtract(vector, c, row)
+    return vector, m
+
+
+def _normalized(row: dict, lead, integral: bool) -> dict:
+    """row scaled to its unique form: primitive with a positive lead over the integers, else lead 1."""
+    if not integral:
+        return row if lead == 1 else {k: c / lead for k, c in row.items()}
+    g = gcd(*row.values()) if lead > 0 else -gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
 def _subtract(terms: dict, c, row: dict) -> None:
@@ -269,21 +321,31 @@ def is_closed(ops, echelon: Echelon | None = None) -> bool:
     if not ops:
         return True
     span = Echelon(ops) if echelon is None else echelon
-    return not any(span.reduce(L.sigma(j).terms) for L in ops for j in range(L.ring.x_count))
+    return not any(span._eliminate(L.sigma(j).terms)[0] for L in ops for j in range(L.ring.x_count))
 
 
-def closure(ops) -> tuple[DiffOp, ...]:
-    """Smallest sigma-stable span containing ops, as a canonical basis."""
+def closure(ops, echelon: Echelon | None = None) -> tuple[DiffOp, ...]:
+    """Smallest sigma-stable span containing ops, as a canonical basis.
+
+    echelon is an empty Echelon to build the span in, for a caller that
+    wants its rows or its column order; the basis comes in that order.
+    """
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         return ()
-    span = Echelon()
+    span = Echelon() if echelon is None else echelon
     queue = deque(ops)
     while queue:
         L = queue.popleft()
         if span.add(L.terms):
             queue.extend(L.sigma(j) for j in range(L.ring.x_count))
     return span.operators(ops[0].ring, ops[0].center)
+
+
+def pivots_first(pivot_keys) -> Callable:
+    """Column key that puts pivot_keys first, in their order, and the rest in reading order."""
+    rank = {k: i for i, k in enumerate(pivot_keys)}
+    return lambda k: (0, rank[k]) if k in rank else (1, reading_key(k))
 
 
 def canonical_operator_basis(ops, ring=None, center=None, pivot_keys=None) -> tuple[DiffOp, ...]:
@@ -296,15 +358,7 @@ def canonical_operator_basis(ops, ring=None, center=None, pivot_keys=None) -> tu
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         return ()
-    if ring is None:
-        ring = ops[0].ring
-    if center is None:
-        center = ops[0].center
-    if pivot_keys is None:
-        return Echelon(ops).operators(ring, center)
-    pivot_keys = list(pivot_keys)
-    rank = {k: i for i, k in enumerate(pivot_keys)}
-    span = Echelon(ops, key=lambda k: (0, rank[k]) if k in rank else (1, reading_key(k)))
-    if span.pivots() != pivot_keys:
+    span = Echelon(ops, key=reading_key if pivot_keys is None else pivots_first(pivot_keys))
+    if pivot_keys is not None and span.pivots() != list(pivot_keys):
         raise NotClosedError("span does not project onto the residual monomials")
-    return span.operators(ring, center)
+    return span.operators(ops[0].ring if ring is None else ring, ops[0].center if center is None else center)

@@ -39,6 +39,10 @@ class NotClosedError(NoethError):
     """An operator family is not stable under the lowering morphisms."""
 
 
+class ResourceLimitError(NoethError):
+    """The work needed exceeds a documented cap, such as groebner.STAIRCASE_CAP."""
+
+
 class NotPrimaryError(NoethError):
     """The input is not primary at the center: the maximal ideal there is not nilpotent modulo it."""
 

@@ -30,11 +30,12 @@ from math import gcd, lcm
 from .errors import (
     InfiniteStaircaseError,
     NotEliminationOrderError,
+    ResourceLimitError,
     RingMismatchError,
     ZeroPolynomialError,
 )
 from .orderings import AnyOrder, SortKey, as_module_order, is_elimination_for, lead_by_key, monic_by_key
-from .polynomial import Polynomial, add_shifted
+from .polynomial import Polynomial, add_shifted, integer_multiple
 from .ring import (
     RingDescriptor,
     TermKey,
@@ -51,11 +52,6 @@ def _all_rational(polys) -> bool:
     return all(type(c) is Fraction for g in polys for c in g.terms.values())
 
 
-def _integers(terms: dict, scale: int) -> dict:
-    """scale * terms over the integers; scale must be a multiple of every denominator."""
-    return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}
-
-
 def _reducer(g: Polynomial, term_key: SortKey, integral: bool) -> tuple:
     """(position, lead exponent, lead coefficient, tail terms) of a nonzero g.
 
@@ -69,7 +65,7 @@ def _reducer(g: Polynomial, term_key: SortKey, integral: bool) -> tuple:
     terms = g.terms
     if integral:
         scale = lcm(*[c.denominator for c in terms.values()])
-        terms = _integers(terms, -scale if lc < 0 else scale)
+        terms = integer_multiple(terms, -scale if lc < 0 else scale)
         lc = terms[lead]
     return lead[0], lead[1], lc, [kc for kc in terms.items() if kc[0] != lead]
 
@@ -167,7 +163,7 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
     integral = reducers.integral and _all_rational((f,))
     if integral:
         lam = lcm(*[c.denominator for c in p.values()])
-        p = _integers(p, lam)
+        p = integer_multiple(p, lam)
     else:
         p = dict(p)
     queue = sorted((term_key(t), t) for t in p)
@@ -339,6 +335,11 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     return GroebnerBasis(ring, order, tuple(g for _, g in ranked), True)
 
 
+# Most monomials staircase() lists before it raises ResourceLimitError; a walk
+# this long takes well under a second, and memory and time grow with its length.
+STAIRCASE_CAP = 100_000
+
+
 @dataclass(frozen=True)
 class Staircase:
     ring: RingDescriptor
@@ -359,7 +360,8 @@ def staircase(G: GroebnerBasis) -> Staircase:
     the leading terms (a constant lead empties its position).  The walk climbs
     from each position's 1 one variable at a time through monomials no lead
     divides; the residual set is closed under division, so it reaches all of
-    it without visiting the bounding box.
+    it without visiting the bounding box.  A walk that finds more than
+    STAIRCASE_CAP monomials stops with ResourceLimitError.
     """
     ring = G.ring
     lts = [key for key, _ in G.leading_terms()]
@@ -382,7 +384,12 @@ def staircase(G: GroebnerBasis) -> Staircase:
                 with_exp[j].setdefault(lexp[j], []).append(lexp)
         # each monomial is reached once, from the one with its last variable lowered
         found = [(ring.zero_exp(), 0)]
+        room = STAIRCASE_CAP - len(residual)
         for exp, last in found:  # grows while it is walked
+            if len(found) > room:
+                raise ResourceLimitError(
+                    f"the staircase has more than {STAIRCASE_CAP} monomials, the cap on listing it"
+                )
             for j in range(last, n):
                 up = exp[:j] + (exp[j] + 1,) + exp[j + 1 :]
                 if not any(exp_divides(lexp, up) for lexp in with_exp[j].get(up[j], ())):

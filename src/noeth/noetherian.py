@@ -25,6 +25,7 @@ from .diffop import (
     canonical_operator_basis,
     closure,
     is_closed,
+    pivots_first,
 )
 from .errors import (
     NoethError,
@@ -281,26 +282,32 @@ def noetherian_backward(G: GroebnerBasis, center=None) -> NoetherianBasis:
 
     Each corner's operator collects the corner coefficients of the normal
     forms, accumulated against the leads of the basis's cached reducers; the
-    lowering closure of those operators spans the dual space.
+    lowering closure of those operators spans the dual space.  The closure
+    is built once, with the residual monomials first in the column order, so
+    its rows are already the canonical basis.
     """
     G0, center = _prepare(G, center)
     ring = G0.ring
     stair = staircase(G0)
     mu = stair.multiplicity
     corners = corner_monomials(stair, G0)
-    closed = closure([DiffOp(ring, _accumulate_backward(corner, G0, mu), center) for corner in corners])
+    span = Echelon(key=pivots_first(stair.monomials))
+    ops = closure([DiffOp(ring, _accumulate_backward(corner, G0, mu), center) for corner in corners], span)
     # The corner sums drop every monomial of degree >= mu, which loses nothing
     # only on input primary at the center; there every operator kills the
     # input at the origin.  Conversely, mu independent closed operators that
-    # kill it make the quotient local there, so the check is complete.
-    for L in closed:
-        for g in G0.elements:
-            if sum(c * L.terms.get(key, 0) for key, c in g.terms.items()):
+    # kill it make the quotient local there, so the check is complete.  Rows
+    # and reducers are multiples of operators and elements, over the
+    # integers on rational input.
+    for row in span.rows.values():
+        for pos, lexp, lc, tail in G0._reducers:
+            if lc * row.get((pos, lexp), 0) + sum(tc * row[key] for key, tc in tail if key in row):
                 raise NotPrimaryError(
                     "the input is not primary at the center: a lowering-closed operator "
                     "of the backward pass does not annihilate the input"
                 )
-    ops = canonical_operator_basis(closed, ring, center, pivot_keys=list(stair.monomials))
+    if span.pivots() != list(stair.monomials):
+        raise NotClosedError("span does not project onto the residual monomials")
     basis = NoetherianBasis(ops, mu, center, "backward", G0)
     basis.validate()
     return basis

@@ -11,7 +11,7 @@ paths share one representation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping
 
 from .errors import RingMismatchError
@@ -227,27 +227,43 @@ class Polynomial:
         return tuple(vals[pos] for pos in range(1, self.ring.rank + 1))
 
     def substitute_affine(self, point: Iterable) -> "Polynomial":
-        """Replace each variable v_i by v_i + p_i (recentering at -p)."""
+        """Replace each variable v_i by v_i + p_i (recentering at -p); rational coefficients only.
+
+        The expansion runs over the integers.  With p_i = a_i / D, lam the lcm
+        of f's denominators and deg its total degree, a term c v^e adds
+        lam * c * D^(deg - |e|) * prod_i (D v_i + a_i)^(e_i), expanded
+        binomially, to D^deg * lam * f(v + p), which is divided back at the end.
+        """
         point = [as_coeff(p) for p in point]
         if len(point) != self.ring.nvars:
             raise RingMismatchError("point length does not match variable count")
+        if not all(type(c) is Fraction for c in self.terms.values()):
+            raise RingMismatchError("substitution needs rational coefficients")
         n = self.ring.nvars
-        acc: dict[TermKey, object] = {}
+        den = lcm(*[p.denominator for p in point])
+        nums = [p.numerator * (den // p.denominator) for p in point]
+        lam = lcm(*[c.denominator for c in self.terms.values()])
+        deg = max(self.total_degree(), 0)
+        scale = lam * den**deg
+        acc: dict[TermKey, int] = {}
         for (pos, exp), c in self.terms.items():
-            # expand prod_i (v_i + p_i)^{e_i} by binomial convolution, on keys of position pos
-            partial: dict[TermKey, object] = {(pos, self.ring.zero_exp()): c}
-            for i, (e, p) in enumerate(zip(exp, point)):
+            # expand prod_i (D v_i + a_i)^{e_i} by binomial convolution, on keys of position pos
+            start = c.numerator * (lam // c.denominator) * den ** (deg - exp_deg(exp))
+            partial: dict[TermKey, int] = {(pos, self.ring.zero_exp()): start}
+            for i, (e, a) in enumerate(zip(exp, nums)):
                 if e == 0:
                     continue
-                if not p:
-                    partial = {(pos, exp_add(m, _unit(n, i, e))): v for (_, m), v in partial.items()}
-                    continue
-                nxt: dict[TermKey, object] = {}
-                for k in range(e + 1):
-                    add_shifted(nxt, partial.items(), _unit(n, i, k), comb(e, k) * p ** (e - k))
+                nxt: dict[TermKey, int] = {}
+                for k in range(e + 1) if a else (e,):
+                    add_shifted(nxt, partial.items(), _unit(n, i, k), comb(e, k) * a ** (e - k) * den**k)
                 partial = nxt
             add_into(acc, partial.items())
-        return Polynomial._of(self.ring, acc)
+        return Polynomial._of(self.ring, {key: Fraction(v, scale) for key, v in acc.items()})
+
+
+def integer_multiple(terms: dict, scale: int) -> dict:
+    """scale * terms over the integers; scale must be a multiple of every denominator."""
+    return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}
 
 
 def add_into(acc: dict, items) -> None:

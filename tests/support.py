@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 from noeth import Polynomial, RingDescriptor
 from noeth.orderings import leading_term
@@ -191,6 +192,29 @@ def mu_by_linear_algebra(gens, degree: int) -> int:
     a, b = quotient_dim(degree), quotient_dim(degree + 1)
     assert a == b, f"quotient dimension not stabilized at degree {degree}"
     return a
+
+
+def reference_substitute_affine(f: Polynomial, point) -> Polynomial:
+    """f(v + p) by binomial expansion over Fractions, one variable at a time.
+
+    The field-arithmetic form of Polynomial.substitute_affine, which expands
+    over the integers instead.
+    """
+    ring = f.ring
+    point = [Fraction(p) for p in point]
+    acc: dict = {}
+    for (pos, exp), c in f.terms.items():
+        partial = {ring.zero_exp(): c}
+        for i, (e, p) in enumerate(zip(exp, point)):
+            grown: dict = {}
+            for m, v in partial.items():
+                for k in range(e + 1):
+                    up = m[:i] + (m[i] + k,) + m[i + 1 :]
+                    grown[up] = grown.get(up, 0) + v * comb(e, k) * p ** (e - k)
+            partial = grown
+        for m, v in partial.items():
+            acc[(pos, m)] = acc.get((pos, m), 0) + v
+    return Polynomial(ring, acc)
 
 
 def poly_derivative(f: Polynomial, i: int) -> Polynomial:

@@ -6,11 +6,13 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 import noeth.cli
 from noeth.cli import build_arg_parser, main
+from noeth.groebner import STAIRCASE_CAP
 
 STANDARD = "ring x, y;\norder deglex;\nideal x^2 - y, y^2, x*y;\n"
 PARAMETER = "ring x, y | t;\norder lex;\nideal x^2, y^2, -x*t + y;\n"
@@ -498,6 +500,22 @@ def test_a_run_builds_one_argument_parser(capsys, monkeypatch, standard, argv):
     code, _, _ = run(capsys, *[arg.format(std=standard) for arg in argv])
     assert code == 0
     assert built == [f"noeth {argv[0]}"]
+
+
+@pytest.mark.parametrize(
+    "command, ideal",
+    [("mult", "x^3000000"), ("noether", "x^99999999999999999999")],
+)
+def test_a_staircase_past_the_cap_is_exit_one(capsys, tmp_path, command, ideal):
+    # both used to walk the staircase without practical end
+    path = tmp_path / "tall.noeth"
+    path.write_text(f"ring x;\norder lex;\nideal {ideal};\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    # the walk stops at the cap: about 0.2 s on a 2-vCPU host
+    assert time.perf_counter() - start < 10.0
+    assert (code, out) == (1, "")
+    assert err == f"error: the staircase has more than {STAIRCASE_CAP} monomials, the cap on listing it\n"
 
 
 def test_console_script(tmp_path):

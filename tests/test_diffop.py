@@ -299,6 +299,71 @@ def test_echelon_matches_dense_rref_over_rational_functions():
         check_against_dense(cleaned, ring, lambda k: rank[k])
 
 
+def big_fraction(rng):
+    """A small fraction, or one whose denominator exceeds 2^64."""
+    if rng.random() < 0.5:
+        return random_fraction(rng)
+    return Fraction(rng.randint(-(2**70), 2**70), rng.randint(2**64, 2**72))
+
+
+def field_echelon(ops):
+    """The same span built on the field path, as after a rational-function vector."""
+    span = Echelon()
+    span.integral = False
+    for L in ops:
+        span.add(L.terms)
+    return span
+
+
+def test_integer_echelon_matches_the_field_path_and_dense_rref():
+    rng = random.Random(367)
+    for _ in range(30):
+        ring = rng.choice([RXY, RXYZ])
+        ops = []
+        for _ in range(rng.randint(1, 6)):
+            L = random_operator(rng, ring, max_terms=5)
+            ops.append(DiffOp(ring, {k: c * big_fraction(rng) for k, c in L.terms.items()}))
+        ops += combinations(rng, ops, lambda: big_fraction(rng), rng.randint(0, 3))
+        rng.shuffle(ops)
+        span = check_against_dense(ops, ring)
+        field = field_echelon(ops)
+        assert span.integral and not field.integral
+        assert span == field and field == span
+        assert span.pivots() == field.pivots()
+        assert span.operators(ring) == field.operators(ring)
+        for p, row in span.rows.items():
+            assert all(type(v) is int for v in row.values())
+            assert row[p] > 0 and math.gcd(*row.values()) == 1
+        probes = combinations(rng, ops, lambda: big_fraction(rng), 3) + [random_operator(rng, ring, max_deg=5)]
+        for L in probes:
+            assert span.reduce(L.terms) == field.reduce(L.terms)
+            assert all(type(c) is Fraction for c in span.reduce(L.terms).values())
+        assert span.add(probes[-1].terms) is field.add(probes[-1].terms)
+        assert span == field
+        check_against_dense(ops + probes[-1:], ring)
+
+
+def test_echelon_switches_to_field_rows_at_the_first_rational_function():
+    ring = RingDescriptor(("x", "y", "t"), 2, 1)
+    x, y, t = (Polynomial.variable(ring, i) for i in range(3))
+    rf_ops = list(noetherian_positive(buchberger([x**3, y - x * t], Lex())).operators)
+    assert not all(type(c) is Fraction for L in rf_ops for c in L.terms.values())
+    rng = random.Random(373)
+    fraction_ops = [op({(0, 1): big_fraction(rng), (2, 0): big_fraction(rng)}, ring), op({(1, 0): 3}, ring)]
+    span = Echelon(fraction_ops)
+    assert span.integral
+    for L in rf_ops:
+        span.add(L.terms)
+    assert not span.integral
+    rows, pivots = dense_echelon(fraction_ops + rf_ops)
+    assert [list(L.terms.items()) for L in span.operators(ring)] == rows
+    assert span.pivots() == pivots
+    # reduce() switches too, and the span compares equal across the two forms
+    probe = Echelon(fraction_ops)
+    assert probe.reduce(rf_ops[-1].terms) == field_echelon(fraction_ops).reduce(rf_ops[-1].terms)
+    assert not probe.integral and probe == Echelon(fraction_ops)
+
+
 def test_echelon_reduce_and_add():
     span = Echelon([op({(0, 0): 1, (0, 2): 2}), op({(1, 0): 1, (0, 2): 3})])
     assert span.reduce(op({(0, 0): 2, (1, 0): 1, (0, 2): 7}).terms) == {}

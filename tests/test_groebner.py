@@ -24,7 +24,8 @@ from noeth import (
     s_polynomial,
     staircase,
 )
-from noeth.errors import InfiniteStaircaseError, NotEliminationOrderError, RingMismatchError
+from noeth import groebner
+from noeth.errors import InfiniteStaircaseError, NotEliminationOrderError, ResourceLimitError, RingMismatchError
 from noeth.groebner import _reducer
 from noeth.orderings import as_module_order, leading_term
 from noeth.posdim import extend_to_rational_coeffs
@@ -411,6 +412,17 @@ def test_staircase_of_a_tall_thin_box_is_fast():
     assert time.perf_counter() - t0 < 2.0
     assert stair.multiplicity == 1 + 4 * 39
     assert stair.monomials[:5] == ((1, (0, 0, 0, 0)),) + tuple((1, R4.var_exp(i)) for i in range(4))
+
+
+def test_staircase_cap_counts_every_position(monkeypatch):
+    # two positions with 3 and 4 monomials: 7 list, 6 do not
+    leads = [((3, 0), 1), ((0, 1), 1), ((2, 0), 2), ((0, 2), 2)]
+    G = buchberger([Polynomial.monomial(RM2, exp, 1, pos) for exp, pos in leads], DegLex(), RM2)
+    monkeypatch.setattr(groebner, "STAIRCASE_CAP", 7)
+    assert staircase(G).multiplicity == 7
+    monkeypatch.setattr(groebner, "STAIRCASE_CAP", 6)
+    with pytest.raises(ResourceLimitError, match="more than 6 monomials"):
+        staircase(G)
 
 
 def test_infinite_staircase_is_detected():

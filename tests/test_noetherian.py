@@ -284,6 +284,43 @@ def test_backward_rejects_non_primary_input():
         noetherian_linear(buchberger([a**2 - a, b], DegLex()))
 
 
+def test_tracer_sees_the_closure_inside_backward(monkeypatch):
+    # Backward must reach closure through the diffop module global, or the
+    # closure counters of a traced pass read zero.
+    import importlib
+    import sys
+
+    from test_bench_tracer import load_tracer
+
+    tracer_module = load_tracer()
+    # Pin every binding install() may replace, so that undo() restores it.
+    for name, module in list(sys.modules.items()):
+        if name == "noeth" or name.startswith("noeth."):
+            for attr, value in list(vars(module).items()):
+                if callable(value):
+                    monkeypatch.setattr(module, attr, value)
+                elif isinstance(value, dict):
+                    for key, entry in list(value.items()):
+                        monkeypatch.setitem(value, key, entry)
+    for table in (tracer_module.SPANNED, tracer_module.COUNTED):
+        for layer, names in table.items():
+            for cls_name, _, attr in (qual.partition(".") for qual in names if "." in qual):
+                cls = getattr(importlib.import_module(f"noeth.{layer}"), cls_name)
+                monkeypatch.setattr(cls, attr, vars(cls)[attr])
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        G = buchberger(hermite_ideal(), DegLex(), RXY)
+        basis = noeth.noetherian.noetherian_backward(G)
+    finally:
+        monkeypatch.undo()
+    assert len(basis) == 3
+    names = tracer.names
+    closures = [i for i, name in enumerate(names) if name == "diffop.closure"]
+    assert len(closures) == 1
+    assert names[tracer.parent[closures[0]]] == "noetherian.noetherian_backward"
+
+
 def random_primary_cases(rng):
     """(generators, order, center) primary at the center, known by construction."""
     cases = []

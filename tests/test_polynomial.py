@@ -7,9 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from noeth import Polynomial, RingDescriptor, poly_mul
+from noeth import Polynomial, RationalFunction, RingDescriptor, poly_mul
 from noeth.errors import RingMismatchError
-from support import RM2, RXY, RXYZ, random_fraction, random_nonzero, random_polynomial
+from support import (
+    RM2,
+    RX,
+    RXY,
+    RXYT,
+    RXYZ,
+    random_fraction,
+    random_nonzero,
+    random_polynomial,
+    reference_substitute_affine,
+)
 
 
 def xy():
@@ -140,6 +150,38 @@ def test_substitute_affine_round_trip():
         f = random_polynomial(rng, RXYZ)
         p = [random_fraction(rng, 3) for _ in range(3)]
         assert f.substitute_affine(p).substitute_affine([-a for a in p]) == f
+
+
+def test_substitute_affine_matches_the_fraction_expansion():
+    rng = random.Random(41)
+
+    def coordinate():
+        # zero, small, and denominators past 2^64, mixed within one point
+        huge = Fraction(rng.randint(-9, 9), 2**65 + rng.randint(1, 99))
+        return rng.choice([Fraction(0), random_fraction(rng, 3), huge])
+
+    for _ in range(60):
+        ring = rng.choice([RX, RXY, RXYZ, RM2])
+        f = random_polynomial(rng, ring, max_terms=6)
+        if rng.random() < 0.3:
+            f = f.scale(Fraction(rng.randint(1, 7), 3**41))
+        p = [coordinate() for _ in range(ring.nvars)]
+        got = f.substitute_affine(p)
+        assert got == reference_substitute_affine(f, p)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+    for ring in (RX, RXY, RM2):
+        zero = Polynomial.zero(ring)
+        assert zero.substitute_affine([Fraction(1, 3)] * ring.nvars) == zero
+    f = random_nonzero(rng, RM2)
+    assert f.substitute_affine([0, 0]) == f
+
+
+def test_substitute_affine_refuses_rational_function_coefficients():
+    cring = RingDescriptor(("t",), 1)
+    t = RationalFunction(Polynomial.variable(cring, 0))
+    f = Polynomial(RXYT, {(1, (1, 0, 0)): t, (1, (0, 0, 0)): Fraction(1)})
+    with pytest.raises(RingMismatchError, match="rational coefficients"):
+        f.substitute_affine([1, 0, 0])
 
 
 def test_vector_times_vector_is_rejected():
