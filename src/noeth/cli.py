@@ -5,11 +5,18 @@
 Commands: gb, nf <poly>, mult, staircase, corners, noether, noether-posdim,
 member <poly>, ep-solution.  Output is plain text by default and structured
 JSON with --json.  Exit codes: 0 success, 1 domain error, 2 parse error.
+
+Every command reads its problem through ``load_problem``, a memo keyed by the
+file's text that holds the MEMO_SIZE most recently used problems.  Repeated
+calls of ``main`` in one process on the same text share one parse and one
+Groebner basis; a file that changes is a new key, and errors are raised again
+rather than kept.  A one-shot ``noeth`` process parses and computes as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .diffop import span_equal_operators
@@ -39,6 +46,42 @@ METHODS = {
     "linear": noetherian_linear,
 }
 
+# Problems kept by load_problem: a session of queries on a few files stays
+# warm, and the memory held stays that of a few bases.
+MEMO_SIZE = 16
+
+
+class Problem:
+    """A parsed problem file and what the commands derive from it, each built once.
+
+    The derived values are computed on first use; one that raises is not
+    kept, so the next use raises again.  ``buchberger`` and
+    ``noetherian_positive`` are looked up as module globals at that point,
+    so a wrapper set on this module sees every call.
+    """
+
+    def __init__(self, spec: ProblemSpec):
+        self.spec = spec
+
+    @functools.cached_property
+    def basis(self):
+        """The reduced Groebner basis of the generators under the declared order."""
+        spec = self.spec
+        if not spec.generators:
+            raise NoethError("the problem file declares no ideal or module generators")
+        return buchberger(spec.generators, spec.effective_order, spec.ring)
+
+    @functools.cached_property
+    def positive(self):
+        """The parameter-coefficient operator basis at the center (parameter rings)."""
+        return noetherian_positive(self.basis, self.spec.center)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def load_problem(text: str) -> Problem:
+    """The Problem of a problem file's text, shared by calls on the same text."""
+    return Problem(parse_problem(text))
+
 
 def _doc(command: str, spec: ProblemSpec, **fields) -> dict:
     """The JSON document of a command: the command, ring and order, then fields in order.
@@ -57,46 +100,40 @@ def _doc(command: str, spec: ProblemSpec, **fields) -> dict:
     return doc
 
 
-def _groebner(spec: ProblemSpec):
-    if not spec.generators:
-        raise NoethError("the problem file declares no ideal or module generators")
-    return buchberger(spec.generators, spec.effective_order, spec.ring)
-
-
-def _noether_basis(spec: ProblemSpec, method: str, check_all: bool):
-    G = _groebner(spec)
-    basis = METHODS[method](G, center=spec.center)
+def _noether_basis(problem: Problem, method: str, check_all: bool):
+    G, center = problem.basis, problem.spec.center
+    basis = METHODS[method](G, center=center)
     if check_all:
         # the constructions share G and its translate to the center
         for name, build in METHODS.items():
             if name == method:
                 continue
-            other = build(G, center=spec.center)
+            other = build(G, center=center)
             if not span_equal_operators(basis.operators, other.operators):
                 raise NoethError(f"method disagreement: {method} and {name} spans differ")
     return basis
 
 
-def cmd_gb(spec, args):
-    G = _groebner(spec)
+def cmd_gb(problem, args):
+    G = problem.basis
     if args.json:
-        return _doc("gb", spec, basis=[polynomial_json(g, G.order) for g in G.elements])
+        return _doc("gb", problem.spec, basis=[polynomial_json(g, G.order) for g in G.elements])
     return [render_polynomial(g, G.order) for g in G.elements]
 
 
-def cmd_nf(spec, args):
-    f = parse_polynomial(args.expression, spec.ring)
-    G = _groebner(spec)
+def cmd_nf(problem, args):
+    f = parse_polynomial(args.expression, problem.spec.ring)
+    G = problem.basis
     result = normal_form(f, G)
     if args.json:
-        return _doc("nf", spec, result=polynomial_json(result, G.order))
+        return _doc("nf", problem.spec, result=polynomial_json(result, G.order))
     return [render_polynomial(result, G.order)]
 
 
-def cmd_mult(spec, args):
-    stair = staircase(_groebner(spec))
+def cmd_mult(problem, args):
+    stair = staircase(problem.basis)
     if args.json:
-        return _doc("mult", spec, multiplicity=stair.multiplicity)
+        return _doc("mult", problem.spec, multiplicity=stair.multiplicity)
     return [str(stair.multiplicity)]
 
 
@@ -106,13 +143,13 @@ def _terms_output(command, spec, args, keys):
     return [render_module_term(spec.ring, key) for key in keys]
 
 
-def cmd_staircase(spec, args):
-    return _terms_output("staircase", spec, args, staircase(_groebner(spec)).monomials)
+def cmd_staircase(problem, args):
+    return _terms_output("staircase", problem.spec, args, staircase(problem.basis).monomials)
 
 
-def cmd_corners(spec, args):
-    G = _groebner(spec)
-    return _terms_output("corners", spec, args, corner_monomials(staircase(G), G))
+def cmd_corners(problem, args):
+    G = problem.basis
+    return _terms_output("corners", problem.spec, args, corner_monomials(staircase(G), G))
 
 
 def _operators_output(command, spec, args, basis, **fields):
@@ -124,28 +161,29 @@ def _operators_output(command, spec, args, basis, **fields):
     return _doc(command, spec, **fields, multiplicity=basis.multiplicity, center=center, operators=operators)
 
 
-def cmd_noether(spec, args):
-    basis = _noether_basis(spec, args.method, args.check_all)
-    return _operators_output("noether", spec, args, basis, method=basis.method)
+def cmd_noether(problem, args):
+    basis = _noether_basis(problem, args.method, args.check_all)
+    return _operators_output("noether", problem.spec, args, basis, method=basis.method)
 
 
-def cmd_noether_posdim(spec, args):
-    basis = noetherian_positive(_groebner(spec), spec.center)
-    return _operators_output("noether-posdim", spec, args, basis)
+def cmd_noether_posdim(problem, args):
+    return _operators_output("noether-posdim", problem.spec, args, problem.positive)
 
 
-def cmd_member(spec, args):
+def cmd_member(problem, args):
+    spec = problem.spec
     f = parse_polynomial(args.expression, spec.ring)
     if spec.ring.t_count:
-        verdict = member_positive(f, noetherian_positive(_groebner(spec), spec.center))
+        verdict = member_positive(f, problem.positive)
     else:
-        verdict = is_member(f, _groebner(spec))
+        verdict = is_member(f, problem.basis)
     if args.json:
         return _doc("member", spec, member=verdict)
     return ["true" if verdict else "false"]
 
 
-def cmd_ep_solution(spec, args):
+def cmd_ep_solution(problem, args):
+    spec = problem.spec
     if not spec.components:
         raise NoethError("ep-solution needs component clauses (a primary decomposition)")
     build = noetherian_positive if spec.ring.t_count else noetherian_forward
@@ -229,8 +267,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        spec = parse_problem(text)
-        output = COMMANDS[args.command](spec, args)
+        output = COMMANDS[args.command](load_problem(text), args)
     except ParseError as exc:
         if args.json:
             print(emit_json({"error": str(exc), "line": exc.line, "column": exc.column}))

@@ -15,7 +15,7 @@ given as repeated `component <generators> at <point>;` clauses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -115,20 +115,22 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass
+@dataclass(frozen=True)
 class Component:
-    generators: list[Polynomial]
+    generators: tuple[Polynomial, ...]
     center: tuple[Fraction, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
+    """A parsed problem file; frozen, with tuple fields, so that callers may share one."""
+
     ring: RingDescriptor
     order: TermOrder
     module_precedence: str = TOP
-    generators: list[Polynomial] = field(default_factory=list)
+    generators: tuple[Polynomial, ...] = ()
     center: tuple[Fraction, ...] | None = None
-    components: list[Component] = field(default_factory=list)
+    components: tuple[Component, ...] = ()
 
     @property
     def effective_order(self) -> AnyOrder:
@@ -262,15 +264,15 @@ class _Parser:
                     gens.append(_assemble_vector(spec_ring, row) if rank > 1 else row[0])
                 else:
                     gens.append(row)
-            components.append(Component(gens, point))
+            components.append(Component(tuple(gens), point))
 
         return ProblemSpec(
             ring=spec_ring,
             order=order,
             module_precedence=precedence,
-            generators=generators,
+            generators=tuple(generators),
             center=center,
-            components=components,
+            components=tuple(components),
         )
 
     def require_ring(self, ring, tok):

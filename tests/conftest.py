@@ -1,6 +1,16 @@
-"""Pytest wiring: print one PASS/FAIL line per acceptance criterion."""
+"""Pytest wiring: a fresh CLI memo per test, and one PASS/FAIL line per acceptance criterion."""
 
 from __future__ import annotations
+
+import pytest
+
+import noeth.cli
+
+
+@pytest.fixture(autouse=True)
+def fresh_cli_memo():
+    """Empty the problem memo of noeth.cli, so that test order cannot change a result."""
+    noeth.cli.load_problem.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

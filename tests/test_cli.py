@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
+import re
+import string
 import subprocess
 import sys
 import time
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 import noeth.cli
 from noeth.cli import build_arg_parser, main
 from noeth.groebner import STAIRCASE_CAP
+from noeth.problem import parse_problem
 
 STANDARD = "ring x, y;\norder deglex;\nideal x^2 - y, y^2, x*y;\n"
 PARAMETER = "ring x, y | t;\norder lex;\nideal x^2, y^2, -x*t + y;\n"
@@ -295,10 +301,15 @@ def test_check_all_at_a_shifted_center_counts_buchberger_runs(capsys, tmp_path, 
     path = tmp_path / "shifted.noeth"
     path.write_text("ring x, y;\norder deglex;\nideal (x-1)^2, y^2;\ncenter 1, 0;\n")
     for argv in (["--check-all"], ["--method", "linear"], ["--method", "linear", "--check-all"]):
+        noeth.cli.load_problem.cache_clear()
         calls.clear()
         code, out, _ = run(capsys, "noether", *argv, str(path))
         assert (code, out) == (0, "1\ndx\ndy\ndx dy\n")
         assert len(calls) == 2
+    # warm: the memo keeps the basis and, on it, the translate
+    calls.clear()
+    assert run(capsys, "noether", "--check-all", str(path))[:2] == (0, "1\ndx\ndy\ndx dy\n")
+    assert calls == []
 
 
 def test_no_generators_error(capsys, tmp_path):
@@ -516,6 +527,147 @@ def test_a_staircase_past_the_cap_is_exit_one(capsys, tmp_path, command, ideal):
     assert time.perf_counter() - start < 10.0
     assert (code, out) == (1, "")
     assert err == f"error: the staircase has more than {STAIRCASE_CAP} monomials, the cap on listing it\n"
+
+
+def _count_calls(monkeypatch, module, *names):
+    """Wrap module.<name> for each name; the returned Counter counts their calls."""
+    counts = Counter()
+    for name in names:
+        def counted(*args, _run=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_a_warm_repeat_parses_and_runs_buchberger_zero_times(capsys, monkeypatch, standard):
+    counts = _count_calls(monkeypatch, noeth.cli, "parse_problem", "buchberger")
+    argvs = [["gb", standard], ["nf", "x^2 + x", standard], ["member", "x^2 - y", standard, "--json"]]
+    cold = [run(capsys, *argv) for argv in argvs]
+    assert counts == {"parse_problem": 1, "buchberger": 1}
+    assert [run(capsys, *argv) for argv in argvs] == cold
+    assert counts == {"parse_problem": 1, "buchberger": 1}
+    assert [outcome[:2] for outcome in cold[:2]] == [(0, "x^2 - y\nx y\ny^2\n"), (0, "x + y\n")]
+    assert json.loads(cold[2][1])["member"] is True
+
+
+def test_a_parameter_member_reuses_the_posdim_basis(capsys, monkeypatch, parameter):
+    counts = _count_calls(monkeypatch, noeth.cli, "noetherian_positive")
+    assert run(capsys, "noether-posdim", parameter)[0] == 0
+    assert run(capsys, "member", "x^2", parameter)[:2] == (0, "true\n")
+    assert run(capsys, "member", "x^2 + t", parameter)[:2] == (0, "false\n")
+    assert counts == {"noetherian_positive": 1}
+
+
+def test_a_rewritten_file_gives_the_new_answer(capsys, tmp_path):
+    path = tmp_path / "rewritten.noeth"
+    path.write_text("ring x;\norder lex;\nideal x^2;\n")
+    assert run(capsys, "mult", str(path))[:2] == (0, "2\n")
+    path.write_text("ring x;\norder lex;\nideal x^5;\n")
+    assert run(capsys, "mult", str(path))[:2] == (0, "5\n")
+
+
+def test_the_memo_forgets_past_its_size(capsys, monkeypatch, tmp_path):
+    counts = _count_calls(monkeypatch, noeth.cli, "parse_problem")
+    path = tmp_path / "many.noeth"
+    for k in range(1, noeth.cli.MEMO_SIZE + 2):
+        path.write_text(f"ring x;\norder lex;\nideal x^{k};\n")
+        assert run(capsys, "mult", str(path))[:2] == (0, f"{k}\n")
+    assert counts["parse_problem"] == noeth.cli.MEMO_SIZE + 1
+    path.write_text("ring x;\norder lex;\nideal x^1;\n")
+    assert run(capsys, "mult", str(path))[:2] == (0, "1\n")
+    assert counts["parse_problem"] == noeth.cli.MEMO_SIZE + 2
+
+
+def test_errors_are_reported_on_every_repeat(capsys, tmp_path, parameter):
+    path = tmp_path / "broken.noeth"
+    path.write_text("ring x, y;\norder lex;\nideal x^, y;\n")
+    empty = tmp_path / "empty.noeth"
+    empty.write_text("ring x;\norder lex;\n")
+    shifted = tmp_path / "shifted.noeth"
+    shifted.write_text(PARAMETER + "center 1, 0, 0;\n")
+    for _ in range(3):
+        assert run(capsys, "gb", str(path)) == (2, "", "parse error: expected an integer exponent (line 3, column 9)\n")
+        assert run(capsys, "gb", str(empty)) == (
+            1, "", "error: the problem file declares no ideal or module generators\n"
+        )
+        code, out, err = run(capsys, "member", "x^2", str(shifted))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the input is not primary at the center")
+
+
+def test_a_problem_spec_is_frozen():
+    spec = parse_problem(STANDARD)
+    with pytest.raises(FrozenInstanceError):
+        spec.generators = ()
+    with pytest.raises(FrozenInstanceError):
+        parse_problem(MODULE_EP).components[0].center = (0, 0)
+
+
+# A seeded mutation test of the input boundary: each mutant of a problem
+# text above is run through main in one process, and must end in an answer
+# (exit 0), a named error (exit 1, "error: ...") or a parse error (exit 2,
+# "parse error: ..."), never in a traceback.
+MUTANT_TEXTS = [STANDARD, PARAMETER, MODULE_EP]
+MUTANT_ARGVS = [
+    ["gb"], ["nf", "x^2 + x"], ["mult"], ["staircase"], ["corners"], ["noether"],
+    ["noether", "--method", "backward"], ["noether", "--check-all"], ["noether-posdim"],
+    ["member", "x^2 - y"], ["ep-solution"],
+]
+MUTANTS_PER_TEXT = 200
+# Every mutant ends in well under 0.1 s on a 2-vCPU host; this bound catches a run without end.
+MUTANT_SECONDS = 5.0
+_LEXEME = re.compile(r"[0-9]+|[^\W\d]\w*|\S")
+_NON_ASCII = "\u00b2\u00e9\u03be\u0663\u00a0\u200b\u2212\uff10"
+
+
+def _mutant(rng, text):
+    """text with one token deleted, duplicated or swapped, a character inserted,
+    a denominator zeroed or a clause repeated."""
+    spans = [m.span() for m in _LEXEME.finditer(text)]
+    a, b = spans[rng.randrange(len(spans))]
+    kind = rng.choice(["delete", "duplicate", "swap", "printable", "non-ascii", "zero-denominator", "repeat"])
+    if kind == "delete":
+        return text[:a] + text[b:]
+    if kind == "duplicate":
+        return text[:b] + rng.choice(["", " "]) + text[a:b] + text[b:]
+    if kind == "swap":
+        c, d = spans[(spans.index((a, b)) + 1) % len(spans)]
+        (a, b), (c, d) = sorted([(a, b), (c, d)])
+        return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    if kind in ("printable", "non-ascii"):
+        pool = string.printable.strip() if kind == "printable" else _NON_ASCII
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(pool) + text[at:]
+    if kind == "zero-denominator":
+        numbers = [span for span in spans if text[span[0]].isdigit()]
+        a, b = rng.choice(numbers)
+        return text[:b] + "/0" + text[b:]
+    clauses = [clause + ";" for clause in text.split(";")[:-1]]
+    i = rng.randrange(len(clauses))
+    return "".join(clauses[: i + 1] + clauses[i:]) + text.rsplit(";", 1)[1]
+
+
+@pytest.mark.parametrize("index", range(len(MUTANT_TEXTS)))
+def test_mutated_problem_files_exit_cleanly(capsys, tmp_path, index):
+    rng = random.Random(f"mutants-{index}")
+    path = tmp_path / "mutant.noeth"
+    for _ in range(MUTANTS_PER_TEXT):
+        text = _mutant(rng, MUTANT_TEXTS[index])
+        argv = [*rng.choice(MUTANT_ARGVS), str(path)]
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        try:
+            code, out, err = run(capsys, *argv)
+        except Exception as exc:
+            pytest.fail(f"{argv[:-1]} on {text!r} raised {exc!r}")
+        assert time.perf_counter() - start < MUTANT_SECONDS, (argv[:-1], text)
+        assert code in (0, 1, 2), (argv[:-1], text)
+        assert "Traceback" not in err, (argv[:-1], text)
+        if code:
+            prefix = "parse error: " if code == 2 else "error: "
+            assert (out, err.startswith(prefix)) == ("", True), (argv[:-1], text, err)
 
 
 def test_console_script(tmp_path):

@@ -37,9 +37,9 @@ def test_worked_problem_file():
     x = Polynomial.variable(spec.ring, "x")
     y = Polynomial.variable(spec.ring, "y")
     t = Polynomial.variable(spec.ring, "t")
-    assert spec.generators == [x**2, y**2, -(x * t) + y]
+    assert spec.generators == (x**2, y**2, -(x * t) + y)
     assert spec.center is None
-    assert spec.components == []
+    assert spec.components == ()
     assert spec.effective_order == spec.order
 
 
@@ -50,7 +50,7 @@ def test_module_problem_file():
     x1 = Polynomial.variable(spec.ring, "x", 1)
     e2 = Polynomial.constant(spec.ring, 1, 2)
     y1 = Polynomial.variable(spec.ring, "y", 1)
-    assert spec.generators == [x1 + e2, y1]
+    assert spec.generators == (x1 + e2, y1)
     assert spec.effective_order.precedence == "pot"
     assert spec.effective_order.base == Lex()
 
@@ -69,8 +69,8 @@ def test_scalar_component_clauses():
     assert second.center == (Fraction(1), Fraction(0))
     x = Polynomial.variable(spec.ring, "x")
     y = Polynomial.variable(spec.ring, "y")
-    assert first.generators == [x**2, y]
-    assert second.generators == [(x - 1) ** 2, y]
+    assert first.generators == (x**2, y)
+    assert second.generators == ((x - 1) ** 2, y)
 
 
 def test_module_component_clauses():
@@ -87,8 +87,8 @@ def test_module_component_clauses():
     e1 = Polynomial.constant(spec.ring, 1, 1)
     e2 = Polynomial.constant(spec.ring, 1, 2)
     x2 = Polynomial.variable(spec.ring, "x", 2)
-    assert first.generators == [x1 + e2, y1]
-    assert second.generators == [x1 - e1 + e2, y1, y1 + x2 - e2]
+    assert first.generators == (x1 + e2, y1)
+    assert second.generators == (x1 - e1 + e2, y1, y1 + x2 - e2)
     assert second.center == (Fraction(1), Fraction(0))
 
 
@@ -100,7 +100,7 @@ def test_center_clause_and_fractions():
 def test_comments_are_ignored():
     spec = parse_problem("# header\nring x; # inline\norder lex;\nideal x^2; # done\n")
     x = Polynomial.variable(spec.ring, "x")
-    assert spec.generators == [x**2]
+    assert spec.generators == (x**2,)
 
 
 def test_keyword_reservation():
