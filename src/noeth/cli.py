@@ -10,7 +10,8 @@ Every command reads its problem through ``load_problem``, a memo keyed by the
 file's text that holds the MEMO_SIZE most recently used problems.  Repeated
 calls of ``main`` in one process on the same text share one parse and one
 Groebner basis; a file that changes is a new key, and errors are raised again
-rather than kept.  A one-shot ``noeth`` process parses and computes as before.
+rather than kept.  Each command's argument parser is likewise built once per
+process.  A one-shot ``noeth`` process parses and computes as before.
 """
 
 from __future__ import annotations
@@ -239,8 +240,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built once per process.
+
+    Sharing it is safe: parsing returns a fresh Namespace, no default is
+    mutable, and help reads COLUMNS when it is formatted, not here.
+    """
+    parser = argparse.ArgumentParser(prog=f"noeth {name}")
+    _add_command_arguments(parser, name)
+    return parser
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as the full subparser tree would, building one parser if possible.
+    """Parse argv as the full subparser tree would, with one parser per command if possible.
 
     The tree's subparser for the command gets exactly argv[1:], so a
     parser for that command alone gives the same result, help and errors.
@@ -249,9 +262,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """
     if argv and argv[0] in COMMANDS:
         name = argv[0]
-        parser = argparse.ArgumentParser(prog=f"noeth {name}")
-        _add_command_arguments(parser, name)
-        args, rest = parser.parse_known_args(argv[1:])
+        args, rest = _command_parser(name).parse_known_args(argv[1:])
         if not rest:
             args.command = name
             return args

@@ -23,7 +23,7 @@ from functools import reduce
 from typing import Sequence
 
 from .diffop import DiffOp
-from .errors import NoethError, NormalPositionError, NotEliminationOrderError
+from .errors import NoethError, NormalPositionError, NotEliminationOrderError, NotPrimaryError
 from .groebner import GroebnerBasis, eliminate, staircase
 from .noetherian import NoetherianBasis, dual_rows, noetherian_forward, translate
 from .orderings import (
@@ -158,8 +158,9 @@ def noetherian_positive(G: GroebnerBasis, center=None) -> NoetherianBasis:
     in the parameters the translate is zero-dimensional, so the forward walk
     runs on the extended basis unchanged; each operator is then cleared of
     denominators and common parameter factors.  Raises NotPrimaryError when
-    the extension is not primary at the origin, as at a center where the
-    input does not vanish.
+    the extension is not primary at the origin; an element with a term free
+    of x, which does not vanish there for generic parameter values, is
+    named as such before the walk.
     """
     G0, center = translate(G, center)
     ring = G0.ring
@@ -173,6 +174,12 @@ def noetherian_positive(G: GroebnerBasis, center=None) -> NoetherianBasis:
             "the input is not in normal position for the chosen variable split", report
         )
     Gx = extend_to_rational_coeffs(G0)
+    origin = (1, Gx.ring.zero_exp())
+    if any(origin in g.terms for g in Gx.elements):
+        raise NotPrimaryError(
+            "the input is not primary at the center: "
+            "the center is not a zero of the input for generic parameter values"
+        )
     stair = staircase(Gx)
     tring = ring.t_subring()
 

@@ -15,6 +15,7 @@ given as repeated `component <generators> at <point>;` clauses.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -54,8 +55,12 @@ KEYWORDS = {
 # Clauses a file may give at most once; only `component` repeats.
 _SINGLE_CLAUSES = {"ring", "order", "moduleorder", "ideal", "module", "center"}
 
-_DIGITS = "0123456789"
-_WORD_TAIL = _DIGITS + "_"
+_WORD_TAIL = "0123456789_"
+
+# One match per token: the blanks before it, then punctuation, an ASCII
+# integer, a word, a newline, a comment, or any other character (an error).
+# \w also matches digits such as '²' and '٣', which tokenize refuses.
+_TOKEN = re.compile(r"([ \t\r]*)(?:([,;|^*+\-()\[\]/])|([0-9]+)|(\w+)|(\n)|(#[^\n]*)|([^ \t\r]))")
 
 
 class Token(NamedTuple):
@@ -65,53 +70,43 @@ class Token(NamedTuple):
     column: int
 
 
+# Builds a Token from a 4-tuple without the NamedTuple's Python-level __new__.
+_new_token = tuple.__new__
+
+
 def tokenize(text: str) -> list[Token]:
-    """Split text into tokens; integers are ASCII digits, words start with a letter or _."""
+    """Split text into tokens; integers are ASCII digits, words start with a letter or _.
+
+    A word goes on with letters, ASCII digits and _.  Columns count
+    characters from 1, and a comment does not advance them: the end token
+    sits at the last line's '#', or after its last character.
+    """
     tokens: list[Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in ",;|^*+-()[]/":
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
+    append = tokens.append
+    line = col = 1
+    for blanks, punct, digits, word, newline, comment, other in _TOKEN.findall(text):
+        col += len(blanks)
+        if punct:
+            append(_new_token(Token, ("punct", punct, line, col)))
             col += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "\n":
+        elif digits:
+            append(_new_token(Token, ("int", digits, line, col)))
+            col += len(digits)
+        elif word:
+            if not word.isascii():
+                for k, ch in enumerate(word):
+                    if not (ch.isalpha() or ch in _WORD_TAIL):
+                        raise ParseError(f"unexpected character {ch!r}", line, col + k)
+            append(_new_token(Token, ("keyword" if word in KEYWORDS else "ident", word, line, col)))
+            col += len(word)
+        elif newline:
             line += 1
             col = 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            i += 1
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            tokens.append(Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            i += 1
-            while i < n and (text[i] in _WORD_TAIL or text[i].isalpha()):
-                i += 1
-            word = text[start:i]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += i - start
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+        elif other:
+            raise ParseError(f"unexpected character {other!r}", line, col)
+    last = text[text.rfind("\n") + 1 :]
+    end = last.find("#")
+    append(_new_token(Token, ("end", "", line, (end if end >= 0 else len(last)) + 1)))
     return tokens
 
 
@@ -367,34 +362,41 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "int":
             self.fail("expected a number", tok)
-        num = int(self.next().text)
-        if self.at_punct("/"):
-            self.next()
-            dtok = self.peek()
-            if dtok.kind != "int":
-                self.fail("expected a denominator", dtok)
-            den = int(self.next().text)
-            if not den:
-                self.fail("zero denominator", tok)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        num, den, self.pos = self._ratio(self.pos)
+        return Fraction(sign * num, den)
+
+    def _ratio(self, pos: int) -> tuple[int, int, int]:
+        """Numerator, denominator and next position of the number `n` or `n/d` whose int token is at pos."""
+        tok = self.tokens[pos]
+        if self.tokens[pos + 1].text != "/":
+            return int(tok.text), 1, pos + 1
+        dtok = self.tokens[pos + 2]
+        if dtok.kind != "int":
+            self.fail("expected a denominator", dtok)
+        den = int(dtok.text)
+        if not den:
+            self.fail("zero denominator", tok)
+        return int(tok.text), den, pos + 3
 
     # -- polynomial expressions ---------------------------------------------
 
     def parse_polynomial(self, ring: RingDescriptor) -> Polynomial:
         """A sum of terms, added into one dict so that parsing stays linear."""
+        tokens = self.tokens
         acc: dict = {}
         add_into(acc, self.parse_term(ring, self._consume_sign()))
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.next()
+        # only punctuation has the texts '+', '-', '*', '/', '^' and '('
+        while (op := tokens[self.pos]).text == "+" or op.text == "-":
+            self.pos += 1
             sign = (-1 if op.text == "-" else 1) * self._consume_sign()
-            if not self._starts_factor():
+            if not _starts_factor(tokens[self.pos]):
                 self.fail(f"expected a term after {op.text!r}", op)
             add_into(acc, self.parse_term(ring, sign))
-        return Polynomial(ring, acc)
+        # the keys are well formed and add_into keeps only nonzero Fractions
+        return Polynomial._of(ring, acc)
 
     def _consume_sign(self) -> int:
-        """Fold a run of unary '+' and '-' into +1 or -1; only punctuation has those texts."""
+        """Fold a run of unary '+' and '-' into +1 or -1."""
         sign = 1
         while (text := self.tokens[self.pos].text) == "-" or text == "+":
             self.pos += 1
@@ -402,59 +404,69 @@ class _Parser:
                 sign = -sign
         return sign
 
-    def _starts_factor(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("int", "ident"):
-            return True
-        return tok.kind == "punct" and tok.text == "("
-
     def parse_term(self, ring: RingDescriptor, sign: int):
         """The (key, coefficient) items of one product of factors.
 
-        Numbers and variables fold into one coefficient and one exponent;
-        only parenthesised factors are multiplied as polynomials.
+        Numbers fold into one integer numerator and denominator, variables
+        into one exponent; only parenthesised factors are multiplied as
+        polynomials.
         """
-        coeff = Fraction(sign)
+        tokens = self.tokens
+        pos = self.pos
+        num, den = sign, 1
         exp = [0] * ring.nvars
         poly = None  # product of the parenthesised factors
         while True:
-            tok = self.peek()
+            tok = tokens[pos]
             if tok.kind == "int":
-                coeff *= self.parse_signed_rational() ** self.parse_power()
+                n, d, pos = self._ratio(pos)
+                k, pos = self._power(pos)
+                num *= n**k
+                den *= d**k
             elif tok.kind == "ident":
-                self.next()
                 try:
                     index = ring.var_index(tok.text)
                 except ValueError:
                     self.fail(f"unknown variable {tok.text!r}", tok)
-                exp[index] += self.parse_power()
-            elif tok.kind == "punct" and tok.text == "(":
-                self.next()
+                k, pos = self._power(pos + 1)
+                exp[index] += k
+            elif tok.text == "(":
+                self.pos = pos + 1
                 inner = self.parse_polynomial(ring)
                 self.expect_punct(")")
-                inner = inner ** self.parse_power()
+                k, pos = self._power(self.pos)
+                if k != 1:
+                    inner = inner**k
                 poly = inner if poly is None else poly * inner
             else:
                 self.fail("expected a number, variable, or parenthesized expression", tok)
-            if self.at_punct("*"):
-                op = self.next()
-                if not self._starts_factor():
-                    self.fail("expected a factor after '*'", op)
-            elif not self._starts_factor():
+            tok = tokens[pos]
+            if tok.text == "*":
+                pos += 1
+                if not _starts_factor(tokens[pos]):
+                    self.fail("expected a factor after '*'", tok)
+            elif not _starts_factor(tok):
                 break
+        self.pos = pos
+        coeff = Fraction(num) if den == 1 else Fraction(num, den)
         if poly is None:
-            return [((1, tuple(exp)), coeff)] if coeff else []
+            return [((1, tuple(exp)), coeff)] if num else []
+        if coeff == 1 and not any(exp):  # a bare parenthesised sum
+            return poly.terms.items()
         return poly.mul_monomial(tuple(exp), coeff).terms.items()
 
-    def parse_power(self) -> int:
-        """The exponent after an optional '^'; 1 without one."""
-        if not self.at_punct("^"):
-            return 1
-        self.next()
-        tok = self.peek()
+    def _power(self, pos: int) -> tuple[int, int]:
+        """The exponent after an optional '^' at pos (1 without one) and the position after it."""
+        if self.tokens[pos].text != "^":
+            return 1, pos
+        tok = self.tokens[pos + 1]
         if tok.kind != "int":
             self.fail("expected an integer exponent", tok)
-        return int(self.next().text)
+        return int(tok.text), pos + 2
+
+
+def _starts_factor(tok: Token) -> bool:
+    return tok.kind == "int" or tok.kind == "ident" or tok.text == "("
 
 
 def _assemble_vector(ring: RingDescriptor, row: list[Polynomial]) -> Polynomial:

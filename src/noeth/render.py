@@ -10,8 +10,8 @@ exponent arrays with a fixed key order.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .diffop import DiffOp, alpha_factorial
 from .orderings import AnyOrder, as_module_order, sorted_terms_desc
@@ -192,4 +192,35 @@ def ring_json(ring: RingDescriptor) -> dict:
 
 
 def emit_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+    """doc as JSON text, byte-identical to json.dumps(doc, indent=2).
+
+    Documents hold only dicts with str keys, lists, str, int and bool; any
+    other type raises TypeError.  With an indent, json.dumps takes its
+    pure-Python encoder, which this direct writer outruns.
+    """
+    return _json_text(doc, "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    """value as indented JSON; newline is the line break and indent before its closing bracket."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):  # before int: bools are ints
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, v in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

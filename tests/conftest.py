@@ -1,4 +1,4 @@
-"""Pytest wiring: a fresh CLI memo per test, and one PASS/FAIL line per acceptance criterion."""
+"""Pytest wiring: fresh CLI caches per test, and one PASS/FAIL line per acceptance criterion."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import noeth.cli
 
 @pytest.fixture(autouse=True)
 def fresh_cli_memo():
-    """Empty the problem memo of noeth.cli, so that test order cannot change a result."""
+    """Empty the problem memo and the parser cache of noeth.cli, so that test order cannot change a result."""
     noeth.cli.load_problem.cache_clear()
+    noeth.cli._command_parser.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

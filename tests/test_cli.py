@@ -220,9 +220,9 @@ def test_posdim_non_primary_input_is_exit_one(capsys, tmp_path, ideal):
     assert err.startswith("error: the input is not primary at the center: ")
 
 
-NOT_PRIMARY_AT_CENTER = (
-    "error: the input is not primary at the center: a monomial of degree {} "
-    "(the multiplicity) has a nonzero normal form\n"
+CENTER_NOT_A_ZERO = (
+    "error: the input is not primary at the center: "
+    "the center is not a zero of the input for generic parameter values\n"
 )
 
 
@@ -244,7 +244,7 @@ NOT_PRIMARY_AT_CENTER = (
             "f = Int[ 1 e^(x + t t_) dnu1(t_) ]\n  + Int[ x e^(x + t t_) dnu2(t_) ]\n",
             "",
         ),
-        (["ep-solution"], "component x^2, y at 1, 0, 0;\n", "", NOT_PRIMARY_AT_CENTER.format(2)),
+        (["ep-solution"], "component x^2, y at 1, 0, 0;\n", "", CENTER_NOT_A_ZERO),
         (
             ["noether-posdim"],
             "ideal (x-1)^2 - y*t, y^2;\ncenter 1, 0, 0;\n",
@@ -261,7 +261,7 @@ NOT_PRIMARY_AT_CENTER = (
         (["member", "x^2 - y*t"], "ideal (x-1)^2 - y*t, y^2;\ncenter 1, 0, 0;\n", "false\n", ""),
         (["member", "(x-1)^2 - y*(t-3)"], "ideal (x-1)^2 - y*(t-3), y^2;\ncenter 1, 0, 3;\n", "true\n", ""),
         (["member", "(x-1)^2 - y*t"], "ideal (x-1)^2 - y*(t-3), y^2;\ncenter 1, 0, 3;\n", "false\n", ""),
-        (["noether-posdim"], "ideal x^2 - y*t, y^2;\ncenter 1, 0, 0;\n", "", NOT_PRIMARY_AT_CENTER.format(4)),
+        (["noether-posdim"], "ideal x^2 - y*t, y^2;\ncenter 1, 0, 0;\n", "", CENTER_NOT_A_ZERO),
         (
             ["noether-posdim"],
             "ideal 0;\n",
@@ -276,6 +276,18 @@ def test_parameter_rings_honour_the_center(capsys, tmp_path, argv, body, out, er
     path = tmp_path / "centered.noeth"
     path.write_text("ring x, y | t;\norder lex;\n" + body)
     assert run(capsys, *argv, str(path)) == (1 if err else 0, out, err)
+
+
+@pytest.mark.parametrize("center", ["", "center 1, 1;\n"])
+@pytest.mark.parametrize("command", ["noether-posdim", "member"])
+def test_a_center_off_the_parameter_curve_is_named(capsys, tmp_path, command, center):
+    # x - t vanishes along x = t, never at x = 0 or x = 1 for generic t
+    path = tmp_path / "curve.noeth"
+    path.write_text("ring x | t;\norder lex;\nideal x - t;\n" + center)
+    argv = [command, "x - t", str(path)] if command == "member" else [command, str(path)]
+    assert run(capsys, *argv) == (1, "", CENTER_NOT_A_ZERO)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert (code, json.loads(out)) == (1, {"error": CENTER_NOT_A_ZERO[len("error: "):-1]})
 
 
 def test_posdim_json_names_the_center(capsys, tmp_path):
@@ -508,9 +520,34 @@ def test_a_run_builds_one_argument_parser(capsys, monkeypatch, standard, argv):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    code, _, _ = run(capsys, *[arg.format(std=standard) for arg in argv])
-    assert code == 0
+    argv = [arg.format(std=standard) for arg in argv]
+    cold = run(capsys, *argv)
+    assert cold[0] == 0
     assert built == [f"noeth {argv[0]}"]
+    assert run(capsys, *argv) == cold
+    assert built == [f"noeth {argv[0]}"]
+
+
+def test_help_wraps_at_the_current_columns(capsys, monkeypatch):
+    # the parser is kept, but help reads COLUMNS each time it is formatted
+    helps = []
+    for columns in ("80", "40", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = _outcome(capsys, ["noether", "--help"])
+        assert code == ("SystemExit", 0)
+        assert out == noeth.cli._command_parser.__wrapped__("noether").format_help()
+        helps.append(out)
+    assert helps[0] == helps[2] != helps[1]
+    assert noeth.cli._command_parser.cache_info().currsize == 1
+
+
+def test_a_rejected_argv_leaves_the_parser_usable(capsys, standard):
+    code, out, err = _outcome(capsys, ["noether", "--method", "bogus", standard])
+    assert (code, out) == (("SystemExit", 2), "")
+    assert "invalid choice: 'bogus'" in err
+    expected = (0, "1\ndx\n1/2 dx^2 + dy\n", "")
+    assert run(capsys, "noether", standard) == expected
+    assert run(capsys, "noether", "--method", "backward", standard) == expected
 
 
 @pytest.mark.parametrize(

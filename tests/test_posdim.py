@@ -452,6 +452,15 @@ def test_positive_rejects_non_primary_input(ideal):
         noetherian_positive(buchberger(spec.generators, spec.effective_order, spec.ring))
 
 
+@pytest.mark.parametrize("center", [None, (1, 1)])
+def test_positive_names_a_center_that_is_not_a_zero(center):
+    # (x - t) is prime over k(t), but its zero is x = t, not the center's x
+    spec = parse_problem("ring x | t;\norder lex;\nideal x - t;\n")
+    G = buchberger(spec.generators, spec.effective_order, spec.ring)
+    with pytest.raises(NotPrimaryError, match="the center is not a zero of the input for generic parameter values"):
+        noetherian_positive(G, center)
+
+
 def test_positive_multiplicity_64_runs_without_a_monomial_sweep():
     # a sweep over every x-monomial below mu would take 45,760 normal forms here
     spec = parse_problem(

@@ -17,6 +17,7 @@ from noeth import (
     render_polynomial,
 )
 from noeth.errors import ParseError
+from noeth.problem import tokenize
 from support import RM2, RXT, RXY, RXYZ, random_polynomial
 
 WORKED = """
@@ -167,6 +168,81 @@ def test_non_ascii_digits_are_unexpected_characters(expression, bad, column):
     with pytest.raises(ParseError) as err2:
         parse_problem(f"ring x, y;\norder lex;\nideal y, {expression};\n")
     assert (err2.value.line, err2.value.column) == (3, 9 + column)
+
+
+# Expected texts, lines and columns were taken from the character-by-character
+# scanner and token-method parser that the one-pattern scanner replaced.
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x + y\n# note", {(1, (1, 0)): 1, (1, (0, 1)): 1}),
+        ("x # note", {(1, (1, 0)): 1}),
+        ("x + (y # note", ("expected ')'", 1, 8)),
+        ("é + x", ("unknown variable 'é'", 1, 1)),
+        ("x²", ("unexpected character '²'", 1, 2)),
+        ("½*x", ("unexpected character '½'", 1, 1)),
+        ("x٣", ("unexpected character '٣'", 1, 2)),
+        ("y + ٣", ("unexpected character '٣'", 1, 5)),
+        ("e\u0301", ("unexpected character '\u0301'", 1, 2)),
+        ("x\x0b", ("unexpected character '\\x0b'", 1, 2)),
+        ("2/0*x", ("zero denominator", 1, 1)),
+        ("x - 2/0", ("zero denominator", 1, 5)),
+        ("3/x", ("expected a denominator", 1, 3)),
+        ("x^", ("expected an integer exponent", 1, 3)),
+        ("x^(2)", ("expected an integer exponent", 1, 3)),
+        ("3*", ("expected a factor after '*'", 1, 2)),
+        ("x +", ("expected a term after '+'", 1, 3)),
+        ("* x", ("expected a number, variable, or parenthesized expression", 1, 1)),
+        ("- -x", {(1, (1, 0)): 1}),
+        ("(x)^2*3/4", {(1, (2, 0)): Fraction(3, 4)}),
+        ("3/4^2*x", {(1, (1, 0)): Fraction(9, 16)}),
+        ("0^0*x", {(1, (1, 0)): 1}),
+        ("x*0", {}),
+        ("\tx\t+\ty", {(1, (1, 0)): 1, (1, (0, 1)): 1}),
+        ("x\r\n+ y", {(1, (1, 0)): 1, (1, (0, 1)): 1}),
+        ("x y)", ("trailing input after expression", 1, 4)),
+        ("x + 1 ;", ("trailing input after expression", 1, 7)),
+        ("x\n  y ;", ("trailing input after expression", 2, 5)),
+    ],
+)
+def test_expression_lexing_and_diagnostics(text, expected):
+    if isinstance(expected, dict):
+        assert parse_polynomial(text, RXY).terms == expected
+        return
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, RXY)
+    message, line, column = expected
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a comment does not advance the column, so the end sits at its '#'
+        ("ring x;\norder lex;\nideal x # c", ("expected ';'", 3, 9)),
+        ("ring x;\norder lex;\nideal x  ", ("expected ';'", 3, 10)),
+        ("ring x;\norder lex;\nideal x;\n;", ("expected a clause keyword", 4, 1)),
+        ("ring x;\norder lex;\nideal x, é;", ("unknown variable 'é'", 3, 10)),
+        ("ring x;\norder lex;\nideal x, x²;", ("unexpected character '²'", 3, 11)),
+        ("ring x;\norder lex;\ncenter 2/0;\nideal x;", ("zero denominator", 3, 8)),
+    ],
+)
+def test_problem_file_lexing_and_diagnostics(text, expected):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    message, line, column = expected
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "text, end",
+    [("", (1, 1)), ("x  ", (1, 4)), ("x # c", (1, 3)), ("x\n  # c", (2, 3)), ("x # c\n", (2, 1))],
+)
+def test_end_token_position(text, end):
+    token = tokenize(text)[-1]
+    assert (token.kind, token.line, token.column) == ("end", *end)
 
 
 def test_missing_clauses():

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
+
+import pytest
 
 from noeth import (
     DegLex,
@@ -139,3 +142,39 @@ def test_emit_json_is_deterministic():
     text2 = emit_json({"ring": ring_json(RM2), "values": [1, 2, {"a": "b"}]})
     assert text1 == text2
     assert json.loads(text1) == doc
+
+
+_JSON_CHARS = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "∂", " ", "𝔽", "a", "Z", "0", " "]
+
+
+def _random_json_doc(rng: random.Random, depth: int):
+    """A random document of the types emit_json accepts."""
+    kind = rng.randrange(6 if depth else 4)
+    if kind == 0:
+        return _random_json_string(rng)
+    if kind == 1:
+        return rng.choice([True, False])
+    if kind == 2:
+        return rng.choice([0, -1, 7, 2**64, -(3**90)]) + rng.randrange(-3, 4)
+    if kind == 3:
+        return rng.choice([[], {}])
+    if kind == 4:
+        return [_random_json_doc(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {_random_json_string(rng): _random_json_doc(rng, depth - 1) for _ in range(rng.randrange(4))}
+
+
+def _random_json_string(rng: random.Random) -> str:
+    return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(6)))
+
+
+def test_emit_json_matches_json_dumps_on_random_documents():
+    rng = random.Random(1601)
+    for _ in range(2000):
+        doc = {"doc": _random_json_doc(rng, rng.randrange(5))}
+        assert emit_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, None, (1, 2), Fraction(1, 2), {1: "a"}])
+def test_emit_json_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        emit_json({"terms": [{"coeff": bad}]})
