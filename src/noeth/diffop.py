@@ -136,13 +136,7 @@ class DiffOp:
 
     def sigma(self, j: int) -> "DiffOp":
         """Lower the j-th derivative order, dropping terms that hit zero."""
-        out: dict[OpKey, object] = {}
-        for (pos, alpha), c in self.terms.items():
-            if alpha[j] == 0:
-                continue
-            down = tuple(e - 1 if i == j else e for i, e in enumerate(alpha))
-            out[(pos, down)] = c
-        return DiffOp._of(self.ring, out, self.center)
+        return DiffOp._of(self.ring, _lowered(self.terms, j), self.center)
 
     def rho(self, j: int) -> "DiffOp":
         """Raise the j-th derivative order on every term."""
@@ -151,6 +145,15 @@ class DiffOp:
             for (pos, alpha), c in self.terms.items()
         }
         return DiffOp._of(self.ring, out, self.center)
+
+
+def _lowered(terms: Mapping, j: int) -> dict:
+    """The terms of sigma_j: the j-th order lowered, terms of order 0 in it dropped."""
+    out = {}
+    for (pos, alpha), c in terms.items():
+        if alpha[j]:
+            out[(pos, alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :])] = c
+    return out
 
 
 def apply_at(L: DiffOp, f: Polynomial):
@@ -235,12 +238,21 @@ class Echelon:
         if self.integral and not all(type(c) is Fraction for c in terms.values()):
             self.rows = self._field_rows()
             self.integral = False
-        integral, rows = self.integral, self.rows
-        lam = lcm(*[c.denominator for c in terms.values()]) if integral else 1
-        out = integer_multiple(terms, lam) if integral else dict(terms)
+        if not self.integral:
+            return self._cancel_pivots(dict(terms), 1)
+        lam = lcm(*[c.denominator for c in terms.values()])
+        return self._cancel_pivots(integer_multiple(terms, lam), lam)
+
+    def _cancel_pivots(self, out: dict, lam) -> tuple[dict, int]:
+        """(m * out with every pivot eliminated, m * lam), for a vector out already in the rows' form.
+
+        out is integers while integral, else field elements; the call takes
+        it over and leaves the rows as they are.
+        """
+        rows, integral = self.rows, self.integral
         # A row is 0 at every other pivot, so eliminating one pivot leaves
         # the coefficients at the others as they were.
-        for p in [k for k in terms if k in rows]:
+        for p in [k for k in out if k in rows]:
             row = rows[p]
             out, m = _cancel(out, out[p], row, row[p], integral)
             lam *= m
@@ -315,13 +327,18 @@ def span_equal_operators(a, b) -> bool:
 def is_closed(ops, echelon: Echelon | None = None) -> bool:
     """Stable under every lowering morphism (as a span).
 
-    echelon is the Echelon of ops, for a caller that has already built it.
+    echelon is the Echelon of ops, for a caller that has already built it;
+    it is left unchanged.  The rows of the Echelon span what ops span and
+    lowering is linear, so the span is closed exactly when every lowered row
+    lies in it.  The rows are lowered and eliminated in their own form,
+    integers on rational input, and no operator is lowered or rescaled.
     """
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         return True
     span = Echelon(ops) if echelon is None else echelon
-    return not any(span._eliminate(L.sigma(j).terms)[0] for L in ops for j in range(L.ring.x_count))
+    lowered = (_lowered(row, j) for row in span.rows.values() for j in range(ops[0].ring.x_count))
+    return not any(span._cancel_pivots(terms, 1)[0] for terms in lowered)
 
 
 def closure(ops, echelon: Echelon | None = None) -> tuple[DiffOp, ...]:

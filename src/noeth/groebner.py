@@ -14,8 +14,10 @@ fraction-free: a reducer holds an integer multiple of its element, the
 dividend is scaled to integers, and S-polynomials are integer combinations
 of reducers.  Fractions remain at the edges: the input polynomials, the
 remainder terms normal_form returns, and the monic elements of a
-GroebnerBasis.  Rational-function coefficients (positive dimension) are
-divided as field elements throughout.
+GroebnerBasis.  The division loop itself, _divide, returns its remainder
+as integers over one scale, which the forward walk keeps.
+Rational-function coefficients (positive dimension) are divided as field
+elements throughout.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
     lam * f over the integers, lam the lcm of f's denominators.  A step at
     coefficient c against an integer lead gc with h = gcd(c, gc) first
     multiplies the dividend (and lam) by gc/h, unless that is 1, and then
-    subtracts c/h times the shifted integer tail.  A term moved to the
-    remainder leaves as Fraction(c, lam), so the result is the same
+    subtracts c/h times the shifted integer tail.  The remainder terms leave
+    as Fraction(c, lam) for the final lam, so the result is the same
     Polynomial with Fraction coefficients as division over the field gives.
     """
     ring = f.ring
@@ -161,11 +163,22 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
         reducers = _Reducers(ring, term_key, integral, [_reducer(g, term_key, integral) for g in elements])
     p = f.terms
     integral = reducers.integral and _all_rational((f,))
-    if integral:
-        lam = lcm(*[c.denominator for c in p.values()])
-        p = integer_multiple(p, lam)
-    else:
-        p = dict(p)
+    if not integral:
+        return Polynomial._of(ring, _divide(dict(p), 1, reducers, False)[0])
+    lam = lcm(*[c.denominator for c in p.values()])
+    remainder, lam = _divide(integer_multiple(p, lam), lam, reducers, True)
+    return Polynomial._of(ring, {k: Fraction(c, lam) for k, c in remainder.items()})
+
+
+def _divide(p: dict, lam, reducers: _Reducers, integral: bool) -> tuple[dict, object]:
+    """(remainder, lam): the division loop of normal_form on a dividend dict it takes over.
+
+    When integral, p holds the integers lam * f and the remainder comes back
+    as the integers lam * NF(f), for the lam that the steps have grown:
+    rescaling the dividend by m rescales the terms already moved out too.
+    Otherwise p holds field elements, lam is 1 and the remainder is NF(f).
+    """
+    term_key = reducers.term_key
     queue = sorted((term_key(t), t) for t in p)
     remainder: dict[TermKey, object] = {}
     while queue:
@@ -182,6 +195,8 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
                         m = gc // h
                         lam *= m
                         p = {k: v * m for k, v in p.items()}
+                        if remainder:
+                            remainder = {k: v * m for k, v in remainder.items()}
                     factor = -(c // h)
                 else:
                     factor = -(c / gc)
@@ -200,8 +215,8 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
                             del p[key]
                 break
         else:
-            remainder[best] = Fraction(c, lam) if integral else c
-    return Polynomial._of(ring, remainder)
+            remainder[best] = c
+    return remainder, lam
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: AnyOrder) -> Polynomial:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Sequence
 
 from .diffop import (
@@ -33,7 +34,7 @@ from .errors import (
     NotPrimaryError,
     ZeroPolynomialError,
 )
-from .groebner import GroebnerBasis, Staircase, buchberger, corner_monomials, normal_form, staircase
+from .groebner import GroebnerBasis, Staircase, _divide, buchberger, corner_monomials, staircase
 from .orderings import AnyOrder, as_module_order
 from .polynomial import Polynomial
 from .ring import (
@@ -119,41 +120,69 @@ def _prepare(G, center):
     return G0, center
 
 
-def _multiplication_matrices(G0: GroebnerBasis, stair: Staircase) -> list[dict]:
+def _multiplication_matrices(G0: GroebnerBasis, stair: Staircase) -> list[tuple[dict, object]]:
     """Multiplication by each variable on the quotient, in the staircase basis.
 
-    Entry j maps every residual monomial b to the terms of NF(x_j * b), the
-    sparse column of M_j at b.  A product that stays in the staircase is its
-    own normal form; only the border needs the division algorithm.
+    Entry j is (columns, D_j) with M_j = columns / D_j: columns maps every
+    residual monomial b to the sparse column D_j * NF(x_j * b), integers on
+    rational input.  A product that stays in the staircase is its own normal
+    form, the column {x_j * b: D_j}; only the border needs the division
+    loop, and D_j is the lcm of the denominators of the border's normal
+    forms, each in lowest terms.  Over a field of coefficients
+    (RationalFunction) every denominator, and D_j, is 1.
     """
     ring = G0.ring
+    reducers = G0._reducers
     residual = set(stair.monomials)
     matrices = []
     for j in range(ring.nvars):
         unit = ring.var_exp(j)
-        columns = {}
+        forms = {}
         for pos, exp in stair.monomials:
             key = (pos, exp_add(exp, unit))
-            if key in residual:
-                columns[(pos, exp)] = {key: Fraction(1)}
-            else:
-                columns[(pos, exp)] = normal_form(Polynomial.monomial(ring, key[1], 1, pos), G0).terms
-        matrices.append(columns)
+            forms[(pos, exp)] = ({key: 1}, 1) if key in residual else _monomial_normal_form(reducers, key)
+        den = lcm(*[scale for _, scale in forms.values()])
+        columns = {}
+        for b, (terms, scale) in forms.items():
+            columns[b] = terms if scale == den else {k: v * (den // scale) for k, v in terms.items()}
+        matrices.append((columns, den))
     return matrices
 
 
-def _times(column: dict, vector: dict) -> dict:
-    """The product M_j * vector for sparse vectors over the staircase."""
+def _monomial_normal_form(reducers, key) -> tuple[dict, object]:
+    """NF of the monomial key as (terms, den) in lowest terms, standing for terms / den."""
+    return _lowest_terms(*_divide({key: 1}, 1, reducers, reducers.integral))
+
+
+def _lowest_terms(terms: dict, den) -> tuple[dict, object]:
+    """(terms, den) for the vector terms / den, divided by the gcd of den and every entry.
+
+    den is an integer; when it is 1 the entries may be field elements.
+    """
+    if den == 1:
+        return terms, den
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {k: v // g for k, v in terms.items()}, den // g
+
+
+def _times(matrix: tuple, vector: tuple) -> tuple[dict, object]:
+    """The product M_j * v for sparse vectors v = terms / den over the staircase, in lowest terms."""
+    columns, den = matrix
+    terms, vden = vector
     out: dict = {}
-    for b, c in vector.items():
-        for key, v in column[b].items():
+    for b, c in terms.items():
+        for key, v in columns[b].items():
             out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}
+    return _lowest_terms({key: v for key, v in out.items() if v}, den * vden)
 
 
-def _nonzero_normal_forms(G0: GroebnerBasis, stair: Staircase) -> dict[TermKey, dict]:
-    """Terms of NF(x^alpha e_pos) for every monomial outside the input, by degree.
+def _nonzero_normal_forms(G0: GroebnerBasis, stair: Staircase) -> dict[TermKey, tuple]:
+    """NF(x^alpha e_pos) for every monomial outside the input, by degree.
 
+    Each normal form is a pair (terms, den), standing for terms / den with
+    integer terms on rational input and den 1 over a field of coefficients.
     Layer d+1 comes from layer d through NF(x^(alpha + e_j)) = M_j NF(x^alpha);
     only nonzero normal forms are carried, since a monomial with a zero
     predecessor lies in the input.  The walk ends at the first empty layer,
@@ -165,13 +194,15 @@ def _nonzero_normal_forms(G0: GroebnerBasis, stair: Staircase) -> dict[TermKey, 
     n = ring.nvars
     mu = stair.multiplicity
     units = [ring.var_exp(j) for j in range(n)]
+    reducers = G0._reducers
     layer = {}
     for pos in range(1, ring.rank + 1):
-        nf = normal_form(Polynomial.constant(ring, 1, pos), G0).terms
-        if nf:
-            layer[(pos, ring.zero_exp())] = nf
+        key = (pos, ring.zero_exp())
+        nf = _monomial_normal_form(reducers, key)
+        if nf[0]:
+            layer[key] = nf
     mult = _multiplication_matrices(G0, stair)
-    found: dict[TermKey, dict] = {}
+    found: dict[TermKey, tuple] = {}
     degree = 0
     while layer:
         if degree == mu:
@@ -180,7 +211,7 @@ def _nonzero_normal_forms(G0: GroebnerBasis, stair: Staircase) -> dict[TermKey, 
                 f"(the multiplicity) has a nonzero normal form"
             )
         found.update(layer)
-        above: dict[TermKey, dict] = {}
+        above: dict[TermKey, tuple] = {}
         seen: set[TermKey] = set()
         for (pos, alpha), vector in layer.items():
             for j in range(n):
@@ -192,7 +223,7 @@ def _nonzero_normal_forms(G0: GroebnerBasis, stair: Staircase) -> dict[TermKey, 
                 if any(up[k] and (pos, exp_sub(up, units[k])) not in layer for k in range(n)):
                     continue
                 image = _times(mult[j], vector)
-                if image:
+                if image[0]:
                     above[key] = image
         layer = above
         degree += 1
@@ -203,13 +234,15 @@ def dual_rows(G0: GroebnerBasis, stair: Staircase) -> list[dict]:
     """Operator terms, one dict per staircase monomial beta, in staircase order.
 
     The row at beta maps every monomial to the beta-coefficient of its normal
-    form, keys in reading order.
+    form, keys in reading order.  This is where the walk's integers become
+    Fractions, one per entry; field coefficients pass as they are.
     """
     nfs = _nonzero_normal_forms(G0, stair)
     rows: dict[TermKey, dict] = {beta: {} for beta in stair.monomials}
     for key in sorted(nfs, key=reading_key):
-        for beta, c in nfs[key].items():
-            rows[beta][key] = c
+        terms, den = nfs[key]
+        for beta, c in terms.items():
+            rows[beta][key] = Fraction(c, den) if type(c) is int else c
     return [rows[beta] for beta in stair.monomials]
 
 
@@ -223,7 +256,7 @@ def noetherian_forward(G: GroebnerBasis, center=None) -> NoetherianBasis:
     """
     G0, center = _prepare(G, center)
     stair = staircase(G0)
-    ops = tuple(DiffOp(G0.ring, row, center) for row in dual_rows(G0, stair))
+    ops = tuple(DiffOp._of(G0.ring, row, center) for row in dual_rows(G0, stair))
     basis = NoetherianBasis(ops, stair.multiplicity, center, "forward", G0)
     basis.validate()
     return basis

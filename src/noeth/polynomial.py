@@ -199,12 +199,19 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, n: int) -> "Polynomial":
+        """Square-and-multiply from the base: p ** 0 is the constant 1, p ** 1 is p itself."""
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.ring, 1)
-        for _ in range(n):
-            result = poly_mul(result, self)
-        return result
+        if n == 0:
+            return Polynomial.constant(self.ring, 1)
+        result, square = None, self
+        while True:
+            if n & 1:
+                result = square if result is None else poly_mul(result, square)
+            n >>= 1
+            if not n:
+                return result
+            square = poly_mul(square, square)
 
     # -- evaluation and substitution ---------------------------------------
 

@@ -488,9 +488,11 @@ def parse_polynomial(text: str, ring: RingDescriptor) -> Polynomial:
     parser = _Parser(tokenize(text))
     inner_ring = ring.with_rank(1) if ring.rank > 1 else ring
     if parser.at_punct("["):
+        bracket = parser.peek()
         row = parser.parse_vector(inner_ring)
-        if ring.rank > 1 and len(row) != ring.rank:
-            raise ParseError(f"expected {ring.rank} entries, got {len(row)}", 1, 1)
+        if len(row) != ring.rank:
+            entries = "entry" if ring.rank == 1 else "entries"
+            raise ParseError(f"expected {ring.rank} {entries}, got {len(row)}", bracket.line, bracket.column)
         result = _assemble_vector(ring, row)
     else:
         result = parser.parse_polynomial(inner_ring)

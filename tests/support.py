@@ -13,9 +13,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from noeth import Polynomial, RingDescriptor
+from noeth import Polynomial, RingDescriptor, normal_form
 from noeth.orderings import leading_term
-from noeth.ring import exp_deg, exp_divides
+from noeth.ring import exp_add, exp_deg, exp_divides, exp_sub, reading_key
 
 RX = RingDescriptor(("x",), 1)
 RXY = RingDescriptor(("x", "y"), 2)
@@ -395,3 +395,67 @@ def oracle_multiplicity(basis):
         if not any(all(u >= v for u, v in zip(exp, lt)) for lt in lts):
             count += 1
     return count
+
+
+# -- the forward walk over a field ---------------------------------------------
+# noetherian.dual_rows walks integer vectors over one denominator each.  This
+# is the same degree walk over the coefficient field: the columns of M_j are
+# normal_form results with Fraction (or rational-function) coefficients, a
+# product inside the staircase is the column {x_j b: Fraction(1)}, and every
+# product of the walk is a field product.
+
+
+def reference_dual_rows(G0, stair):
+    """Rows of the forward construction, read off a field-arithmetic degree walk."""
+    ring = G0.ring
+    n = ring.nvars
+    residual = set(stair.monomials)
+    units = [ring.var_exp(j) for j in range(n)]
+    mult = []
+    for unit in units:
+        columns = {}
+        for pos, exp in stair.monomials:
+            key = (pos, exp_add(exp, unit))
+            if key in residual:
+                columns[(pos, exp)] = {key: Fraction(1)}
+            else:
+                columns[(pos, exp)] = normal_form(Polynomial.monomial(ring, key[1], 1, pos), G0).terms
+        mult.append(columns)
+
+    def times(columns, vector):
+        out = {}
+        for b, c in vector.items():
+            for key, v in columns[b].items():
+                out[key] = out.get(key, 0) + c * v
+        return {key: v for key, v in out.items() if v}
+
+    layer = {}
+    for pos in range(1, ring.rank + 1):
+        nf = normal_form(Polynomial.constant(ring, 1, pos), G0).terms
+        if nf:
+            layer[(pos, ring.zero_exp())] = nf
+    found = {}
+    for _ in range(stair.multiplicity + 1):
+        if not layer:
+            break
+        found.update(layer)
+        above, seen = {}, set()
+        for (pos, alpha), vector in layer.items():
+            for j in range(n):
+                key = (pos, exp_add(alpha, units[j]))
+                if key in seen:
+                    continue
+                seen.add(key)
+                up = key[1]
+                if any(up[k] and (pos, exp_sub(up, units[k])) not in layer for k in range(n)):
+                    continue
+                image = times(mult[j], vector)
+                if image:
+                    above[key] = image
+        layer = above
+    assert not layer, "a monomial of degree mu has a nonzero normal form"
+    rows = {beta: {} for beta in stair.monomials}
+    for key in sorted(found, key=reading_key):
+        for beta, c in found[key].items():
+            rows[beta][key] = c
+    return [rows[beta] for beta in stair.monomials]

@@ -385,6 +385,19 @@ def test_zero_denominator_in_an_nf_argument_is_a_parse_error(capsys, standard):
     assert_parse_error(capsys, ["nf", "1/0*x", standard], "zero denominator", 1, 1)
 
 
+def test_a_vector_argument_must_have_one_entry_per_position(capsys, tmp_path, standard):
+    # on an ideal, a one-entry vector is the polynomial itself
+    for command in ("nf", "member"):
+        assert run(capsys, command, "[x^2 + x]", standard) == run(capsys, command, "x^2 + x", standard)
+        assert_parse_error(capsys, [command, "[x, y]", standard], "expected 1 entry, got 2", 1, 1)
+        assert_parse_error(capsys, [command, "  [x, y]", standard], "expected 1 entry, got 2", 1, 3)
+    path = tmp_path / "module.noeth"
+    path.write_text("ring x, y;\norder lex;\nmodule [x, 1], [y, 0], [0, y];\n")
+    assert run(capsys, "nf", "[x, y]", str(path)) == (0, "[0, -1]\n", "")
+    for argument, got in (("[x]", 1), ("[x, y, 1]", 3)):
+        assert_parse_error(capsys, ["nf", argument, str(path)], f"expected 2 entries, got {got}", 1, 1)
+
+
 def test_duplicate_variable_name_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "twice.noeth"
     path.write_text("ring x, x;\norder lex;\nideal x;\n")

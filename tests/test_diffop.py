@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from noeth.diffop import Echelon, alpha_factorial
 from noeth.errors import NotClosedError, RingMismatchError
 from noeth.linalg import rref
 from noeth.ring import reading_key
-from support import RXY, RXYZ, random_fraction, random_polynomial
+from support import RXY, RXYZ, fraction_rank, random_fraction, random_polynomial
 
 
 def op(terms, ring=RXY, center=None):
@@ -372,6 +373,63 @@ def test_echelon_reduce_and_add():
     assert not span.add(op({(0, 0): 2, (1, 0): 1, (0, 2): 7}).terms)
     assert span.add(op({(0, 2): 5}).terms)
     assert span.operators(RXY) == (op({(0, 0): 1}), op({(1, 0): 1}), op({(0, 2): 1}))
+
+
+def dense_is_closed(ops):
+    """Reference closure check: no lowered operator raises the rank of ops (support.fraction_rank)."""
+    ops = [L for L in ops if L]
+    lowered = [L.sigma(j) for L in ops for j in range(L.ring.x_count)]
+    columns = sorted({k for L in ops + lowered for k in L.terms}, key=reading_key)
+    zero = next((c - c for L in ops for c in L.terms.values()), Fraction(0))
+
+    def rank(vectors):
+        return fraction_rank([[L.terms.get(k, zero) for k in columns] for L in vectors])
+
+    full = rank(ops)
+    return all(rank(ops + [M]) == full for M in lowered)
+
+
+def test_is_closed_agrees_with_a_dense_rank_check():
+    rng = random.Random(379)
+    cases = []
+    for _ in range(30):
+        ring = rng.choice([RXY, RXYZ])
+        ops = list(closure([random_operator(rng, ring, max_terms=3, max_deg=2) for _ in range(rng.randint(1, 2))]))
+        kind = rng.randrange(3)
+        if kind == 1 and ops:
+            del ops[rng.randrange(len(ops))]  # usually leaves a lowering image outside
+        elif kind == 2:
+            ops.append(random_operator(rng, ring, max_deg=3))
+        if ops:
+            ops = [L.scale(big_fraction(rng) or 1) for L in ops]
+            ops += combinations(rng, ops, lambda: big_fraction(rng), rng.randint(0, 2))  # dependent
+        rng.shuffle(ops)
+        cases.append(ops)
+    ring = RingDescriptor(("x", "y", "t"), 2, 1)
+    x, y, t = (Polynomial.variable(ring, i) for i in range(3))
+    cring = RingDescriptor(("t",), 1)
+    u = Polynomial.variable(cring, 0)
+
+    def scalar():
+        return RationalFunction(u.scale(random_fraction(rng) or 1) + 1, u + rng.randint(1, 3))
+
+    for gens in ([x**3, y - x * t], [x**2, y**3, x * y * t - y**2]):
+        rf_ops = list(noetherian_positive(buchberger(gens, Lex())).operators)
+        cases += [rf_ops, rf_ops[1:], rf_ops[:-1], rf_ops + combinations(rng, rf_ops, scalar, 2)]
+        cases.append(combinations(rng, rf_ops[1:], scalar, 2))
+    outcomes = Counter()
+    for ops in cases:
+        expect = dense_is_closed(ops)
+        outcomes[expect] += 1
+        assert is_closed(ops) is expect
+        spans = [Echelon(ops)]
+        if all(type(c) is Fraction for L in ops for c in L.terms.values()):
+            spans.append(field_echelon(ops))  # Fraction operators on field rows
+        for span in spans:
+            before = (span.integral, [(p, list(row.items())) for p, row in span.rows.items()])
+            assert is_closed(ops, echelon=span) is expect
+            assert (span.integral, [(p, list(row.items())) for p, row in span.rows.items()]) == before
+    assert outcomes[True] >= 10 and outcomes[False] >= 10
 
 
 def test_closure_goldens():

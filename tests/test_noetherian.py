@@ -19,6 +19,7 @@ from noeth import (
     ModuleOrder,
     NoetherianBasis,
     Polynomial,
+    RationalFunction,
     buchberger,
     ideal_from_conditions,
     is_member,
@@ -36,6 +37,7 @@ from noeth.errors import (
     NotPrimaryError,
     ZeroPolynomialError,
 )
+from noeth.posdim import extend_to_rational_coeffs
 from noeth.ring import reading_key
 from support import (
     RM2,
@@ -45,6 +47,7 @@ from support import (
     random_combination,
     random_origin_primary,
     random_polynomial,
+    reference_dual_rows,
 )
 
 
@@ -206,12 +209,17 @@ def reference_forward_rows(G, center=None):
     return [list(rows[beta].items()) for beta in stair.monomials]
 
 
-def sheared(gens, rng):
-    """Images of gens under a random unipotent linear change of coordinates."""
+def sheared(gens, rng, scalar=None):
+    """Images of gens under a random unipotent linear change of coordinates.
+
+    The off-diagonal coefficients are drawn from scalar(), by default
+    integers in [-2, 2].
+    """
     ring = gens[0].ring
+    scalar = scalar or (lambda: rng.randint(-2, 2))
     xs = [Polynomial.variable(ring, i) for i in range(ring.nvars)]
     images = [
-        sum((xs[j].scale(rng.randint(-2, 2)) for j in range(i + 1, ring.nvars)), xs[i])
+        sum((xs[j].scale(scalar()) for j in range(i + 1, ring.nvars)), xs[i])
         for i in range(ring.nvars)
     ]
     out = []
@@ -254,6 +262,69 @@ def test_forward_matches_one_normal_form_per_monomial():
         basis = noetherian_forward(G, center)
         assert [list(L.terms.items()) for L in basis.operators] == reference_forward_rows(G, center)
         assert basis.center == (center or (Fraction(0),) * G.ring.nvars)
+
+
+def mixed_fraction(rng):
+    """A small fraction, or one with numerator and denominator up to 2^40."""
+    if rng.random() < 0.5:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Fraction(rng.randint(-(2**40), 2**40), rng.randint(2**20, 2**40))
+
+
+def vector(first, second):
+    """The element of RM2 with entries first and second, polynomials over RXY or 0."""
+    terms = {}
+    for pos, entry in ((1, first), (2, second)):
+        if entry:
+            terms.update(((pos, exp), c) for (_, exp), c in entry.terms.items())
+    return Polynomial(RM2, terms)
+
+
+def test_dual_rows_match_the_fraction_walk():
+    rng = random.Random(433)
+    cases = []
+    for ring in (RXY, RXYZ):
+        for _ in range(4):
+            gens = sheared(random_origin_primary(rng, ring, 10), rng, lambda: mixed_fraction(rng))
+            center = tuple(mixed_fraction(rng) for _ in range(ring.nvars))
+            moved = [g.substitute_affine([-c for c in center]).scale(mixed_fraction(rng) or 1) for g in gens]
+            cases.append((buchberger(moved, DegLex(), ring), center))
+    # rank 2: I1 e1 and (h g, g) for g in I2, primary when I1 and I2 are
+    for order in (ModuleOrder(DegLex(), TOP), ModuleOrder(DegRevLex(), POT)):
+        for _ in range(3):
+            first, second = (
+                sheared(random_origin_primary(rng, RXY, 6), rng, lambda: mixed_fraction(rng)) for _ in range(2)
+            )
+            h = random_polynomial(rng, RXY, max_terms=3, max_deg=2).scale(mixed_fraction(rng) or 1)
+            gens = [vector(g, 0) for g in first] + [vector(h * g, g) for g in second]
+            center = (mixed_fraction(rng), mixed_fraction(rng))
+            moved = [g.substitute_affine([-c for c in center]) for g in gens]
+            cases.append((buchberger(moved, order, RM2), center))
+    spec = parse_problem(MODULE_COMPONENTS)
+    cases += [(buchberger(c.generators, spec.effective_order, spec.ring), c.center) for c in spec.components]
+    largest = 0
+    for G, center in cases:
+        G0, _ = noeth.noetherian.translate(G, center)
+        stair = staircase(G0)
+        rows = noeth.noetherian.dual_rows(G0, stair)
+        assert [list(r.items()) for r in rows] == [list(r.items()) for r in reference_dual_rows(G0, stair)]
+        assert all(type(c) is Fraction for r in rows for c in r.values())
+        largest = max([largest] + [c.denominator for r in rows for c in r.values()])
+    assert largest > 2**64
+    # over the parameter ring the walk runs on rational-function coefficients
+    spec = parse_problem(
+        "ring x, y | t;\norder product(deglex, lex);\n"
+        "ideal (x - 2 + 7/3*t*y)^3, y^2 - 5/11*t*(x - 2)*y;\ncenter 2, 0, 5/3;\n"
+    )
+    G0, _ = noeth.noetherian.translate(buchberger(spec.generators, spec.effective_order, spec.ring), spec.center)
+    Gx = extend_to_rational_coeffs(G0)
+    stair = staircase(Gx)
+    rows = noeth.noetherian.dual_rows(Gx, stair)
+    reference = reference_dual_rows(Gx, stair)
+    assert [[(k, c, type(c)) for k, c in r.items()] for r in rows] == [
+        [(k, c, type(c)) for k, c in r.items()] for r in reference
+    ]
+    assert any(type(c) is RationalFunction for r in rows for c in r.values())
 
 
 def test_forward_rejects_non_primary_input():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import noeth.polynomial
 from noeth import Polynomial, RationalFunction, RingDescriptor, poly_mul
 from noeth.errors import RingMismatchError
 from support import (
@@ -114,6 +115,32 @@ def test_ring_axioms_randomized():
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
         assert poly_mul(f, g) == f * g
+
+
+def test_power_matches_repeated_products(monkeypatch):
+    rng = random.Random(409)
+    products = []
+
+    def counted(f, g):
+        products.append((f, g))
+        return poly_mul(f, g)
+
+    monkeypatch.setattr(noeth.polynomial, "poly_mul", counted)
+    for ring in (RX, RXY, RXYZ):
+        for _ in range(4):
+            p = random_nonzero(rng, ring, max_terms=3, max_deg=2)
+            expect = Polynomial.constant(ring, 1)
+            for n in range(9):
+                del products[:]
+                assert (p**n).terms == expect.terms
+                # square-and-multiply from the base: never a product with 1
+                assert len(products) == max(n.bit_length() + bin(n).count("1") - 2, 0)
+                assert all(Polynomial.constant(ring, 1) not in pair for pair in products)
+                expect = p if n == 0 else poly_mul(expect, p)
+            assert p**1 is p
+    assert Polynomial.zero(RXY) ** 0 == Polynomial.constant(RXY, 1)
+    with pytest.raises(ValueError):
+        p ** -1
 
 
 def test_degree_of_product_adds():

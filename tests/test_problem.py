@@ -28,6 +28,17 @@ ideal x^2, y^2, -x*t + y;
 """
 
 
+def test_parenthesised_powers_parse_to_repeated_products():
+    x, y = Polynomial.variable(RXY, "x"), Polynomial.variable(RXY, "y")
+    base = x + y.scale(Fraction(-2, 3)) + 1
+    expect = Polynomial.constant(RXY, 1)
+    for k in range(9):
+        assert parse_polynomial(f"(x - 2/3*y + 1)^{k}", RXY) == expect
+        spec = parse_problem(f"ring x, y;\norder deglex;\nideal (x - 2/3*y + 1)^{k}, y^2;\n")
+        assert spec.generators[0] == expect
+        expect = expect * base
+
+
 def test_worked_problem_file():
     spec = parse_problem(WORKED)
     assert spec.ring.names == ("x", "y", "t")
