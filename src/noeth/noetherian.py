@@ -4,15 +4,18 @@ Three constructions of the same span are provided, each called as f(G, center)
 on a GroebnerBasis of the input and reaching the center through one
 translate, which posdim's parameter-coefficient construction shares: a
 forward pass reading normal-form coefficients, a backward pass anti-rewriting
-corner monomials against the leads the basis has cached, and a
-degree-climbing linear solve.  All return a NoetherianBasis whose operator
-list is in the canonical row form anchored at the residual monomials, so
-results from different routes compare equal term by term.  The inverse,
-ideal_from_conditions, recovers the reduced Groebner basis from the span.
+corner monomials against the leads the basis has cached, and Mourrain's
+integration method, one queue of candidate operators over one kernel of
+annihilation and closure constraints.  All return a NoetherianBasis whose
+operator list is in the canonical row form anchored at the residual
+monomials, so results from different routes compare equal term by term.  The
+inverse, ideal_from_conditions, recovers the reduced Groebner basis from the
+span.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -22,8 +25,8 @@ from typing import Sequence
 from .diffop import (
     DiffOp,
     Echelon,
+    _lowered,
     apply_at,
-    canonical_operator_basis,
     closure,
     is_closed,
     pivots_first,
@@ -36,7 +39,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis, Staircase, _divide, buchberger, corner_monomials, staircase
 from .orderings import AnyOrder, as_module_order
-from .polynomial import Polynomial
+from .polynomial import Polynomial, add_into
 from .ring import (
     TermKey,
     as_center,
@@ -112,11 +115,9 @@ def _prepare(G, center):
     if isinstance(G, GroebnerBasis) and G.ring.t_count:
         raise NoethError("variables after the separator require the parameter-coefficient construction")
     G0, center = translate(G, center)
-    if G0.ring.rank == 1:
-        origin = (Fraction(0),) * G0.ring.nvars
-        for g in G0.elements:
-            if g.evaluate(origin) != 0:
-                raise NoethError("the center is not a zero of the input ideal")
+    origin = (Fraction(0),) * G0.ring.nvars
+    if G0.ring.rank == 1 and any(g.evaluate(origin) for g in G0.elements):
+        raise NotPrimaryError("the input is not primary at the center: the center is not a zero of the input")
     return G0, center
 
 
@@ -372,79 +373,72 @@ def _relation(kernel: Echelon, vector: dict, tag):
     return {column[1]: c for column, c in residue.items()}
 
 
-# -- linear-solve construction ---------------------------------------------------
+# -- integration construction ----------------------------------------------------
 
 
 def noetherian_linear(G: GroebnerBasis, center=None) -> NoetherianBasis:
-    """Degree-climbing construction from closure and annihilation constraints.
+    """Integration construction: one queue of candidates over one kernel.
 
     Candidates are the units and the restricted integrals of the operators
-    found so far: x_j raises only the terms free of x_1, ..., x_(j-1), which
-    reaches every closed operator (Mourrain, JPAA 1997).  The search is
-    therefore complete, and ending with fewer than mu operators means the
-    input is not primary at the center.  The constraints are annihilation of
-    the basis translated to the center, which is shared with the other
-    constructions.
+    found: x_j raises only the terms free of x_1, ..., x_(j-1), which reaches
+    every closed operator (Mourrain, JPAA 1997).  A candidate P is one kernel
+    column, its values on the basis translated to the center and its
+    lowerings sigma_j P; a found operator F is one column per j, -F at the
+    coordinates of sigma_j.  A relation among the columns is a combination
+    of candidates that annihilates the input and lowers into the span of
+    the found operators, so no column goes stale as the span grows.  The
+    search is complete, and running out of candidates short of mu operators
+    means the input is not primary at the center.  The span puts the
+    residual monomials first, so its rows are already the canonical basis.
     """
     G0, center = _prepare(G, center)
     ring = G0.ring
     stair = staircase(G0)
     mu = stair.multiplicity
-
-    found: list[DiffOp] = []
-    span = Echelon()
-    while len(found) < mu:
-        pool: list[DiffOp] = [
-            DiffOp.identity(ring, position=pos) for pos in range(1, ring.rank + 1)
-        ]
-        for L in found:
+    span = Echelon(key=pivots_first(stair.monomials))
+    kernel = Echelon(key=_tags_last)
+    # Solve at the origin; the real center is attached at the end.
+    origin = (Fraction(0),) * ring.nvars
+    candidates: list[DiffOp] = []
+    units = [DiffOp.identity(ring, pos, origin) for pos in range(1, ring.rank + 1)]
+    queue: deque = deque(units)
+    seen = set(units)
+    while queue and len(span) < mu:
+        item = queue.popleft()
+        if isinstance(item, DiffOp):
+            tag = (0, len(candidates))
+            candidates.append(item)
+            column = {("g", i): v for i, g in enumerate(G0.elements) if (v := apply_at(item, g))}
             for j in range(ring.x_count):
-                free = {(pos, a): c for (pos, a), c in L.terms.items() if not any(a[:j])}
-                pool.append(DiffOp._of(ring, free, L.center).rho(j))
-        uniq: list[DiffOp] = []
-        seen_terms = set()
-        for P in pool:
-            key = frozenset(P.terms.items())
-            if key and key not in seen_terms:
-                seen_terms.add(key)
-                uniq.append(P)
-        pool = uniq
-
-        # Unknowns: one coefficient per pool member, whose column holds its
-        # constraint values: every basis element is annihilated, and each lowering
-        # image stays in the current span.  A column that depends on the
-        # earlier ones gives a kernel vector.
-        columns = []
-        for P in pool:
-            column = {("g", i): v for i, g in enumerate(G0.elements) if (v := apply_at(P, g))}
-            for j in range(ring.x_count):
-                column.update((("s", j, k), c) for k, c in span.reduce(P.sigma(j).terms).items())
-            columns.append(column)
-        kernel = Echelon(key=_tags_last)
-        added = 0
-        for idx, column in enumerate(columns):
-            relation = _relation(kernel, column, idx)
-            if relation is None:
-                continue
-            # Solve at the origin; the real center is attached at the end.
-            L = DiffOp(ring, {})
-            for t in sorted(relation):
-                L = L + pool[t].scale(relation[t])
-            if L.is_zero():
-                continue
-            if span.add(L.terms):
-                found.append(L)
-                added += 1
-                if len(found) == mu:
-                    break
-        if added == 0:
-            raise NotPrimaryError(
-                f"the input is not primary at the center: the closed operators that "
-                f"annihilate it span {len(found)} dimensions, short of the multiplicity {mu}"
-            )
-
-    ops = canonical_operator_basis(found, ring, center, pivot_keys=list(stair.monomials))
-    basis = NoetherianBasis(ops, mu, center, "linear", G0)
+                column.update((("s", j, k), c) for k, c in _lowered(item.terms, j).items())
+        else:
+            tag, column = item
+        relation = _relation(kernel, column, tag)
+        if relation is None:
+            continue
+        L: dict = {}
+        for (kind, idx, *_), c in relation.items():
+            if kind == 0:
+                add_into(L, ((k, v * c) for k, v in candidates[idx].terms.items()))
+        if not span.add(L):
+            continue
+        # A found operator's columns go first: the relations they complete
+        # among candidates already held need no new candidate.
+        found = len(span)
+        for j in range(ring.x_count):
+            queue.appendleft(((1, found, j), {("s", j, k): -c for k, c in L.items()}))
+            P = DiffOp._of(ring, {(pos, a): c for (pos, a), c in L.items() if not any(a[:j])}, origin).rho(j)
+            if P and P not in seen:
+                seen.add(P)
+                queue.append(P)
+    if len(span) < mu:
+        raise NotPrimaryError(
+            f"the input is not primary at the center: the closed operators that "
+            f"annihilate it span {len(span)} dimensions, short of the multiplicity {mu}"
+        )
+    if span.pivots() != list(stair.monomials):
+        raise NotClosedError("span does not project onto the residual monomials")
+    basis = NoetherianBasis(span.operators(ring, center), mu, center, "linear", G0)
     basis.validate()
     return basis
 
@@ -498,5 +492,7 @@ def ideal_from_conditions(ops: Sequence[DiffOp], order: AnyOrder) -> GroebnerBas
 
 
 def membership_by_operators(f: Polynomial, basis: NoetherianBasis) -> bool:
-    """True when every operator annihilates f at the center."""
+    """True when every operator annihilates f at the center; no parameters, which apply_at fixes there."""
+    if f.ring.t_count or any(type(c) is not Fraction for L in basis.operators for c in L.terms.values()):
+        raise NoethError("membership over parameters: use member_positive")
     return all(apply_at(L, f) == 0 for L in basis.operators)

@@ -217,6 +217,18 @@ def reference_substitute_affine(f: Polynomial, point) -> Polynomial:
     return Polynomial(ring, acc)
 
 
+def fix_parameters(f: Polynomial, t0) -> Polynomial:
+    """f with its parameters fixed at the point t0, over the ring of its x-block."""
+    ring = f.ring
+    n = ring.x_count
+    acc: dict = {}
+    for (pos, exp), c in f.terms.items():
+        for e, p in zip(exp[n:], t0):
+            c = c * Fraction(p) ** e
+        acc[(pos, exp[:n])] = acc.get((pos, exp[:n]), 0) + c
+    return Polynomial(ring.x_subring(), acc)
+
+
 def poly_derivative(f: Polynomial, i: int) -> Polynomial:
     """Partial derivative with respect to variable i."""
     terms: dict = {}

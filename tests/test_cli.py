@@ -211,6 +211,18 @@ def test_linear_non_primary_input_is_exit_one(capsys, tmp_path):
     assert err.startswith("error: the input is not primary at the center: ")
 
 
+@pytest.mark.parametrize(
+    "argv", [["--method", "forward"], ["--method", "backward"], ["--method", "linear"], ["--check-all"]]
+)
+def test_a_center_off_the_ideal_is_not_primary(capsys, tmp_path, argv):
+    path = tmp_path / "off.noeth"
+    path.write_text("ring x, y;\norder deglex;\nideal x^2, y^2, x*y;\ncenter 1/2, 0;\n")
+    message = "the input is not primary at the center: the center is not a zero of the input"
+    assert run(capsys, "noether", *argv, str(path)) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "noether", *argv, "--json", str(path))
+    assert (code, json.loads(out), err) == (1, {"error": message}, "")
+
+
 @pytest.mark.parametrize("ideal", ["x^2 - x*t", "x^2 - x", "x - 1"])
 def test_posdim_non_primary_input_is_exit_one(capsys, tmp_path, ideal):
     path = tmp_path / "not_primary.noeth"

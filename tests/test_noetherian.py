@@ -116,6 +116,33 @@ def test_methods_agree_on_random_primary_ideals():
         assert results[0].operators == results[1].operators == results[2].operators
 
 
+def test_linear_evaluates_each_candidate_once(monkeypatch):
+    # one kernel for the whole run: no candidate is applied to a generator
+    # twice, and the span's rows are the canonical basis as they stand
+    evaluated = []
+    apply = noeth.noetherian.apply_at
+
+    def counted(L, f):
+        evaluated.append((frozenset(L.terms.items()), f))
+        return apply(L, f)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear canonicalizes through its own span")
+
+    monkeypatch.setattr(noeth.noetherian, "apply_at", counted)
+    monkeypatch.setattr(noeth.diffop, "canonical_operator_basis", refuse)
+    monkeypatch.setattr(noeth.noetherian, "canonical_operator_basis", refuse, raising=False)
+    cases = [(buchberger(gens, order, gens[0].ring), center) for gens, order, center in
+             random_primary_cases(random.Random(420))]
+    cases.append((buchberger(shifted_module(), ModuleOrder(DegLex(), "top"), RM2), (1, 0)))
+    for G, center in cases:
+        evaluated.clear()
+        linear = noetherian_linear(G, center)
+        assert evaluated and len(set(evaluated)) == len(evaluated)
+        # term for term: same coefficients on the same keys, at the same center
+        assert linear.operators == noetherian_forward(G, center).operators
+
+
 def test_methods_agree_with_scaled_rewriting_coefficients():
     # ideals whose reduced basis has only +/-1 coefficients cannot tell a
     # normal-form coefficient from its inverse; this one can: NF(x) = 3/2 y
@@ -142,14 +169,18 @@ def test_shifted_center_rank_one():
         )
 
 
-def test_module_input_with_center():
+def shifted_module():
+    """Generators of a rank-2 module primary at the center (1, 0)."""
     x1 = Polynomial.variable(RM2, "x", 1)
     y1 = Polynomial.variable(RM2, "y", 1)
     x2 = Polynomial.variable(RM2, "x", 2)
     e1 = Polynomial.constant(RM2, 1, 1)
     e2 = Polynomial.constant(RM2, 1, 2)
-    gens = [x1 - e1 + e2, y1, y1 + x2 - e2]
-    G = buchberger(gens, ModuleOrder(DegLex(), "top"), RM2)
+    return [x1 - e1 + e2, y1, y1 + x2 - e2]
+
+
+def test_module_input_with_center():
+    G = buchberger(shifted_module(), ModuleOrder(DegLex(), "top"), RM2)
     basis = noetherian_forward(G, center=(1, 0))
     assert basis.multiplicity == 2
     assert basis.operators == (
@@ -163,10 +194,12 @@ def test_module_input_with_center():
 def test_center_must_be_a_zero():
     x, y = xy_vars()
     G = buchberger([x - 1, y], DegLex(), RXY)
-    with pytest.raises(NoethError):
-        noetherian_forward(G)
-    with pytest.raises(NoethError):
-        noetherian_forward(buchberger([x, y], DegLex(), RXY), center=(5, 0))
+    off = "not primary at the center: the center is not a zero of the input"
+    for build in (noetherian_forward, noetherian_backward, noetherian_linear):
+        with pytest.raises(NotPrimaryError, match=off):
+            build(G)
+        with pytest.raises(NotPrimaryError, match=off):
+            build(buchberger([x, y], DegLex(), RXY), center=(5, 0))
 
 
 def test_linear_method_rejects_non_primary_input():
@@ -181,10 +214,8 @@ def test_translate_to_origin():
     x1 = Polynomial.variable(RM2, "x", 1)
     y1 = Polynomial.variable(RM2, "y", 1)
     x2 = Polynomial.variable(RM2, "x", 2)
-    e1 = Polynomial.constant(RM2, 1, 1)
     e2 = Polynomial.constant(RM2, 1, 2)
-    gens = [x1 - e1 + e2, y1, y1 + x2 - e2]
-    moved = [g.substitute_affine((1, 0)) for g in gens]
+    moved = [g.substitute_affine((1, 0)) for g in shifted_module()]
     assert moved == [x1 + e2, y1, y1 + x2]
     rng = random.Random(311)
     for _ in range(20):

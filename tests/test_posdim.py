@@ -13,22 +13,27 @@ from noeth import (
     DegLex,
     DiffOp,
     Lex,
+    NoetherianBasis,
     Polynomial,
     ProductOrder,
     RationalFunction,
     RingDescriptor,
+    apply_at,
     buchberger,
     check_normal_position,
     cleanup_operators,
     extend_to_rational_coeffs,
     is_member,
     member_positive,
+    membership_by_operators,
     noetherian_forward,
     noetherian_positive,
     normal_form,
+    parse_polynomial,
     parse_problem,
     staircase,
 )
+from noeth.diffop import Echelon
 from noeth.errors import (
     NoethError,
     NormalPositionError,
@@ -42,6 +47,7 @@ from support import (
     RM2,
     RXT,
     RXY,
+    fix_parameters,
     oracle_buchberger,
     oracle_from,
     oracle_multiplicity,
@@ -304,6 +310,59 @@ def test_membership_equivalence_randomized():
         bump = bump.scale(Fraction(rng.randint(1, 5)))
         assert not member_positive(f + bump, basis)
         assert not normal_form(f + bump, G).is_zero()
+
+
+def test_membership_by_operators_refuses_parameters():
+    # apply_at reads t^0 coefficients only, which on coefficients in k(t)
+    # would call the generator (x + t*y)^2 a non-member
+    spec = parse_problem("ring x, y | t;\norder product(deglex, lex);\nideal (x + t*y)^2, y^2;\ncenter 0, 0, 1;\n")
+    G = buchberger(spec.generators, spec.effective_order, spec.ring)
+    basis = noetherian_positive(G, spec.center)
+    for text, verdict in (("(x + t*y)^2", True), ("x", False)):
+        f = parse_polynomial(text, spec.ring)
+        assert member_positive(f, basis) == is_member(f, G) == verdict
+        with pytest.raises(NoethError, match="use member_positive"):
+            membership_by_operators(f, basis)
+    # rational operators on a parameter ring would fix t at the center's
+    # t = 1, where t*x - x vanishes, though it is not in (x^2, y^2)
+    x, y, t = (Polynomial.variable(spec.ring, i) for i in range(3))
+    ops = tuple(DiffOp(spec.ring, {(1, a): 1}, spec.center) for a in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    f = t * x - x
+    assert not is_member(f, buchberger([x**2, y**2], spec.effective_order))
+    with pytest.raises(NoethError, match="use member_positive"):
+        membership_by_operators(f, NoetherianBasis(ops, 4, spec.center, "forward", None))
+
+
+PARAMETER_POINTS = tuple(Fraction(v) for v in ("-3", "-2", "-1", "-1/2", "0", "1/3", "1", "2", "5/2", "4"))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_positive_specializes_to_forward_at_parameter_points(k):
+    # at a parameter value t0 the operators L_i(t0) must annihilate g(x, t0)
+    # at c_x and span what forward finds for g(x, t0); a point is excluded,
+    # before any comparison, where a denominator vanishes or mu differs
+    rng = random.Random(505 + k)
+    x, y, t = (Polynomial.variable(RXYT2, i) for i in range(3))
+    a = random_nonzero_fraction(rng)
+    center = (Fraction(1), Fraction(-1, 2), Fraction(2))
+    gens = moved_to([(x + (t * y).scale(a)) ** k, y**k], center[:2] + (0,))
+    basis = noetherian_positive(buchberger(gens, ProductOrder(DegLex(), Lex())), center)
+    xring, cx = RXYT2.x_subring(), center[:2]
+    qualified = 0
+    for t0 in PARAMETER_POINTS:
+        dens = [c.den.evaluate((t0,)) for L in basis for c in L.terms.values()]
+        special = [fix_parameters(g, (t0,)) for g in gens]
+        G0 = buchberger(special, DegLex(), xring)
+        if not all(dens) or staircase(G0).multiplicity != basis.multiplicity:
+            continue
+        qualified += 1
+        ops = [
+            DiffOp(xring, {key: c.num.evaluate((t0,)) / c.den.evaluate((t0,)) for key, c in L.terms.items()}, cx)
+            for L in basis
+        ]
+        assert all(apply_at(L, g) == 0 for L in ops for g in special)
+        assert Echelon(ops) == Echelon(noetherian_forward(G0, cx).operators)
+    assert qualified >= 8
 
 
 def reference_positive_rows(gens, order, rounds=None):
