@@ -20,7 +20,6 @@ import argparse
 import functools
 import sys
 
-from .diffop import span_equal_operators
 from .epsolution import build_solution, render_solution, solution_json
 from .errors import NoethError, ParseError
 from .groebner import buchberger, corner_monomials, is_member, normal_form, staircase
@@ -105,12 +104,13 @@ def _noether_basis(problem: Problem, method: str, check_all: bool):
     G, center = problem.basis, problem.spec.center
     basis = METHODS[method](G, center=center)
     if check_all:
-        # the constructions share G and its translate to the center
+        # the constructions share G and its translate to the center, and
+        # each returns the canonical row form, so equal spans are equal tuples
         for name, build in METHODS.items():
             if name == method:
                 continue
             other = build(G, center=center)
-            if not span_equal_operators(basis.operators, other.operators):
+            if basis.operators != other.operators:
                 raise NoethError(f"method disagreement: {method} and {name} spans differ")
     return basis
 

@@ -16,7 +16,7 @@ from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Mapping
 
 from .errors import NotClosedError, RingMismatchError
-from .polynomial import Polynomial, add_into, integer_multiple
+from .polynomial import Polynomial, TermVector, integer_multiple
 from .ring import Exponent, RingDescriptor, as_center, as_coeff, exp_deg, reading_key, t_part, x_part
 
 OpKey = tuple[int, Exponent]  # (position, alpha over the x-block)
@@ -29,10 +29,11 @@ def _set_fields(op, ring, terms, center):
     object.__setattr__(op, "_hash", None)
 
 
-class DiffOp:
+class DiffOp(TermVector):
     """Immutable differential operator with exact coefficients."""
 
-    __slots__ = ("ring", "terms", "center", "_hash")
+    __slots__ = ("center",)
+    _prefix, _tag = "d", "@"
 
     def __init__(self, ring: RingDescriptor, terms: Mapping[OpKey, object], center=None):
         center = as_center(ring, center)
@@ -57,46 +58,21 @@ class DiffOp:
         _set_fields(op, ring, terms, center)
         return op
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOp is immutable")
+    def _context(self) -> tuple:
+        return self.ring, self.center
+
+    def _like(self, terms: dict) -> "DiffOp":
+        return DiffOp._of(self.ring, terms, self.center)
 
     @classmethod
     def identity(cls, ring: RingDescriptor, position: int = 1, center=None) -> "DiffOp":
         return cls(ring, {(position, (0,) * ring.x_count): Fraction(1)}, center)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def degree(self) -> int:
         """Largest derivative order; -1 for the zero operator."""
         if not self.terms:
             return -1
         return max(exp_deg(alpha) for _, alpha in self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.ring == other.ring and self.center == other.center and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ring, self.center, frozenset(self.terms.items()))))
-        return self._hash
-
-    def __repr__(self):
-        bits = []
-        for (pos, alpha), c in sorted(self.terms.items(), key=lambda kv: reading_key(kv[0])):
-            mono = " ".join(
-                f"d{n}^{e}" if e > 1 else f"d{n}"
-                for n, e in zip(self.ring.x_names, alpha)
-                if e
-            ) or "1"
-            tag = f"@{pos}" if self.ring.rank > 1 else ""
-            bits.append(f"{c}*{mono}{tag}")
-        return "DiffOp(" + (" + ".join(bits) or "0") + ")"
 
     # -- linear structure ----------------------------------------------------
 
@@ -106,31 +82,6 @@ class DiffOp:
         if self.ring != other.ring or self.center != other.center:
             raise RingMismatchError("operator contexts differ")
         return other
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self.terms)
-        add_into(acc, other.terms.items())
-        return DiffOp._of(self.ring, acc, self.center)
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp._of(self.ring, {k: -c for k, c in self.terms.items()}, self.center)
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self.terms)
-        add_into(acc, ((k, -c) for k, c in other.terms.items()))
-        return DiffOp._of(self.ring, acc, self.center)
-
-    def scale(self, c) -> "DiffOp":
-        c = as_coeff(c)
-        if not c:
-            return DiffOp._of(self.ring, {}, self.center)
-        return DiffOp._of(self.ring, {k: v * c for k, v in self.terms.items()}, self.center)
 
     # -- morphisms -------------------------------------------------------------
 

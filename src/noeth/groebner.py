@@ -415,20 +415,13 @@ def staircase(G: GroebnerBasis) -> Staircase:
 
 
 def corner_monomials(stair: Staircase, G: GroebnerBasis) -> tuple[TermKey, ...]:
-    """Residual monomials pushed into the leading-term module by every variable."""
-    ring = G.ring
-    lts = [key for key, _ in G.leading_terms()]
-    corners = []
-    for (pos, exp) in stair.monomials:
-        pos_lts = [lexp for p, lexp in lts if p == pos]
-        ok = True
-        for j in range(ring.nvars):
-            up = tuple(e + 1 if i == j else e for i, e in enumerate(exp))
-            if not any(exp_divides(lexp, up) for lexp in pos_lts):
-                ok = False
-                break
-        if ok:
-            corners.append((pos, exp))
+    """Residual monomials that no variable keeps residual: the maxima of the staircase."""
+    residual = set(stair.monomials)
+    units = [G.ring.var_exp(j) for j in range(G.ring.nvars)]
+    corners = [
+        (pos, exp) for pos, exp in stair.monomials
+        if all((pos, exp_add(exp, unit)) not in residual for unit in units)
+    ]
     return tuple(sorted(corners, key=reading_key))
 
 

@@ -115,8 +115,14 @@ def _prepare(G, center):
     if isinstance(G, GroebnerBasis) and G.ring.t_count:
         raise NoethError("variables after the separator require the parameter-coefficient construction")
     G0, center = translate(G, center)
-    origin = (Fraction(0),) * G0.ring.nvars
-    if G0.ring.rank == 1 and any(g.evaluate(origin) for g in G0.elements):
+    # The center is a zero unless the values of G0 at the origin span the
+    # whole free module; then so does the input near the center (Nakayama).
+    # At rank 1 that is a nonzero value.
+    constant = G0.ring.zero_exp()
+    values = Echelon()
+    for g in G0.elements:
+        values.add({key: c for key, c in g.terms.items() if key[1] == constant})
+    if len(values) == G0.ring.rank:
         raise NotPrimaryError("the input is not primary at the center: the center is not a zero of the input")
     return G0, center
 

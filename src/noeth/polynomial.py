@@ -33,10 +33,82 @@ def _set_fields(poly, ring, terms):
     object.__setattr__(poly, "_hash", None)
 
 
-class Polynomial:
-    """Immutable sparse polynomial over a RingDescriptor."""
+class TermVector:
+    """Immutable sparse vector of nonzero coefficients on (position, exponent) keys.
+
+    The value semantics shared by Polynomial and its dual, DiffOp.  A
+    subclass says what differs: _context() is what, besides the terms, two
+    equal values share; _like(terms) wraps result terms in self's context;
+    _operand(other) gives the right operand of + and - as a vector of the
+    same context, or None when it does not apply.  __repr__ writes
+    _prefix before each variable name and _tag before the position.
+    """
 
     __slots__ = ("ring", "terms", "_hash")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._context() == other._context() and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            h = hash((self._context(), frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+        return self._hash
+
+    def __repr__(self) -> str:
+        bits = []
+        for (pos, exp), c in sorted(self.terms.items(), key=lambda kv: reading_key(kv[0])):
+            mono = " ".join(
+                f"{self._prefix}{n}^{e}" if e > 1 else f"{self._prefix}{n}"
+                for n, e in zip(self.ring.names, exp)
+                if e
+            ) or "1"
+            tag = f"{self._tag}{pos}" if self.ring.rank > 1 else ""
+            bits.append(f"{c}*{mono}{tag}")
+        return f"{type(self).__name__}(" + (" + ".join(bits) or "0") + ")"
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        acc = dict(self.terms)
+        add_into(acc, other.terms.items())
+        return self._like(acc)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        acc = dict(self.terms)
+        add_into(acc, ((key, -c) for key, c in other.terms.items()))
+        return self._like(acc)
+
+    def scale(self, c):
+        c = as_coeff(c)
+        if not c:
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+
+class Polynomial(TermVector):
+    """Immutable sparse polynomial over a RingDescriptor."""
+
+    __slots__ = ()
+    _prefix, _tag = "", "*e"
 
     def __init__(self, ring: RingDescriptor, terms: Mapping[TermKey, object]):
         clean: dict[TermKey, object] = {}
@@ -62,8 +134,11 @@ class Polynomial:
         _set_fields(poly, ring, terms)
         return poly
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    def _context(self) -> RingDescriptor:
+        return self.ring
+
+    def _like(self, terms: dict) -> "Polynomial":
+        return Polynomial._of(self.ring, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -86,12 +161,6 @@ class Polynomial:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def coefficient(self, key: TermKey):
         return self.terms.get(key, Fraction(0))
 
@@ -105,33 +174,6 @@ class Polynomial:
         """Terms in the graded reading order (deterministic, order-free)."""
         return sorted(self.terms.items(), key=lambda kv: reading_key(kv[0]))
 
-    # -- equality ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            h = hash((self.ring, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Polynomial(0)"
-        bits = []
-        for (pos, exp), c in self.sorted_terms():
-            mono = " ".join(
-                f"{n}^{e}" if e > 1 else n
-                for n, e in zip(self.ring.names, exp)
-                if e
-            ) or "1"
-            tag = f"*e{pos}" if self.ring.rank > 1 else ""
-            bits.append(f"{c}*{mono}{tag}")
-        return "Polynomial(" + " + ".join(bits) + ")"
-
     # -- arithmetic --------------------------------------------------------
 
     def _operand(self, other) -> "Polynomial | None":
@@ -143,36 +185,11 @@ class Polynomial:
             raise RingMismatchError("cannot add over different rings")
         return other
 
-    def __add__(self, other) -> "Polynomial":
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self.terms)
-        add_into(acc, other.terms.items())
-        return Polynomial._of(self.ring, acc)
-
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._of(self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Polynomial":
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self.terms)
-        add_into(acc, ((key, -c) for key, c in other.terms.items()))
-        return Polynomial._of(self.ring, acc)
-
     def __rsub__(self, other) -> "Polynomial":
         return (-self).__add__(other)
-
-    def scale(self, c) -> "Polynomial":
-        c = as_coeff(c)
-        if not c:
-            return Polynomial._of(self.ring, {})
-        return Polynomial._of(self.ring, {k: v * c for k, v in self.terms.items()})
 
     def mul_monomial(self, exp: Exponent, coeff=1) -> "Polynomial":
         """Multiply by a scalar monomial (position unchanged)."""

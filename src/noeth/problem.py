@@ -234,15 +234,16 @@ class _Parser:
         if isinstance(order, ProductOrder) and not ring.t_count:
             self.fail("product order needs a ring with a parameter block", order_tok)
 
-        # Vector widths decide the module rank; every vector in the file has
-        # to agree, and scalar generators cannot mix with proper vectors.
+        # Vector widths decide the module rank; every vector in the file, a
+        # one-entry [f] included, has to agree, and scalar generators cannot
+        # mix with vectors of rank > 1.
         widths = set()
         if module_rows is not None:
             widths.update(len(row) for row in module_rows)
         for rows, _, tok in component_rows:
             for row in rows:
                 widths.add(len(row) if isinstance(row, list) else 0)
-        vector_widths = {w for w in widths if w > 1}
+        vector_widths = {w for w in widths if w > 0}
         if len(vector_widths) > 1:
             self.fail(f"vector lengths disagree: {sorted(vector_widths)}")
         rank = vector_widths.pop() if vector_widths else 1

@@ -30,30 +30,35 @@ def _monomial_text(names, exp: Exponent) -> str:
     return " ".join(parts)
 
 
+def _signed_sum(items, names) -> str:
+    """(exponent, coefficient) items, in output order, as a signed sum of scaled monomials; 0 if none."""
+    pieces = []
+    for idx, (exp, c) in enumerate(items):
+        pieces.append(_scaled_monomial_text(c, _monomial_text(names, exp), leading=(idx == 0)))
+    return "".join(pieces) or "0"
+
+
+def _by_position(ring: RingDescriptor, items, names, brackets: str) -> str:
+    """((pos, exponent), coefficient) items as a signed sum; at rank > 1, one sum per position in brackets."""
+    if ring.rank == 1:
+        return _signed_sum([(exp, c) for (_, exp), c in items], names)
+    sums = [
+        _signed_sum([(exp, c) for (p, exp), c in items if p == pos], names)
+        for pos in range(1, ring.rank + 1)
+    ]
+    return brackets[0] + ", ".join(sums) + brackets[1]
+
+
+def _polynomial_items(f: Polynomial, order: AnyOrder | None) -> list:
+    """f's terms descending under order when given, else in reading order."""
+    if order is not None:
+        return sorted_terms_desc(f, order)
+    return f.sorted_terms()
+
+
 def render_polynomial(f: Polynomial, order: AnyOrder | None = None) -> str:
     """Polynomial text; vectors over a rank > 1 ring render as [f1, ..., fs]."""
-    ring = f.ring
-    if ring.rank > 1:
-        entries = []
-        for pos in range(1, ring.rank + 1):
-            sub = Polynomial(ring.with_rank(1), {
-                (1, exp): c for (p, exp), c in f.terms.items() if p == pos
-            })
-            entries.append(render_polynomial(sub, order))
-        return "[" + ", ".join(entries) + "]"
-    if f.is_zero():
-        return "0"
-    if order is not None:
-        keys = [k for k, _ in sorted_terms_desc(f, order)]
-    else:
-        keys = sorted(f.terms, key=reading_key)
-    pieces = []
-    for idx, key in enumerate(keys):
-        c = f.terms[key]
-        mono = _monomial_text(ring.names, key[1])
-        body = _scaled_monomial_text(c, mono, leading=(idx == 0))
-        pieces.append(body)
-    return "".join(pieces)
+    return _by_position(f.ring, _polynomial_items(f, order), f.ring.names, "[]")
 
 
 def _scaled_monomial_text(c, mono: str, leading: bool) -> str:
@@ -122,32 +127,14 @@ def _operator_keys(ring: RingDescriptor, keys, order: AnyOrder | None) -> list:
     return keys
 
 
-def _operator_component_text(ring: RingDescriptor, terms, order: AnyOrder | None) -> str:
-    if not terms:
-        return "0"
-    pieces = []
-    for idx, key in enumerate(_operator_keys(ring, terms, order)):
-        scaled = terms[key] * Fraction(1, alpha_factorial(key[1]))
-        mono = " ".join(
-            f"d{name}^{e}" if e > 1 else f"d{name}"
-            for name, e in zip(ring.x_names, key[1])
-            if e
-        )
-        pieces.append(_scaled_monomial_text(scaled, mono, leading=(idx == 0)))
-    return "".join(pieces)
-
-
 def render_operator(L: DiffOp, order: AnyOrder | None = None) -> str:
+    """Operator text; module operators render as (L1, ..., Ls)."""
     ring = L.ring
-    if ring.rank == 1:
-        return _operator_component_text(ring, L.terms, order)
-    entries = []
-    for pos in range(1, ring.rank + 1):
-        sub = {key[1]: c for key, c in L.terms.items() if key[0] == pos}
-        entries.append(
-            _operator_component_text(ring, {(1, a): c for a, c in sub.items()}, order)
-        )
-    return "(" + ", ".join(entries) + ")"
+    items = [
+        (key, L.terms[key] * Fraction(1, alpha_factorial(key[1])))
+        for key in _operator_keys(ring, L.terms, order)
+    ]
+    return _by_position(ring, items, ["d" + name for name in ring.x_names], "()")
 
 
 # -- JSON ------------------------------------------------------------------------
@@ -160,14 +147,10 @@ def coeff_string(c) -> str:
 
 
 def polynomial_json(f: Polynomial, order: AnyOrder | None = None) -> dict:
-    if order is not None:
-        items = sorted_terms_desc(f, order)
-    else:
-        items = sorted(f.terms.items(), key=lambda kv: reading_key(kv[0]))
     return {
         "terms": [
             {"pos": pos, "exp": list(exp), "coeff": coeff_string(c)}
-            for (pos, exp), c in items
+            for (pos, exp), c in _polynomial_items(f, order)
         ]
     }
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import random
 import re
@@ -12,6 +14,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +224,21 @@ def test_a_center_off_the_ideal_is_not_primary(capsys, tmp_path, argv):
     assert run(capsys, "noether", *argv, str(path)) == (1, "", f"error: {message}\n")
     code, out, err = run(capsys, "noether", *argv, "--json", str(path))
     assert (code, json.loads(out), err) == (1, {"error": message}, "")
+
+
+@pytest.mark.parametrize("method", ["forward", "backward", "linear"])
+def test_a_module_center_off_the_module_is_named(capsys, tmp_path, method):
+    # The values at the origin span the free module, so the center is not a zero.
+    path = tmp_path / "module.noeth"
+    path.write_text("ring x, y;\norder deglex;\nmodule [x - 1, 0], [y, 0], [0, x - 1], [0, y];\n")
+    message = "the input is not primary at the center: the center is not a zero of the input"
+    assert run(capsys, "noether", "--method", method, str(path)) == (1, "", f"error: {message}\n")
+    # A zero at the origin, but not primary there: each method names its own failure.
+    path.write_text("ring x, y;\norder deglex;\nmodule [x - 1, 0], [y, 0], [0, x], [0, y];\n")
+    code, out, err = run(capsys, "noether", "--method", method, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the input is not primary at the center: ")
+    assert "not a zero" not in err
 
 
 @pytest.mark.parametrize("ideal", ["x^2 - x*t", "x^2 - x", "x - 1"])
@@ -730,6 +748,49 @@ def test_mutated_problem_files_exit_cleanly(capsys, tmp_path, index):
         if code:
             prefix = "parse error: " if code == 2 else "error: "
             assert (out, err.startswith(prefix)) == ("", True), (argv[:-1], text, err)
+
+
+# SHA-256 of every CLI outcome on the seed-7 benchmark corpus (see
+# test_corpus_output_is_byte_identical).  It changes only with an intended
+# change to some output text or JSON.
+CORPUS_DIGEST = "9a1746dc2107d1df44ed7e0c69765643ab0468ca70a3eded4b15c4aa9c83927f"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def corpus_calls(workdir):
+    """(files, argvs) of the seed-7 corpus.
+
+    The argvs are the calls of the three benchmark workloads, then linear and
+    --check-all --json on every noether problem.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    files, argvs = {}, []
+    for name in workloads.WORKLOADS:
+        workload_files, calls, _ = workloads.build(name, 7, workdir)
+        files.update(workload_files)
+        argvs += [call["argv"] for call in calls]
+        if name == "noether-forward":
+            for file_name in workload_files:
+                path = f"{workdir}/{file_name}"
+                argvs += [["noether", "--method", "linear", path], ["noether", "--check-all", path, "--json"]]
+    return files, argvs
+
+
+def test_corpus_output_is_byte_identical(capsys, tmp_path):
+    workdir = str(tmp_path)
+    files, argvs = corpus_calls(workdir)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        record = [argv, code, captured.out, captured.err]
+        digest.update(json.dumps(record).replace(workdir, "<dir>").encode() + b"\n")
+    assert len(argvs) == 1584
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 def test_console_script(tmp_path):

@@ -130,6 +130,11 @@ def test_vector_length_mismatch():
     with pytest.raises(ParseError) as err2:
         parse_problem("ring x, y; order lex;\ncomponent [x, 1] at 0, 0;\ncomponent y at 0, 0;")
     assert "scalar generators cannot mix" in str(err2.value)
+    for clause in ("module [x], [y, x^2], [0, y^2], [x^2, 0];", "component [x], [y, x^2], [0, y^2] at 0, 0;"):
+        with pytest.raises(ParseError, match=r"vector lengths disagree: \[1, 2\]"):
+            parse_problem(f"ring x, y; order deglex;\n{clause}")
+    spec = parse_problem("ring x, y; order deglex; module [x], [y], [x^2];")
+    assert spec.ring.rank == 1 and len(spec.generators) == 3
 
 
 def test_point_length_mismatch():
