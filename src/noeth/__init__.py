@@ -62,9 +62,6 @@ from .orderings import (
 )
 from .polynomial import Polynomial, poly_mul
 from .posdim import (
-    NormalPositionReport,
-    check_normal_position,
-    cleanup_operators,
     extend_to_rational_coeffs,
     member_positive,
     noetherian_positive,
@@ -87,7 +84,6 @@ __all__ = [
     "NoethError",
     "NoetherianBasis",
     "NormalPositionError",
-    "NormalPositionReport",
     "NotClosedError",
     "NotEliminationOrderError",
     "NotPrimaryError",
@@ -108,8 +104,6 @@ __all__ = [
     "buchberger",
     "build_solution",
     "canonical_operator_basis",
-    "check_normal_position",
-    "cleanup_operators",
     "closure",
     "corner_monomials",
     "dual_of_polynomial",

@@ -28,11 +28,7 @@ class NotEliminationOrderError(NoethError):
 
 
 class NormalPositionError(NoethError):
-    """The ideal is not in normal position; carries the diagnostic report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """The ideal is not in normal position; the message names the precondition that failed."""
 
 
 class NotClosedError(NoethError):

@@ -77,8 +77,9 @@ class NoetherianBasis:
             raise NoethError("operators are linearly dependent")
         if not is_closed(ops, echelon=span):
             raise NoethError("operator span is not stable under differentiation lowering")
-        if ops and ops[0].degree() != 0:
-            raise NoethError("the first operator must be an order-zero evaluation")
+        # at rank > 1 the first row may mix positions, as (1, -dx) does for e1 = -x e2
+        if ops and all(any(alpha) for _, alpha in ops[0].terms):
+            raise NoethError("the first operator must have a term of order zero")
         for L in ops:
             if L.degree() >= self.multiplicity:
                 raise NoethError("operator order exceeds the multiplicity bound")

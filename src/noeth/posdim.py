@@ -5,26 +5,23 @@ block.  The input is a GroebnerBasis and a center, a point of the whole ring;
 the translate the zero-dimensional constructions share moves its x-block to
 the origin and leaves the parameters as they are, so the operators hold
 along x = c_x at every parameter value, in the input's coordinates.  When
-the translate is primary, contracts trivially to the parameter ring, and is
-in normal position (monic in each x-variable, origin variety after
-extension), the ideal extends to a zero-dimensional one over rational
-functions in the parameters.  Its dual basis is the forward
-construction run on that extension: the multiplication matrices and the
-degree walk of the zero-dimensional case, with rational-function
-coefficients, followed by a cleanup that clears denominators and common
-parameter factors per operator.
+the translate is primary and in normal position (no leading term free of x,
+and a parameter-free pure power of each x-variable among them), the ideal
+extends to a zero-dimensional one over rational functions in the
+parameters.  Its dual basis is the forward construction run on that
+extension: the multiplication matrices and the degree walk of the
+zero-dimensional case, with rational-function coefficients, each row then
+cleared of denominators and common parameter factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
 
 from .diffop import DiffOp
 from .errors import NoethError, NormalPositionError, NotEliminationOrderError, NotPrimaryError
-from .groebner import GroebnerBasis, eliminate, staircase
+from .groebner import GroebnerBasis, staircase
 from .noetherian import NoetherianBasis, dual_rows, noetherian_forward, translate
 from .orderings import (
     AnyOrder,
@@ -38,35 +35,8 @@ from .orderings import (
 )
 from .polynomial import Polynomial
 from .ratfun import RationalFunction, divexact, poly_gcd, poly_lcm
+from .render import render_polynomial
 from .ring import Exponent, RingDescriptor, reading_key, t_part, x_part
-
-
-@dataclass(frozen=True)
-class NormalPositionReport:
-    """Outcome of the three operational preconditions."""
-
-    contraction_trivial: bool
-    contraction_witness: Polynomial | None
-    monic_powers: tuple[int | None, ...]
-    extended_variety_is_origin: bool
-    gamma: Exponent
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.contraction_trivial
-            and all(e is not None for e in self.monic_powers)
-            and self.extended_variety_is_origin
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "contraction_trivial": self.contraction_trivial,
-            "monic_powers": list(self.monic_powers),
-            "extended_variety_is_origin": self.extended_variety_is_origin,
-            "gamma": list(self.gamma),
-        }
 
 
 def _require_posdim_input(ring: RingDescriptor, order: AnyOrder) -> None:
@@ -78,40 +48,28 @@ def _require_posdim_input(ring: RingDescriptor, order: AnyOrder) -> None:
         )
 
 
-def check_normal_position(G: GroebnerBasis) -> NormalPositionReport:
-    """Report whether the operational preconditions hold for this basis at the origin."""
-    G = translate(G, None)[0]
-    _require_posdim_input(G.ring, G.order)
-    return _normal_position_report(G)
+def _require_normal_position(G0: GroebnerBasis) -> None:
+    """Raise NormalPositionError naming the first precondition the leading terms break.
 
-
-def _normal_position_report(G: GroebnerBasis) -> NormalPositionReport:
-    ring = G.ring
-    residual = eliminate(G, G.order)
-    witness = residual[0] if residual else None
-    monic: list[int | None] = [None] * ring.x_count
-    origin_ok = [False] * ring.x_count
-    gamma = [0] * ring.t_count
-    for (pos, exp), _ in G.leading_terms():
+    Under the elimination order _require_posdim_input demands, a lead free of
+    x certifies an element free of x, so the contraction to the parameter ring
+    is trivial exactly when no lead is free of x.  Each x-variable then needs
+    a parameter-free pure power among the leads: an element monic in that
+    variable over the parameter ring, so the extension is zero-dimensional.
+    """
+    ring = G0.ring
+    failed = "the input is not in normal position for the chosen variable split"
+    monic = [False] * ring.x_count
+    for ((_, exp), _), g in zip(G0.leading_terms(), G0.elements):
         xe = x_part(ring, exp)
-        te = t_part(ring, exp)
-        gamma = [a + b for a, b in zip(gamma, te)]
         support = [i for i, e in enumerate(xe) if e]
-        if len(support) == 1:
-            i = support[0]
-            # The parameter part of the leading term turns into a coefficient
-            # after extension, so any pure x-power qualifies for the origin
-            # check; monicity additionally needs a parameter-free lead.
-            origin_ok[i] = True
-            if not any(te) and (monic[i] is None or xe[i] < monic[i]):
-                monic[i] = xe[i]
-    return NormalPositionReport(
-        contraction_trivial=not residual,
-        contraction_witness=witness,
-        monic_powers=tuple(monic),
-        extended_variety_is_origin=all(origin_ok),
-        gamma=tuple(gamma),
-    )
+        if not support:
+            raise NormalPositionError(f"{failed}: {render_polynomial(g, G0.order)} lies in the parameter ring")
+        if len(support) == 1 and not any(t_part(ring, exp)):
+            monic[support[0]] = True
+    if not all(monic):
+        name = ring.names[monic.index(False)]
+        raise NormalPositionError(f"{failed}: no leading term is a power of {name} free of the parameters")
 
 
 def group_by_x(f: Polynomial) -> dict[tuple[int, Exponent], Polynomial]:
@@ -156,11 +114,12 @@ def noetherian_positive(G: GroebnerBasis, center=None) -> NoetherianBasis:
     the point, since the operators, with coefficients in the input's
     parameters, hold at every parameter value.  Over the rational functions
     in the parameters the translate is zero-dimensional, so the forward walk
-    runs on the extended basis unchanged; each operator is then cleared of
-    denominators and common parameter factors.  Raises NotPrimaryError when
-    the extension is not primary at the origin; an element with a term free
-    of x, which does not vanish there for generic parameter values, is
-    named as such before the walk.
+    runs on the extended basis unchanged; each of its rows is cleared of
+    denominators and common parameter factors and becomes one operator.
+    Raises NormalPositionError naming the first precondition that fails, and
+    NotPrimaryError when the extension is not primary at the origin; an
+    element with a term free of x, which does not vanish there for generic
+    parameter values, is named as such before the walk.
     """
     G0, center = translate(G, center)
     ring = G0.ring
@@ -168,11 +127,7 @@ def noetherian_positive(G: GroebnerBasis, center=None) -> NoetherianBasis:
     if ring.t_count == 0:
         inner = noetherian_forward(G, center)
         return NoetherianBasis(inner.operators, inner.multiplicity, center, "positive", inner.source)
-    report = _normal_position_report(G0)
-    if not report.ok:
-        raise NormalPositionError(
-            "the input is not in normal position for the chosen variable split", report
-        )
+    _require_normal_position(G0)
     Gx = extend_to_rational_coeffs(G0)
     origin = (1, Gx.ring.zero_exp())
     if any(origin in g.terms for g in Gx.elements):
@@ -182,43 +137,35 @@ def noetherian_positive(G: GroebnerBasis, center=None) -> NoetherianBasis:
         )
     stair = staircase(Gx)
     tring = ring.t_subring()
-
-    def lift(c):
-        # the walk keeps the rational 1 of products inside the staircase
-        return c if isinstance(c, RationalFunction) else RationalFunction.from_fraction(c, tring)
-
-    ops = cleanup_operators(
-        [DiffOp(ring, {k: lift(c) for k, c in row.items()}, center) for row in dual_rows(Gx, stair)]
-    )
-    basis = NoetherianBasis(tuple(ops), stair.multiplicity, center, "positive", G0)
+    ops = tuple(DiffOp._of(ring, _cleared_row(row, tring), center) for row in dual_rows(Gx, stair))
+    basis = NoetherianBasis(ops, stair.multiplicity, center, "positive", G0)
     basis.validate()
     return basis
 
 
-def cleanup_operators(ops: Sequence[DiffOp]) -> list[DiffOp]:
-    """Clear denominators, strip common polynomial factors, normalize scale."""
-    out = []
-    for L in ops:
-        if L.is_zero() or not all(
-            isinstance(c, RationalFunction) for c in L.terms.values()
-        ):
-            out.append(L)
-            continue
-        common_den = reduce(poly_lcm, (c.den for c in L.terms.values()))
-        nums = {
-            key: c.num * divexact(common_den, c.den) for key, c in L.terms.items()
-        }
-        shared = reduce(poly_gcd, nums.values())
-        if shared.total_degree() > 0:
-            nums = {key: divexact(p, shared) for key, p in nums.items()}
-        anchor = min(nums, key=reading_key)
-        _, lc = leading_term(nums[anchor], DegLex())
-        if lc != 1:
-            nums = {key: p.scale(Fraction(1) / lc) for key, p in nums.items()}
-        out.append(
-            DiffOp(L.ring, {k: RationalFunction(p) for k, p in nums.items()}, L.center)
-        )
-    return out
+def _cleared_row(row: dict, tring: RingDescriptor) -> dict:
+    """A dual row's coefficients as parameter polynomials: the row up to a factor in k(t).
+
+    The entries are RationalFunctions and the Fraction 1s the walk keeps for
+    products inside the staircase.  They are brought over the lcm of their
+    denominators, the gcd of the numerators is divided out, and the first
+    term in reading order is scaled to leading coefficient 1.
+    """
+    one = Polynomial.constant(tring, 1)
+    common_den = reduce(poly_lcm, (c.den for c in row.values() if isinstance(c, RationalFunction)), one)
+    nums = {
+        key: c.num * divexact(common_den, c.den) if isinstance(c, RationalFunction) else common_den.scale(c)
+        for key, c in row.items()
+    }
+    shared = reduce(poly_gcd, nums.values())
+    if shared.total_degree() > 0:
+        nums = {key: divexact(p, shared) for key, p in nums.items()}
+    anchor = min(nums, key=reading_key)
+    _, lc = leading_term(nums[anchor], DegLex())
+    if lc != 1:
+        nums = {key: p.scale(Fraction(1) / lc) for key, p in nums.items()}
+    # each numerator over 1 is already in lowest terms
+    return {key: RationalFunction._of(p, one) for key, p in nums.items()}
 
 
 def member_positive(f: Polynomial, basis: NoetherianBasis) -> bool:

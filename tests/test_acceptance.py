@@ -9,16 +9,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from noeth import (
     DegLex,
     DiffOp,
     Lex,
     ModuleOrder,
+    NormalPositionError,
     Polynomial,
     RingDescriptor,
     buchberger,
     build_solution,
-    check_normal_position,
     corner_monomials,
     dual_of_polynomial,
     extend_to_rational_coeffs,
@@ -227,10 +229,11 @@ def test_criterion_06_normal_position_negative_golden():
         t**2 - x,
     }
     assert set(buchberger(gens, Lex(), RXT).elements) == {x - t**2, t**3 - 1}
-    report = check_normal_position(buchberger(gens, Lex()))
-    assert report.contraction_trivial is False
-    assert report.contraction_witness == t**3 - 1
-    assert not report.ok
+    with pytest.raises(NormalPositionError) as err:
+        noetherian_positive(buchberger(gens, Lex()))
+    assert str(err.value) == (
+        "the input is not in normal position for the chosen variable split: t^3 - 1 lies in the parameter ring"
+    )
 
 
 def fixed_zero_dimensional_ideals():

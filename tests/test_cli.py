@@ -241,6 +241,35 @@ def test_a_module_center_off_the_module_is_named(capsys, tmp_path, method):
     assert "not a zero" not in err
 
 
+NOT_IN_NORMAL_POSITION = "the input is not in normal position for the chosen variable split"
+
+
+@pytest.mark.parametrize(
+    "ideal, failed",
+    [
+        ("x^2, y^2, t^3 - 1", "t^3 - 1 lies in the parameter ring"),
+        ("t*x^2, y^2, x*y", "no leading term is a power of x free of the parameters"),
+        ("0", "no leading term is a power of x free of the parameters"),
+    ],
+)
+def test_posdim_names_the_normal_position_precondition_that_failed(capsys, tmp_path, ideal, failed):
+    path = tmp_path / "position.noeth"
+    path.write_text(f"ring x, y | t;\norder lex;\nideal {ideal};\n")
+    message = f"{NOT_IN_NORMAL_POSITION}: {failed}"
+    assert run(capsys, "noether-posdim", str(path)) == (1, "", f"error: {message}\n")
+    code, out, _ = run(capsys, "noether-posdim", str(path), "--json")
+    assert (code, json.loads(out)) == (1, {"error": message})
+
+
+@pytest.mark.parametrize("flags", [["--method", "forward"], ["--method", "backward"], ["--method", "linear"],
+                                   ["--check-all"]])
+def test_a_module_whose_first_row_mixes_positions(capsys, tmp_path, flags):
+    # e1 = -x e2 in the quotient, so the row at e1 is (1, -dx), with no degree-0 form
+    path = tmp_path / "mixed.noeth"
+    path.write_text("ring x, y;\norder deglex;\nmodule [1, x], [0, y], [0, x^2];\n")
+    assert run(capsys, "noether", *flags, str(path)) == (0, "(1, -dx)\n(0, 1)\n", "")
+
+
 @pytest.mark.parametrize("ideal", ["x^2 - x*t", "x^2 - x", "x - 1"])
 def test_posdim_non_primary_input_is_exit_one(capsys, tmp_path, ideal):
     path = tmp_path / "not_primary.noeth"
@@ -296,7 +325,7 @@ CENTER_NOT_A_ZERO = (
             ["noether-posdim"],
             "ideal 0;\n",
             "",
-            "error: the input is not in normal position for the chosen variable split\n",
+            f"error: {NOT_IN_NORMAL_POSITION}: no leading term is a power of x free of the parameters\n",
         ),
     ],
     ids=["ep-at-t", "ep-at-x", "ep-off-center", "posdim-at-x", "posdim-at-x-and-t", "member-in",

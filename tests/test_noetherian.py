@@ -472,6 +472,19 @@ def test_validate_rejects_malformed_bases():
         basis.multiplicity = 7
 
 
+def test_validate_asks_the_first_operator_for_an_order_zero_term():
+    # at rank 2 the first canonical row may mix positions: (1, -dx) for e1 = -x e2
+    origin = (Fraction(0), Fraction(0))
+    mixed = DiffOp(RM2, {(1, (0, 0)): 1, (2, (1, 0)): -1})
+    e2 = DiffOp.identity(RM2, 2)
+    NoetherianBasis((mixed, e2), 2, origin, "forward", None).validate()
+    dx_at_e2 = DiffOp(RM2, {(2, (1, 0)): 1})
+    dx = DiffOp(RXY, {(1, (1, 0)): 1})
+    for ops in ((dx, DiffOp.identity(RXY)), (dx_at_e2, e2)):
+        with pytest.raises(NoethError, match="the first operator must have a term of order zero"):
+            NoetherianBasis(ops, 2, origin, "forward", None).validate()
+
+
 def test_membership_by_operators_matches_normal_form():
     rng = random.Random(313)
     G = buchberger(hermite_ideal(), DegLex(), RXY)

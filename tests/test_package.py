@@ -7,6 +7,7 @@ import inspect
 import noeth
 import noeth.errors
 import noeth.orderings
+import noeth.posdim
 
 
 def test_every_exported_name_resolves():
@@ -34,8 +35,11 @@ def test_helpers_stay_importable_from_their_modules():
         assert callable(helper)
         assert helper.__name__ not in noeth.__all__
     for gone in ("translate_to_origin", "smallest_term", "monomial_keys_below", "backward_step",
-                 "multiplicity_extended"):
+                 "multiplicity_extended", "NormalPositionReport", "check_normal_position",
+                 "cleanup_operators"):
         assert gone not in noeth.__all__ and not hasattr(noeth, gone)
+    for gone in ("NormalPositionReport", "check_normal_position", "cleanup_operators"):
+        assert not hasattr(noeth.posdim, gone)
     assert not hasattr(noeth.orderings, "is_product_compatible")
 
 

@@ -20,8 +20,6 @@ from noeth import (
     RingDescriptor,
     apply_at,
     buchberger,
-    check_normal_position,
-    cleanup_operators,
     extend_to_rational_coeffs,
     is_member,
     member_positive,
@@ -41,8 +39,8 @@ from noeth.errors import (
     NotPrimaryError,
     ZeroPolynomialError,
 )
-from noeth.posdim import group_by_x
-from noeth.ring import reading_key
+from noeth.posdim import _cleared_row, group_by_x
+from noeth.ring import reading_key, t_part
 from support import (
     RM2,
     RXT,
@@ -83,45 +81,42 @@ def rf_t(ring, exps_to_coeffs):
     )
 
 
-def test_normal_position_report_positive():
-    report = check_normal_position(buchberger(worked_generators(), Lex()))
-    assert report.ok
-    assert report.contraction_trivial
-    assert report.contraction_witness is None
-    assert report.monic_powers == (2, 2)
-    assert report.extended_variety_is_origin
-    assert report.gamma == (1,)
-    d = report.as_dict()
-    assert d["ok"] is True
-    assert d["gamma"] == [1]
-    assert d["monic_powers"] == [2, 2]
-    product = check_normal_position(buchberger(worked_generators(), ProductOrder(DegLex(), Lex())))
-    assert product.ok
+NOT_IN_NORMAL_POSITION = "the input is not in normal position for the chosen variable split: "
 
 
-def test_normal_position_report_negative():
-    report = check_normal_position(buchberger(unit_after_extension(), Lex()))
-    assert not report.ok
-    assert not report.contraction_trivial
-    t = Polynomial.variable(RXT, "t")
-    assert report.contraction_witness == t**3 - 1
-    assert report.gamma == (3,)
+def test_normal_position_holds_for_the_worked_example():
+    for order in (Lex(), ProductOrder(DegLex(), Lex())):
+        assert noetherian_positive(buchberger(worked_generators(), order)).multiplicity == 2
+
+
+def test_positive_rejects_bad_position():
+    # under lex the basis is x - t^2, t^3 - 1: the contraction is not trivial
+    with pytest.raises(NormalPositionError) as err:
+        noetherian_positive(buchberger(unit_after_extension(), Lex()))
+    assert str(err.value) == NOT_IN_NORMAL_POSITION + "t^3 - 1 lies in the parameter ring"
+
+
+def test_normal_position_names_the_variable_without_a_monic_power():
+    # x^2 qualifies; y^2 t does not, since its parameter part becomes a coefficient
+    spec = parse_problem("ring x, y | t;\norder lex;\nideal x^2, t*y^2, x*y;\n")
+    with pytest.raises(NormalPositionError) as err:
+        noetherian_positive(buchberger(spec.generators, spec.effective_order, spec.ring))
+    assert str(err.value) == NOT_IN_NORMAL_POSITION + "no leading term is a power of y free of the parameters"
 
 
 def test_normal_position_single_generator():
+    # x - t has the monic power x, so the check passes and the center is named instead
     x = Polynomial.variable(RXT, "x")
     t = Polynomial.variable(RXT, "t")
-    report = check_normal_position(buchberger([x - t], Lex()))
-    assert report.ok
-    assert report.monic_powers == (1,)
-    assert report.gamma == (0,)
+    with pytest.raises(NotPrimaryError, match="the center is not a zero"):
+        noetherian_positive(buchberger([x - t], Lex()))
 
 
 def test_posdim_input_guards():
     with pytest.raises(NotEliminationOrderError):
-        check_normal_position(buchberger(worked_generators(), DegLex()))
+        noetherian_positive(buchberger(worked_generators(), DegLex()))
     with pytest.raises(ZeroPolynomialError):
-        check_normal_position(buchberger([Polynomial.zero(RXT)], Lex()))
+        buchberger([Polynomial.zero(RXT)], Lex())
     module_ring = RingDescriptor(("x", "t"), 1, 1, 2)
     vec = Polynomial.variable(module_ring, "x", 1)
     with pytest.raises(NoethError):
@@ -129,9 +124,8 @@ def test_posdim_input_guards():
 
 
 def test_posdim_entry_points_need_a_groebner_basis():
-    for build in (check_normal_position, noetherian_positive):
-        with pytest.raises(NoethError, match="expected a Groebner basis"):
-            build(worked_generators())
+    with pytest.raises(NoethError, match="expected a Groebner basis"):
+        noetherian_positive(worked_generators())
 
 
 def test_extension_golden():
@@ -260,18 +254,8 @@ def test_zero_parameter_count_delegates_to_forward():
     assert basis.multiplicity == forward.multiplicity
 
 
-def test_positive_rejects_bad_position():
-    with pytest.raises(NormalPositionError):
-        noetherian_positive(buchberger(unit_after_extension(), Lex()))
-    try:
-        noetherian_positive(buchberger(unit_after_extension(), Lex()))
-    except NormalPositionError as err:
-        assert err.report is not None
-        assert not err.report.ok
-
-
 def test_cleanup_preserves_the_span():
-    # a cleaned operator is the fixed point of its own rational multiples
+    # a cleared row is the fixed point of its own rational multiples
     rng = random.Random(409)
     tring = RXYT2.t_subring()
     t = Polynomial.variable(tring, 0)
@@ -282,10 +266,13 @@ def test_cleanup_preserves_the_span():
                 num = (t + Polynomial.constant(tring, rng.randint(-3, 3))) ** rng.randint(0, 2)
                 den = t ** rng.randint(0, 2) + Polynomial.constant(tring, rng.randint(1, 3))
                 scalar = RationalFunction(num.scale(random_nonzero_fraction(rng)), den)
-                assert cleanup_operators([L.scale(scalar)]) == [L]
-    # cleanup leaves rational-free operators untouched
-    dx = DiffOp(RXY, {(1, (1, 0)): Fraction(2)})
-    assert cleanup_operators([dx]) == [dx]
+                assert _cleared_row(L.scale(scalar).terms, tring) == L.terms
+    # the Fraction entries the walk keeps are cleared with the rest
+    half = RationalFunction(Polynomial.constant(tring, 1), t + Polynomial.constant(tring, 2))
+    row = {(1, (0, 0)): Fraction(3), (1, (1, 0)): half}
+    cleared = _cleared_row(row, tring)
+    assert cleared == {(1, (0, 0)): RationalFunction(t + Polynomial.constant(tring, 2)),
+                       (1, (1, 0)): RationalFunction(Polynomial.constant(tring, Fraction(1, 3)))}
 
 
 def test_membership_equivalence_randomized():
@@ -334,30 +321,57 @@ def test_membership_by_operators_refuses_parameters():
 
 
 PARAMETER_POINTS = tuple(Fraction(v) for v in ("-3", "-2", "-1", "-1/2", "0", "1/3", "1", "2", "5/2", "4"))
+RXYZT3 = RingDescriptor(("x", "y", "z", "t"), 3, 1)
+RXYST2 = RingDescriptor(("x", "y", "s", "t"), 2, 2)
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_positive_specializes_to_forward_at_parameter_points(k):
-    # at a parameter value t0 the operators L_i(t0) must annihilate g(x, t0)
+def specialization_case(family, k):
+    """Generators, their center and the parameter points of one oracle input.
+
+    The one-parameter families shear x by a*t*y for a seeded a; the center
+    moves the zero off the origin, with a nonzero parameter coordinate.
+    """
+    if family == "two-parameters":
+        x, y, s, t = (Polynomial.variable(RXYST2, i) for i in range(4))
+        one, two = Polynomial.constant(RXYST2, 1), Polynomial.constant(RXYST2, 2)
+        gens = [(x - one + (s - t) * (y - two)) ** k, (y - two) ** k]
+        return gens, (1, 2, 5, -1), tuple(zip(PARAMETER_POINTS, reversed(PARAMETER_POINTS)))
+    rng = random.Random(505 + k)
+    a = random_nonzero_fraction(rng)
+    if family == "worked":
+        x, y, t = (Polynomial.variable(RXYT2, i) for i in range(3))
+        gens, center = [(x + (t * y).scale(a)) ** k, y**k], (Fraction(1), Fraction(-1, 2), Fraction(2))
+    else:
+        x, y, z, t = (Polynomial.variable(RXYZT3, i) for i in range(4))
+        image = x + (t * y).scale(a)
+        gens = [image**k, y**k, z**k] + ([image * z] if family == "sheared-z" else [])
+        center = (Fraction(1), Fraction(-1, 2), Fraction(3, 2), Fraction(2))
+    x_center = center[:-1] + (0,)
+    return moved_to(gens, x_center), center, tuple((t0,) for t0 in PARAMETER_POINTS)
+
+
+@pytest.mark.parametrize(
+    "family,k",
+    [("worked", 2), ("worked", 3), ("z", 2), ("z", 3), ("sheared-z", 3), ("two-parameters", 2)],
+)
+def test_positive_specializes_to_forward_at_parameter_points(family, k):
+    # at a parameter point t0 the operators L_i(t0) must annihilate g(x, t0)
     # at c_x and span what forward finds for g(x, t0); a point is excluded,
     # before any comparison, where a denominator vanishes or mu differs
-    rng = random.Random(505 + k)
-    x, y, t = (Polynomial.variable(RXYT2, i) for i in range(3))
-    a = random_nonzero_fraction(rng)
-    center = (Fraction(1), Fraction(-1, 2), Fraction(2))
-    gens = moved_to([(x + (t * y).scale(a)) ** k, y**k], center[:2] + (0,))
+    gens, center, points = specialization_case(family, k)
+    ring = gens[0].ring
     basis = noetherian_positive(buchberger(gens, ProductOrder(DegLex(), Lex())), center)
-    xring, cx = RXYT2.x_subring(), center[:2]
+    xring, cx = ring.x_subring(), center[: ring.x_count]
     qualified = 0
-    for t0 in PARAMETER_POINTS:
-        dens = [c.den.evaluate((t0,)) for L in basis for c in L.terms.values()]
-        special = [fix_parameters(g, (t0,)) for g in gens]
+    for t0 in points:
+        dens = [c.den.evaluate(t0) for L in basis for c in L.terms.values()]
+        special = [fix_parameters(g, t0) for g in gens]
         G0 = buchberger(special, DegLex(), xring)
         if not all(dens) or staircase(G0).multiplicity != basis.multiplicity:
             continue
         qualified += 1
         ops = [
-            DiffOp(xring, {key: c.num.evaluate((t0,)) / c.den.evaluate((t0,)) for key, c in L.terms.items()}, cx)
+            DiffOp(xring, {key: c.num.evaluate(t0) / c.den.evaluate(t0) for key, c in L.terms.items()}, cx)
             for L in basis
         ]
         assert all(apply_at(L, g) == 0 for L in ops for g in special)
@@ -379,7 +393,7 @@ def reference_positive_rows(gens, order, rounds=None):
     stair = staircase(extend_to_rational_coeffs(G))
     mu = stair.multiplicity
     residual = set(stair.monomials)
-    gamma = check_normal_position(buchberger(gens, order)).gamma
+    gamma = lead_parameter_part(G)
     tpow = Polynomial.monomial(ring, (0,) * ring.x_count + gamma)
     states = {
         (1, xe): Polynomial.monomial(ring, xe + (0,) * ring.t_count)
@@ -400,6 +414,12 @@ def reference_positive_rows(gens, order, rounds=None):
         for beta, tpoly in group_by_x(states[col]).items():
             rows[beta][col] = tpoly
     return [rows[beta] for beta in stair.monomials]
+
+
+def lead_parameter_part(G):
+    """The sum of the parameter exponents of G's leading terms."""
+    parts = [t_part(G.ring, exp) for (_, exp), _ in G.leading_terms()]
+    return tuple(sum(col) for col in zip(*parts))
 
 
 def random_center(rng):
@@ -471,8 +491,9 @@ def random_nonzero_fraction(rng):
 
 def test_iteration_rows_stabilize_up_to_parameter_power():
     gens = worked_generators()
-    mu = staircase(extend_to_rational_coeffs(buchberger(gens, Lex(), RXYT2))).multiplicity
-    gamma = check_normal_position(buchberger(gens, Lex())).gamma
+    G = buchberger(gens, Lex(), RXYT2)
+    mu = staircase(extend_to_rational_coeffs(G)).multiplicity
+    gamma = lead_parameter_part(G)
     first = reference_positive_rows(gens, Lex(), rounds=1)
     # separated after one round: every residual monomial carries a row
     assert len(first) == mu and all(first)
@@ -491,12 +512,11 @@ def test_positive_matches_the_round_loop_reference():
     cases += [random_sheared_posdim(rng) for _ in range(12)]
     for gens, order in cases:
         ring = gens[0].ring
-        reference = cleanup_operators(
-            [
-                DiffOp(ring, {col: RationalFunction(tp) for col, tp in row.items()})
-                for row in reference_positive_rows(gens, order)
-            ]
-        )
+        tring = ring.t_subring()
+        reference = [
+            DiffOp(ring, _cleared_row({col: RationalFunction(tp) for col, tp in row.items()}, tring))
+            for row in reference_positive_rows(gens, order)
+        ]
         basis = noetherian_positive(buchberger(gens, order))
         assert list(basis.operators) == reference
         assert [list(L.terms.items()) for L in basis.operators] == [
