@@ -96,6 +96,17 @@ def test_positive_rejects_bad_position():
     assert str(err.value) == NOT_IN_NORMAL_POSITION + "t^3 - 1 lies in the parameter ring"
 
 
+def test_normal_position_report_negative():
+    # the contraction to the parameter ring is (t^3 - 1) under either order, and the check names that witness
+    t = Polynomial.variable(RXT, "t")
+    for order in (Lex(), ProductOrder(DegLex(), Lex())):
+        G0 = buchberger(unit_after_extension(), order)
+        assert [g for g in G0.elements if all(e[1][0] == 0 for e in g.terms)] == [t**3 - 1]
+        with pytest.raises(NormalPositionError) as err:
+            noetherian_positive(G0)
+        assert str(err.value) == NOT_IN_NORMAL_POSITION + "t^3 - 1 lies in the parameter ring"
+
+
 def test_normal_position_names_the_variable_without_a_monic_power():
     # x^2 qualifies; y^2 t does not, since its parameter part becomes a coefficient
     spec = parse_problem("ring x, y | t;\norder lex;\nideal x^2, t*y^2, x*y;\n")
