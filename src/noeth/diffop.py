@@ -275,19 +275,18 @@ def span_equal_operators(a, b) -> bool:
     return Echelon(a) == Echelon(b)
 
 
-def is_closed(ops, echelon: Echelon | None = None) -> bool:
+def is_closed(ops) -> bool:
     """Stable under every lowering morphism (as a span).
 
-    echelon is the Echelon of ops, for a caller that has already built it;
-    it is left unchanged.  The rows of the Echelon span what ops span and
-    lowering is linear, so the span is closed exactly when every lowered row
-    lies in it.  The rows are lowered and eliminated in their own form,
-    integers on rational input, and no operator is lowered or rescaled.
+    The rows of the Echelon of ops span what ops span and lowering is linear,
+    so the span is closed exactly when every lowered row lies in it.  The
+    rows are lowered and eliminated in their own form, integers on rational
+    input, and no operator is lowered or rescaled.
     """
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         return True
-    span = Echelon(ops) if echelon is None else echelon
+    span = Echelon(ops)
     lowered = (_lowered(row, j) for row in span.rows.values() for j in range(ops[0].ring.x_count))
     return not any(span._cancel_pivots(terms, 1)[0] for terms in lowered)
 

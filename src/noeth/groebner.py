@@ -266,7 +266,7 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     elements' prepared reducers, over the integers when every coefficient
     is a Fraction.
     """
-    gens = [g for g in gens if g is not None and not g.is_zero()]
+    gens = [g for g in gens if g is not None]
     if ring is None:
         if not gens:
             raise ZeroPolynomialError("no generators and no ring given")

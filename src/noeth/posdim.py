@@ -138,7 +138,7 @@ def noetherian_positive(G: GroebnerBasis, center=None) -> NoetherianBasis:
     stair = staircase(Gx)
     tring = ring.t_subring()
     ops = tuple(DiffOp._of(ring, _cleared_row(row, tring), center) for row in dual_rows(Gx, stair))
-    basis = NoetherianBasis(ops, stair.multiplicity, center, "positive", G0)
+    basis = NoetherianBasis(ops, stair.multiplicity, center, "positive", Gx)
     basis.validate()
     return basis
 

@@ -9,11 +9,12 @@ coefficient matrix.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
 
-from noeth import Polynomial, RingDescriptor, normal_form
+from noeth import DiffOp, Polynomial, RingDescriptor, normal_form
 from noeth.orderings import leading_term
 from noeth.ring import exp_add, exp_deg, exp_divides, exp_sub, reading_key
 
@@ -471,3 +472,12 @@ def reference_dual_rows(G0, stair):
         for beta, c in found[key].items():
             rows[beta][key] = c
     return [rows[beta] for beta in stair.monomials]
+
+
+def one_term_dropped(basis):
+    """Copies of a NoetherianBasis, each with one term of one operator dropped and the same source."""
+    ops = basis.operators
+    for i, L in enumerate(ops):
+        for key in L.terms:
+            cut = DiffOp(L.ring, {k: c for k, c in L.terms.items() if k != key}, L.center)
+            yield replace(basis, operators=ops[:i] + (cut,) + ops[i + 1 :])

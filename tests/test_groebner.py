@@ -283,6 +283,18 @@ def test_cached_normal_form_keeps_the_ring_check():
             is_member(f, G)
 
 
+def test_a_zero_generator_carries_its_ring():
+    for ring in (RXY, RXT, RM2):
+        G = buchberger([Polynomial.zero(ring)], Lex())
+        assert (G.ring, G.elements, G.reduced) == (ring, (), True)
+    x = Polynomial.variable(RXY, "x")
+    assert buchberger([Polynomial.zero(RXY), x], Lex()).elements == (x,)
+    zero = Polynomial.zero(RXYZ)
+    for gens, ring in (([zero], RXY), ([x, zero], None), ([zero, x], None)):
+        with pytest.raises(RingMismatchError):
+            buchberger(gens, Lex(), ring)
+
+
 class CountingDegLex(DegLex):
     """DegLex whose sort key counts its calls."""
 

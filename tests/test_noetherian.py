@@ -32,6 +32,7 @@ from noeth import (
     staircase,
 )
 from noeth.errors import (
+    InfiniteStaircaseError,
     NoethError,
     NotClosedError,
     NotPrimaryError,
@@ -44,6 +45,7 @@ from support import (
     RX,
     RXY,
     RXYZ,
+    one_term_dropped,
     random_combination,
     random_origin_primary,
     random_polynomial,
@@ -114,6 +116,11 @@ def test_methods_agree_on_random_primary_ideals():
     for gens, order, center in random_primary_cases(rng):
         results = [build(gens, order, gens[0].ring, center) for build in ALL_METHODS]
         assert results[0].operators == results[1].operators == results[2].operators
+        # validate alone refuses every copy with one term dropped
+        for basis in results:
+            for copy in one_term_dropped(basis):
+                with pytest.raises(NoethError):
+                    copy.validate()
 
 
 def test_linear_evaluates_each_candidate_once(monkeypatch):
@@ -206,7 +213,8 @@ def test_linear_method_rejects_non_primary_input():
     x, y = xy_vars()
     with pytest.raises(NotPrimaryError, match="not primary at the center"):
         noetherian_linear(buchberger([x**2 - x, y], DegLex()))
-    with pytest.raises(ZeroPolynomialError):
+    # the zero ideal is a basis over RXY with no pure powers
+    with pytest.raises(InfiniteStaircaseError):
         noetherian_linear(buchberger([Polynomial.zero(RXY)], DegLex()))
 
 
@@ -468,6 +476,14 @@ def test_validate_rejects_malformed_bases():
         NoetherianBasis((one, dx + dxdy), 2, zero, "forward", None).validate()
     with pytest.raises(NoethError):
         NoetherianBasis((dx, one), 2, zero, "forward", None).validate()
+    # independent and closed, but every key of 1 is a key of 1 + dx
+    with pytest.raises(NoethError, match="no key at which every other operator is 0"):
+        NoetherianBasis((one, one + dx), 2, zero, "forward", None).validate()
+    # the operators 1, dx, dy, dx dy of (x^2, y^2) do not annihilate (y^2, x^2 - y), also of multiplicity 4
+    x, y = xy_vars()
+    squares = noetherian_forward(buchberger([x**2, y**2], DegLex(), RXY)).operators
+    with pytest.raises(NotPrimaryError, match="^the input is not primary at the center: an operator does not"):
+        NoetherianBasis(squares, 4, zero, "forward", buchberger([y**2, x**2 - y], DegLex(), RXY)).validate()
     with pytest.raises(AttributeError):
         basis.multiplicity = 7
 

@@ -46,6 +46,7 @@ from support import (
     RXT,
     RXY,
     fix_parameters,
+    one_term_dropped,
     oracle_buchberger,
     oracle_from,
     oracle_multiplicity,
@@ -127,7 +128,9 @@ def test_posdim_input_guards():
     with pytest.raises(NotEliminationOrderError):
         noetherian_positive(buchberger(worked_generators(), DegLex()))
     with pytest.raises(ZeroPolynomialError):
-        buchberger([Polynomial.zero(RXT)], Lex())
+        buchberger([], Lex())
+    with pytest.raises(NormalPositionError, match="no leading term is a power of x free of the parameters"):
+        noetherian_positive(buchberger([Polynomial.zero(RXT)], Lex()))
     module_ring = RingDescriptor(("x", "t"), 1, 1, 2)
     vec = Polynomial.variable(module_ring, "x", 1)
     with pytest.raises(NoethError):
@@ -372,6 +375,10 @@ def test_positive_specializes_to_forward_at_parameter_points(family, k):
     gens, center, points = specialization_case(family, k)
     ring = gens[0].ring
     basis = noetherian_positive(buchberger(gens, ProductOrder(DegLex(), Lex())), center)
+    # validate alone refuses every copy with one term dropped
+    for copy in one_term_dropped(basis):
+        with pytest.raises(NoethError):
+            copy.validate()
     xring, cx = ring.x_subring(), center[: ring.x_count]
     qualified = 0
     for t0 in points:
