@@ -11,9 +11,9 @@ it, and the dual of a polynomial copies its coefficients verbatim.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Callable, Iterable, Mapping
 
 from .errors import NotClosedError, RingMismatchError
 from .polynomial import Polynomial, TermVector, integer_multiple

@@ -13,7 +13,6 @@ frequency's parameter coordinate, the center's plus the free one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffop import alpha_factorial
@@ -21,29 +20,39 @@ from .noetherian import NoetherianBasis
 from .polynomial import Polynomial
 from .ratfun import RationalFunction
 from .render import render_polynomial
-from .ring import Exponent, RingDescriptor, reading_key
+from .ring import Exponent, Record, RingDescriptor, reading_key
 
 
-@dataclass(frozen=True)
-class SolutionTerm:
-    position: int
-    alpha: Exponent
-    scalar: object  # Fraction, or a parameter-block Polynomial
+class SolutionTerm(Record):
+    __slots__ = _fields = ("position", "alpha", "scalar")
+
+    def __init__(self, position: int, alpha: Exponent, scalar):
+        # scalar is a Fraction, or a parameter-block Polynomial
+        self._set("_key", (position, alpha, scalar))
+        self._set("position", position)
+        self._set("alpha", alpha)
+        self._set("scalar", scalar)
 
 
-@dataclass(frozen=True)
-class SolutionSummand:
-    constant: str
-    component: int
-    center: tuple
-    integral: bool
-    terms: tuple[SolutionTerm, ...]
+class SolutionSummand(Record):
+    __slots__ = _fields = ("constant", "component", "center", "integral", "terms")
+
+    def __init__(self, constant: str, component: int, center: tuple, integral: bool, terms: tuple):
+        self._set("_key", (constant, component, center, integral, terms))
+        self._set("constant", constant)
+        self._set("component", component)
+        self._set("center", center)
+        self._set("integral", integral)
+        self._set("terms", terms)
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
-    ring: RingDescriptor
-    summands: tuple[SolutionSummand, ...]
+class SolutionFamily(Record):
+    __slots__ = _fields = ("ring", "summands")
+
+    def __init__(self, ring: RingDescriptor, summands: tuple[SolutionSummand, ...]):
+        self._set("_key", (ring, summands))
+        self._set("ring", ring)
+        self._set("summands", summands)
 
     def structure(self) -> set:
         """(position, alpha, center) triples; the renaming-free fingerprint."""

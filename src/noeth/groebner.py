@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -39,6 +38,7 @@ from .errors import (
 from .orderings import AnyOrder, SortKey, as_module_order, is_elimination_for, lead_by_key, monic_by_key
 from .polynomial import Polynomial, add_shifted, integer_multiple
 from .ring import (
+    Record,
     RingDescriptor,
     TermKey,
     exp_add,
@@ -88,12 +88,16 @@ class _Reducers(list):
         self.integral = integral
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    ring: RingDescriptor
-    order: AnyOrder
-    elements: tuple[Polynomial, ...]
-    reduced: bool = True
+class GroebnerBasis(Record):
+    _fields = ("ring", "order", "elements", "reduced")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached properties
+
+    def __init__(self, ring: RingDescriptor, order: AnyOrder, elements: tuple[Polynomial, ...], reduced=True):
+        self._set("_key", (ring, order, elements, reduced))
+        self._set("ring", ring)
+        self._set("order", order)
+        self._set("elements", elements)
+        self._set("reduced", reduced)
 
     @cached_property
     def _reducers(self) -> _Reducers:
@@ -338,10 +342,14 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
             kept.append(idx)
 
     # interreduce tails against the other kept elements, in kept order; a
-    # minimal basis keeps every lead, so only entry i's tail changes
+    # minimal basis keeps every lead, so only entry i's tail changes, and only
+    # when another lead divides one of its terms
     reduced = [basis[idx] for idx in kept]
     others = _Reducers(ring, term_key, integral, [reducers[idx] for idx in kept])
+    leads = [lts[idx] for idx in kept]
     for i in range(len(reduced)):
+        if not any(_divides(lead, key) for key, _ in others[i][3] for lead in leads):
+            continue
         del others[i]
         reduced[i] = monic_by_key(normal_form(reduced[i], others), term_key)
         others.insert(i, _reducer(reduced[i], term_key, integral))
@@ -355,10 +363,13 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
 STAIRCASE_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Staircase:
-    ring: RingDescriptor
-    monomials: tuple[TermKey, ...]
+class Staircase(Record):
+    __slots__ = _fields = ("ring", "monomials")
+
+    def __init__(self, ring: RingDescriptor, monomials: tuple[TermKey, ...]):
+        self._set("_key", (ring, monomials))
+        self._set("ring", ring)
+        self._set("monomials", monomials)
 
     @property
     def multiplicity(self) -> int:

@@ -16,11 +16,10 @@ span.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Sequence
 
 from .diffop import (
     DiffOp,
@@ -41,6 +40,7 @@ from .groebner import GroebnerBasis, Staircase, _divide, buchberger, corner_mono
 from .orderings import AnyOrder, as_module_order
 from .polynomial import Polynomial, add_into
 from .ring import (
+    Record,
     TermKey,
     as_center,
     exp_add,
@@ -51,8 +51,7 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class NoetherianBasis:
+class NoetherianBasis(Record):
     """A canonical basis of the dual space of source at the origin.
 
     source is the translate G0 of the input, or for posdim its extension over
@@ -63,11 +62,15 @@ class NoetherianBasis:
     dual space, and source is primary at the origin (Mourrain, JPAA 1997).
     """
 
-    operators: tuple[DiffOp, ...]
-    multiplicity: int
-    center: tuple
-    method: str
-    source: GroebnerBasis | None
+    __slots__ = _fields = ("operators", "multiplicity", "center", "method", "source")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
+
+    def __init__(self, operators: tuple[DiffOp, ...], multiplicity: int, center: tuple, method: str, source):
+        self._set("operators", operators)
+        self._set("multiplicity", multiplicity)
+        self._set("center", center)
+        self._set("method", method)
+        self._set("source", source)
 
     def __iter__(self):
         return iter(self.operators)

@@ -10,34 +10,33 @@ position-over-term precedence, lower positions winning ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from itertools import accumulate
-from typing import Callable, Union
 
 from .errors import ZeroPolynomialError
-from .ring import RingDescriptor, TermKey
+from .ring import Record, RingDescriptor, TermKey
 
 SortKey = Callable[[tuple], tuple]
 
 
-@dataclass(frozen=True)
-class Lex:
+class Lex(Record):
+    __slots__ = _key = ()
     name = "lex"
 
     def key(self, ring: RingDescriptor) -> SortKey:
         return tuple  # the exponent itself
 
 
-@dataclass(frozen=True)
-class DegLex:
+class DegLex(Record):
+    __slots__ = _key = ()
     name = "deglex"
 
     def key(self, ring: RingDescriptor) -> SortKey:
         return lambda a: (sum(a), a)
 
 
-@dataclass(frozen=True)
-class DegRevLex:
+class DegRevLex(Record):
+    __slots__ = _key = ()
     name = "degrevlex"
 
     def key(self, ring: RingDescriptor) -> SortKey:
@@ -46,16 +45,17 @@ class DegRevLex:
         return lambda a: tuple(accumulate(a))[::-1]
 
 
-@dataclass(frozen=True)
-class ProductOrder:
+class ProductOrder(Record):
     """Rank the x-blocks first, break ties with the parameter block."""
 
-    x_order: "TermOrder"
-    t_order: "TermOrder"
+    __slots__ = _fields = ("x_order", "t_order")
 
-    def __post_init__(self):
-        if isinstance(self.x_order, ProductOrder) or isinstance(self.t_order, ProductOrder):
+    def __init__(self, x_order: TermOrder, t_order: TermOrder):
+        if isinstance(x_order, ProductOrder) or isinstance(t_order, ProductOrder):
             raise ValueError("nested product orders are not supported")
+        self._set("_key", (x_order, t_order))
+        self._set("x_order", x_order)
+        self._set("t_order", t_order)
 
     @property
     def name(self) -> str:
@@ -69,20 +69,21 @@ class ProductOrder:
         return lambda a: (kx(a[:n]), kt(a[n:]))
 
 
-TermOrder = Union[Lex, DegLex, DegRevLex, ProductOrder]
+TermOrder = Lex | DegLex | DegRevLex | ProductOrder
 
 TOP = "top"  # term over position
 POT = "pot"  # position over term
 
 
-@dataclass(frozen=True)
-class ModuleOrder:
-    base: TermOrder
-    precedence: str = TOP
+class ModuleOrder(Record):
+    __slots__ = _fields = ("base", "precedence")
 
-    def __post_init__(self):
-        if self.precedence not in (TOP, POT):
-            raise ValueError(f"unknown precedence {self.precedence!r}")
+    def __init__(self, base: TermOrder, precedence: str = TOP):
+        if precedence not in (TOP, POT):
+            raise ValueError(f"unknown precedence {precedence!r}")
+        self._set("_key", (base, precedence))
+        self._set("base", base)
+        self._set("precedence", precedence)
 
     @property
     def name(self) -> str:
@@ -95,7 +96,7 @@ class ModuleOrder:
         return lambda t: (k(t[1]), -t[0])
 
 
-AnyOrder = Union[TermOrder, ModuleOrder]
+AnyOrder = TermOrder | ModuleOrder
 
 
 def as_module_order(order: AnyOrder) -> ModuleOrder:

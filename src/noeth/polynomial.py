@@ -10,9 +10,9 @@ paths share one representation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Mapping
 
 from .errors import RingMismatchError
 from .ring import (

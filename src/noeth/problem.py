@@ -16,9 +16,8 @@ given as repeated `component <generators> at <point>;` clauses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ParseError
 from .orderings import (
@@ -32,7 +31,7 @@ from .orderings import (
     TermOrder,
 )
 from .polynomial import Polynomial, add_into
-from .ring import RingDescriptor
+from .ring import Record, RingDescriptor
 
 KEYWORDS = {
     "ring",
@@ -63,14 +62,10 @@ _WORD_TAIL = "0123456789_"
 _TOKEN = re.compile(r"([ \t\r]*)(?:([,;|^*+\-()\[\]/])|([0-9]+)|(\w+)|(\n)|(#[^\n]*)|([^ \t\r]))")
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "keyword", "int", "punct", "end"
-    text: str
-    line: int
-    column: int
+# kind is "ident", "keyword", "int", "punct" or "end"
+Token = namedtuple("Token", ("kind", "text", "line", "column"))
 
-
-# Builds a Token from a 4-tuple without the NamedTuple's Python-level __new__.
+# Builds a Token from a 4-tuple without the namedtuple's Python-level __new__.
 _new_token = tuple.__new__
 
 
@@ -110,22 +105,29 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Component:
-    generators: tuple[Polynomial, ...]
-    center: tuple[Fraction, ...]
+class Component(Record):
+    __slots__ = _fields = ("generators", "center")
+
+    def __init__(self, generators: tuple[Polynomial, ...], center: tuple[Fraction, ...]):
+        self._set("_key", (generators, center))
+        self._set("generators", generators)
+        self._set("center", center)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """A parsed problem file; frozen, with tuple fields, so that callers may share one."""
+class ProblemSpec(Record):
+    """A parsed problem file; immutable, with tuple fields, so that callers may share one."""
 
-    ring: RingDescriptor
-    order: TermOrder
-    module_precedence: str = TOP
-    generators: tuple[Polynomial, ...] = ()
-    center: tuple[Fraction, ...] | None = None
-    components: tuple[Component, ...] = ()
+    __slots__ = _fields = ("ring", "order", "module_precedence", "generators", "center", "components")
+
+    def __init__(self, ring: RingDescriptor, order: TermOrder, module_precedence=TOP, generators=(),
+                 center=None, components=()):
+        self._set("_key", (ring, order, module_precedence, generators, center, components))
+        self._set("ring", ring)
+        self._set("order", order)
+        self._set("module_precedence", module_precedence)
+        self._set("generators", generators)
+        self._set("center", center)
+        self._set("components", components)
 
     @property
     def effective_order(self) -> AnyOrder:

@@ -9,7 +9,6 @@ vectors are plain int tuples of length x_count + t_count; a module term is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
 from operator import add, le, sub
@@ -20,20 +19,54 @@ Exponent = tuple[int, ...]
 TermKey = tuple[int, Exponent]  # (position, exponent)
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
-    names: tuple[str, ...]
-    x_count: int
-    t_count: int = 0
-    rank: int = 1
+class Record:
+    """Immutable value with named fields, like a frozen dataclass but cheaper to import.
 
-    def __post_init__(self):
-        if self.x_count < 0 or self.t_count < 0 or self.rank < 1:
+    A subclass keeps its fields, named in _fields in __init__ order, in
+    slots; __init__ sets each once through _set, and _key to their tuple, by
+    which records of one class compare and hash.
+    """
+
+    __slots__ = ("_key",)
+    _fields = ()
+    _set = object.__setattr__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class RingDescriptor(Record):
+    __slots__ = _fields = ("names", "x_count", "t_count", "rank")
+
+    def __init__(self, names: tuple[str, ...], x_count: int, t_count: int = 0, rank: int = 1):
+        if x_count < 0 or t_count < 0 or rank < 1:
             raise ValueError("invalid ring shape")
-        if self.x_count + self.t_count != len(self.names):
+        if x_count + t_count != len(names):
             raise ValueError("variable count does not match names")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        self._set("_key", (names, x_count, t_count, rank))
+        self._set("names", names)
+        self._set("x_count", x_count)
+        self._set("t_count", t_count)
+        self._set("rank", rank)
 
     @property
     def nvars(self) -> int:

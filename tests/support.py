@@ -9,12 +9,11 @@ coefficient matrix.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
 
-from noeth import DiffOp, Polynomial, RingDescriptor, normal_form
+from noeth import DiffOp, NoetherianBasis, Polynomial, RingDescriptor, normal_form
 from noeth.orderings import leading_term
 from noeth.ring import exp_add, exp_deg, exp_divides, exp_sub, reading_key
 
@@ -480,4 +479,5 @@ def one_term_dropped(basis):
     for i, L in enumerate(ops):
         for key in L.terms:
             cut = DiffOp(L.ring, {k: c for k, c in L.terms.items() if k != key}, L.center)
-            yield replace(basis, operators=ops[:i] + (cut,) + ops[i + 1 :])
+            yield NoetherianBasis(ops[:i] + (cut,) + ops[i + 1 :], basis.multiplicity, basis.center, basis.method,
+                                  basis.source)

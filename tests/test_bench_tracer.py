@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -20,6 +21,26 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def pinned_tracer(monkeypatch):
+    """A Tracer whose install() monkeypatch.undo() reverts: every binding it may replace is pinned first."""
+    tracer_module = load_tracer()
+    for name, module in list(sys.modules.items()):
+        if name != "noeth" and not name.startswith("noeth."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if callable(value):
+                monkeypatch.setattr(module, attr, value)
+            elif isinstance(value, dict):
+                for key, entry in list(value.items()):
+                    monkeypatch.setitem(value, key, entry)
+    for table in (tracer_module.SPANNED, tracer_module.COUNTED):
+        for layer, names in table.items():
+            for cls_name, _, attr in (qual.partition(".") for qual in names if "." in qual):
+                cls = getattr(importlib.import_module(f"noeth.{layer}"), cls_name)
+                monkeypatch.setattr(cls, attr, vars(cls)[attr])
+    return tracer_module.Tracer()
 
 
 def test_every_traced_name_resolves():
@@ -44,30 +65,10 @@ def test_every_traced_name_resolves():
 def test_tracer_sees_the_normal_forms_inside_buchberger(monkeypatch):
     # The kernel must reach normal_form and s_polynomial through the module
     # globals, or the S-pair counters of a traced pass read zero.
-    import sys
-
     from noeth import DegLex, Polynomial, RingDescriptor, groebner
 
-    tracer_module = load_tracer()
-    # Pin every binding install() may replace, so that undo() restores it.
-    for name, module in list(sys.modules.items()):
-        if name != "noeth" and not name.startswith("noeth."):
-            continue
-        for attr, value in list(vars(module).items()):
-            if callable(value):
-                monkeypatch.setattr(module, attr, value)
-            elif isinstance(value, dict):
-                for key, entry in list(value.items()):
-                    monkeypatch.setitem(value, key, entry)
-    for table in (tracer_module.SPANNED, tracer_module.COUNTED):
-        for layer, names in table.items():
-            for qual in names:
-                if "." in qual:
-                    cls_name, attr = qual.split(".")
-                    cls = getattr(importlib.import_module(f"noeth.{layer}"), cls_name)
-                    monkeypatch.setattr(cls, attr, vars(cls)[attr])
     original = groebner.normal_form
-    tracer = tracer_module.Tracer()
+    tracer = pinned_tracer(monkeypatch)
     try:
         tracer.install()
         assert groebner.normal_form is not original

@@ -256,6 +256,36 @@ def test_buchberger_matches_textbook_buchberger(ring, order):
         assert len(set(G.elements)) == len(G.elements)
 
 
+def test_an_already_reduced_input_makes_no_interreduction_normal_form(monkeypatch):
+    # The generators and S-pairs reduce against one reducer list; the final
+    # interreduction calls normal_form against another, and only for an
+    # element one of whose terms another kept lead divides.
+    bases = []
+    original = groebner.normal_form
+
+    def normal_form(f, basis, order=None):
+        bases.append(basis)
+        return original(f, basis, order)
+
+    monkeypatch.setattr(groebner, "normal_form", normal_form)
+
+    def interreduction_calls(gens, order, ring):
+        bases.clear()
+        G = groebner.buchberger(gens, order, ring)
+        return G, sum(basis is not bases[0] for basis in bases)
+
+    x, y = variables(RXY)
+    G, calls = interreduction_calls([x**2 + y, y], DegLex(), RXY)
+    assert G.elements == (x**2, y) and calls == 1
+    rng = random.Random(2203)
+    for ring, order in ORACLE_CASES:
+        for _ in range(3):
+            G = buchberger(oracle_input(rng, ring), order, ring)
+            again, calls = interreduction_calls(list(reversed(G.elements)), order, ring)
+            assert again.elements == G.elements and calls == 0
+            assert set(again.elements) == reference_buchberger(G.elements, order)
+
+
 @pytest.mark.parametrize("ring,order", ORACLE_CASES)
 def test_cached_normal_form_matches_the_per_call_paths(ring, order):
     rng = random.Random(823)

@@ -397,27 +397,9 @@ def test_backward_rejects_non_primary_input():
 def test_tracer_sees_the_closure_inside_backward(monkeypatch):
     # Backward must reach closure through the diffop module global, or the
     # closure counters of a traced pass read zero.
-    import importlib
-    import sys
+    from test_bench_tracer import pinned_tracer
 
-    from test_bench_tracer import load_tracer
-
-    tracer_module = load_tracer()
-    # Pin every binding install() may replace, so that undo() restores it.
-    for name, module in list(sys.modules.items()):
-        if name == "noeth" or name.startswith("noeth."):
-            for attr, value in list(vars(module).items()):
-                if callable(value):
-                    monkeypatch.setattr(module, attr, value)
-                elif isinstance(value, dict):
-                    for key, entry in list(value.items()):
-                        monkeypatch.setitem(value, key, entry)
-    for table in (tracer_module.SPANNED, tracer_module.COUNTED):
-        for layer, names in table.items():
-            for cls_name, _, attr in (qual.partition(".") for qual in names if "." in qual):
-                cls = getattr(importlib.import_module(f"noeth.{layer}"), cls_name)
-                monkeypatch.setattr(cls, attr, vars(cls)[attr])
-    tracer = tracer_module.Tracer()
+    tracer = pinned_tracer(monkeypatch)
     try:
         tracer.install()
         G = buchberger(hermite_ideal(), DegLex(), RXY)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import noeth
 import noeth.errors
@@ -54,3 +58,12 @@ def test_the_four_constructions_share_one_signature():
 def test_orderings_keeps_one_monic():
     assert not hasattr(noeth.orderings, "monic")
     assert callable(noeth.orderings.monic_by_key)
+
+
+def test_start_up_loads_no_dataclasses_inspect_or_typing():
+    # -S: modules that site's .pth files import, such as typing, would mask a
+    # regression here
+    code = "import sys, noeth.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(noeth.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
