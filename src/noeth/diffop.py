@@ -16,47 +16,26 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import NotClosedError, RingMismatchError
-from .polynomial import Polynomial, TermVector, integer_multiple
-from .ring import Exponent, RingDescriptor, as_center, as_coeff, exp_deg, reading_key, t_part, x_part
+from .polynomial import Polynomial, TermVector, checked_terms, integer_multiple
+from .ring import Exponent, RingDescriptor, as_center, exp_deg, reading_key, t_part, x_part
 
 OpKey = tuple[int, Exponent]  # (position, alpha over the x-block)
 
 
-def _set_fields(op, ring, terms, center):
-    object.__setattr__(op, "ring", ring)
-    object.__setattr__(op, "terms", terms)
-    object.__setattr__(op, "center", center)
-    object.__setattr__(op, "_hash", None)
-
-
 class DiffOp(TermVector):
-    """Immutable differential operator with exact coefficients."""
+    """Immutable differential operator with exact coefficients.
+
+    Its keys carry an alpha over the x-block; the trusted _of also takes a
+    center already checked by as_center.
+    """
 
     __slots__ = ("center",)
+    _fields = ("ring", "terms", "center")
     _prefix, _tag = "d", "@"
 
     def __init__(self, ring: RingDescriptor, terms: Mapping[OpKey, object], center=None):
         center = as_center(ring, center)
-        clean: dict[OpKey, object] = {}
-        for (pos, alpha), c in terms.items():
-            c = as_coeff(c)
-            if not c:
-                continue
-            if not (1 <= pos <= ring.rank) or len(alpha) != ring.x_count:
-                raise RingMismatchError(f"bad operator term ({pos}, {alpha})")
-            clean[(pos, alpha)] = c
-        _set_fields(self, ring, clean, center)
-
-    @classmethod
-    def _of(cls, ring: RingDescriptor, terms: dict, center: tuple) -> "DiffOp":
-        """Wrap terms and a checked center as they are: the trusted path for results.
-
-        terms must be a dict of the caller's own, with well-formed keys and
-        only nonzero coefficients; the operator takes it over.
-        """
-        op = object.__new__(cls)
-        _set_fields(op, ring, terms, center)
-        return op
+        self._assign(ring, checked_terms(ring, terms, ring.x_count), center)
 
     def _context(self) -> tuple:
         return self.ring, self.center

@@ -28,31 +28,21 @@ class SolutionTerm(Record):
 
     def __init__(self, position: int, alpha: Exponent, scalar):
         # scalar is a Fraction, or a parameter-block Polynomial
-        self._set("_key", (position, alpha, scalar))
-        self._set("position", position)
-        self._set("alpha", alpha)
-        self._set("scalar", scalar)
+        self._assign(position, alpha, scalar)
 
 
 class SolutionSummand(Record):
     __slots__ = _fields = ("constant", "component", "center", "integral", "terms")
 
     def __init__(self, constant: str, component: int, center: tuple, integral: bool, terms: tuple):
-        self._set("_key", (constant, component, center, integral, terms))
-        self._set("constant", constant)
-        self._set("component", component)
-        self._set("center", center)
-        self._set("integral", integral)
-        self._set("terms", terms)
+        self._assign(constant, component, center, integral, terms)
 
 
 class SolutionFamily(Record):
     __slots__ = _fields = ("ring", "summands")
 
     def __init__(self, ring: RingDescriptor, summands: tuple[SolutionSummand, ...]):
-        self._set("_key", (ring, summands))
-        self._set("ring", ring)
-        self._set("summands", summands)
+        self._assign(ring, summands)
 
     def structure(self) -> set:
         """(position, alpha, center) triples; the renaming-free fingerprint."""
@@ -130,8 +120,7 @@ def _exponent_argument(ring, disp, center, integral: bool) -> Polynomial:
     width = disp.nvars
     for i, c in enumerate(center):
         if c:
-            exp = tuple(1 if j == i else 0 for j in range(width))
-            terms[(1, exp)] = Fraction(c)
+            terms[(1, disp.var_exp(i))] = Fraction(c)
     if integral:
         for k in range(ring.t_count):
             exp = [0] * width

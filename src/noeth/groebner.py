@@ -93,11 +93,7 @@ class GroebnerBasis(Record):
     __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached properties
 
     def __init__(self, ring: RingDescriptor, order: AnyOrder, elements: tuple[Polynomial, ...], reduced=True):
-        self._set("_key", (ring, order, elements, reduced))
-        self._set("ring", ring)
-        self._set("order", order)
-        self._set("elements", elements)
-        self._set("reduced", reduced)
+        self._assign(ring, order, elements, reduced)
 
     @cached_property
     def _reducers(self) -> _Reducers:
@@ -367,9 +363,7 @@ class Staircase(Record):
     __slots__ = _fields = ("ring", "monomials")
 
     def __init__(self, ring: RingDescriptor, monomials: tuple[TermKey, ...]):
-        self._set("_key", (ring, monomials))
-        self._set("ring", ring)
-        self._set("monomials", monomials)
+        self._assign(ring, monomials)
 
     @property
     def multiplicity(self) -> int:

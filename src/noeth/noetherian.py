@@ -66,11 +66,7 @@ class NoetherianBasis(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     def __init__(self, operators: tuple[DiffOp, ...], multiplicity: int, center: tuple, method: str, source):
-        self._set("operators", operators)
-        self._set("multiplicity", multiplicity)
-        self._set("center", center)
-        self._set("method", method)
-        self._set("source", source)
+        self._assign(operators, multiplicity, center, method, source)
 
     def __iter__(self):
         return iter(self.operators)

@@ -53,9 +53,7 @@ class ProductOrder(Record):
     def __init__(self, x_order: TermOrder, t_order: TermOrder):
         if isinstance(x_order, ProductOrder) or isinstance(t_order, ProductOrder):
             raise ValueError("nested product orders are not supported")
-        self._set("_key", (x_order, t_order))
-        self._set("x_order", x_order)
-        self._set("t_order", t_order)
+        self._assign(x_order, t_order)
 
     @property
     def name(self) -> str:
@@ -81,9 +79,7 @@ class ModuleOrder(Record):
     def __init__(self, base: TermOrder, precedence: str = TOP):
         if precedence not in (TOP, POT):
             raise ValueError(f"unknown precedence {precedence!r}")
-        self._set("_key", (base, precedence))
-        self._set("base", base)
-        self._set("precedence", precedence)
+        self._assign(base, precedence)
 
     @property
     def name(self) -> str:

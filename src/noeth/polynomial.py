@@ -17,6 +17,7 @@ from math import comb, lcm
 from .errors import RingMismatchError
 from .ring import (
     Exponent,
+    Frozen,
     RingDescriptor,
     TermKey,
     as_coeff,
@@ -27,13 +28,26 @@ from .ring import (
 )
 
 
-def _set_fields(poly, ring, terms):
-    object.__setattr__(poly, "ring", ring)
-    object.__setattr__(poly, "terms", terms)
-    object.__setattr__(poly, "_hash", None)
+def checked_terms(ring: RingDescriptor, terms: Mapping, width: int) -> dict:
+    """terms without its zero coefficients, every key on the ring.
+
+    A key's position must lie in 1..rank, and its exponent must have width
+    entries, none negative; RingMismatchError names the first that does not.
+    """
+    clean = {}
+    for (pos, exp), c in terms.items():
+        c = as_coeff(c)
+        if not c:
+            continue
+        if not (1 <= pos <= ring.rank):
+            raise RingMismatchError(f"position {pos} outside rank {ring.rank}")
+        if len(exp) != width or (exp and min(exp) < 0):
+            raise RingMismatchError(f"bad exponent {exp} for {width} variables")
+        clean[(pos, exp)] = c
+    return clean
 
 
-class TermVector:
+class TermVector(Frozen):
     """Immutable sparse vector of nonzero coefficients on (position, exponent) keys.
 
     The value semantics shared by Polynomial and its dual, DiffOp.  A
@@ -41,13 +55,13 @@ class TermVector:
     equal values share; _like(terms) wraps result terms in self's context;
     _operand(other) gives the right operand of + and - as a vector of the
     same context, or None when it does not apply.  __repr__ writes
-    _prefix before each variable name and _tag before the position.
+    _prefix before each variable name and _tag before the position.  The
+    trusted _of takes over a terms dict of the caller's own, with well-formed
+    keys and only nonzero coefficients.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __slots__ = ("ring", "terms", "_hash")  # _hash stays unset until __hash__ first runs
+    _fields = ("ring", "terms")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -61,10 +75,11 @@ class TermVector:
         return self._context() == other._context() and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            h = hash((self._context(), frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._set("_hash", hash((self._context(), frozenset(self.terms.items()))))
+            return self._hash
 
     def __repr__(self) -> str:
         bits = []
@@ -111,28 +126,7 @@ class Polynomial(TermVector):
     _prefix, _tag = "", "*e"
 
     def __init__(self, ring: RingDescriptor, terms: Mapping[TermKey, object]):
-        clean: dict[TermKey, object] = {}
-        for (pos, exp), c in terms.items():
-            c = as_coeff(c)
-            if not c:
-                continue
-            if not (1 <= pos <= ring.rank):
-                raise RingMismatchError(f"position {pos} outside rank {ring.rank}")
-            if len(exp) != ring.nvars or any(e < 0 for e in exp):
-                raise RingMismatchError(f"bad exponent {exp} for {ring.nvars} variables")
-            clean[(pos, exp)] = c
-        _set_fields(self, ring, clean)
-
-    @classmethod
-    def _of(cls, ring: RingDescriptor, terms: dict) -> "Polynomial":
-        """Wrap terms as they are, checking nothing: the trusted path for results.
-
-        terms must be a dict of the caller's own, with well-formed keys and
-        only nonzero field-element coefficients; the polynomial takes it over.
-        """
-        poly = object.__new__(cls)
-        _set_fields(poly, ring, terms)
-        return poly
+        self._assign(ring, checked_terms(ring, terms, ring.nvars))
 
     def _context(self) -> RingDescriptor:
         return self.ring
@@ -263,7 +257,6 @@ class Polynomial(TermVector):
             raise RingMismatchError("point length does not match variable count")
         if not all(type(c) is Fraction for c in self.terms.values()):
             raise RingMismatchError("substitution needs rational coefficients")
-        n = self.ring.nvars
         den = lcm(*[p.denominator for p in point])
         nums = [p.numerator * (den // p.denominator) for p in point]
         lam = lcm(*[c.denominator for c in self.terms.values()])
@@ -279,7 +272,7 @@ class Polynomial(TermVector):
                     continue
                 nxt: dict[TermKey, int] = {}
                 for k in range(e + 1) if a else (e,):
-                    add_shifted(nxt, partial.items(), _unit(n, i, k), comb(e, k) * a ** (e - k) * den**k)
+                    add_shifted(nxt, partial.items(), self.ring.var_exp(i, k), comb(e, k) * a ** (e - k) * den**k)
                 partial = nxt
             add_into(acc, partial.items())
         return Polynomial._of(self.ring, {key: Fraction(v, scale) for key, v in acc.items()})
@@ -315,10 +308,6 @@ def add_shifted(acc: dict, items, shift: Exponent, factor) -> None:
             acc[key] = s
         else:
             del acc[key]
-
-
-def _unit(n: int, i: int, e: int) -> Exponent:
-    return tuple(e if j == i else 0 for j in range(n))
 
 
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:

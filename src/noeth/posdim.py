@@ -25,16 +25,14 @@ from .groebner import GroebnerBasis, staircase
 from .noetherian import NoetherianBasis, dual_rows, noetherian_forward, translate
 from .orderings import (
     AnyOrder,
-    DegLex,
     as_module_order,
     is_elimination_for,
     lead_by_key,
-    leading_term,
     monic_by_key,
     sigma_x_order,
 )
 from .polynomial import Polynomial
-from .ratfun import RationalFunction, divexact, poly_gcd, poly_lcm
+from .ratfun import _DEGLEX_KEY, RationalFunction, divexact, poly_gcd, poly_lcm
 from .render import render_polynomial
 from .ring import Exponent, RingDescriptor, reading_key, t_part, x_part
 
@@ -161,7 +159,7 @@ def _cleared_row(row: dict, tring: RingDescriptor) -> dict:
     if shared.total_degree() > 0:
         nums = {key: divexact(p, shared) for key, p in nums.items()}
     anchor = min(nums, key=reading_key)
-    _, lc = leading_term(nums[anchor], DegLex())
+    _, lc = lead_by_key(nums[anchor], _DEGLEX_KEY)
     if lc != 1:
         nums = {key: p.scale(Fraction(1) / lc) for key, p in nums.items()}
     # each numerator over 1 is already in lowest terms

@@ -109,9 +109,7 @@ class Component(Record):
     __slots__ = _fields = ("generators", "center")
 
     def __init__(self, generators: tuple[Polynomial, ...], center: tuple[Fraction, ...]):
-        self._set("_key", (generators, center))
-        self._set("generators", generators)
-        self._set("center", center)
+        self._assign(generators, center)
 
 
 class ProblemSpec(Record):
@@ -121,13 +119,7 @@ class ProblemSpec(Record):
 
     def __init__(self, ring: RingDescriptor, order: TermOrder, module_precedence=TOP, generators=(),
                  center=None, components=()):
-        self._set("_key", (ring, order, module_precedence, generators, center, components))
-        self._set("ring", ring)
-        self._set("order", order)
-        self._set("module_precedence", module_precedence)
-        self._set("generators", generators)
-        self._set("center", center)
-        self._set("components", components)
+        self._assign(ring, order, module_precedence, generators, center, components)
 
     @property
     def effective_order(self) -> AnyOrder:

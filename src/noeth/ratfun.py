@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import RingMismatchError, ZeroPolynomialError
 from .orderings import DegLex, ModuleOrder, lead_by_key, monic_by_key
 from .polynomial import Polynomial, add_shifted, poly_mul
-from .ring import RingDescriptor, exp_sub
+from .ring import Frozen, RingDescriptor, exp_sub
 
 _DEGLEX_KEY = ModuleOrder(DegLex()).key(None)  # DegLex ranks terms without the ring
 
@@ -41,10 +41,6 @@ def _univar_coeffs(f: Polynomial, k: int) -> dict[int, Polynomial]:
         e0 = tuple(0 if i == k else e for i, e in enumerate(exp))
         out.setdefault(d, {})[(pos, e0)] = c
     return {d: Polynomial(f.ring, terms) for d, terms in out.items()}
-
-
-def _var_power(ring: RingDescriptor, k: int, e: int) -> tuple[int, ...]:
-    return tuple(e if i == k else 0 for i in range(ring.nvars))
 
 
 def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -87,7 +83,7 @@ def _gcd_univar(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
         a, b = b, a
     ring = f.ring
     lead = a[max(a)]
-    return Polynomial(ring, {(1, _var_power(ring, k, d)): c / lead for d, c in a.items()})
+    return Polynomial(ring, {(1, ring.var_exp(k, d)): c / lead for d, c in a.items()})
 
 
 def _content_and_primitive(f: Polynomial, k: int) -> tuple[Polynomial, Polynomial]:
@@ -110,7 +106,7 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
     n = _deg_in(g, k)
     lc_g = _univar_coeffs(g, k)[n].terms.items()
     g_items = g.terms.items()
-    down = _var_power(f.ring, k, n)
+    down = f.ring.var_exp(k, n)
     r = dict(f.terms)
     while r:
         d = max(exp[k] for _, exp in r)
@@ -167,16 +163,15 @@ def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     return monic_by_key(divexact(poly_mul(f, g), poly_gcd(f, g)), _DEGLEX_KEY)
 
 
-def _set_fields(rf: "RationalFunction", num: Polynomial, den: Polynomial) -> None:
-    object.__setattr__(rf, "num", num)
-    object.__setattr__(rf, "den", den)
-    object.__setattr__(rf, "_hash", None)
+class RationalFunction(Frozen):
+    """Quotient of parameter-block polynomials in canonical reduced form.
 
+    The trusted _of(num, den) needs num and den already coprime with den
+    monic under DegLex (den 1 when num is zero), as every value stores them.
+    """
 
-class RationalFunction:
-    """Quotient of parameter-block polynomials in canonical reduced form."""
-
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash")  # _hash stays unset until __hash__ first runs
+    _fields = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         ring = num.ring
@@ -198,21 +193,7 @@ class RationalFunction:
                 inv = Fraction(1) / lc
                 num = num.scale(inv)
                 den = den.scale(inv)
-        _set_fields(self, num, den)
-
-    @classmethod
-    def _of(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """Wrap num/den as they are, checking nothing: the trusted path for results.
-
-        num and den must already be coprime with den monic under DegLex (den 1
-        when num is zero), as every RationalFunction stores them.
-        """
-        rf = object.__new__(cls)
-        _set_fields(rf, num, den)
-        return rf
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
+        self._assign(num, den)
 
     @classmethod
     def from_fraction(cls, q, ring: RingDescriptor) -> "RationalFunction":
@@ -303,9 +284,11 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.num, self.den)))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._set("_hash", hash((self.num, self.den)))
+            return self._hash
 
     def __repr__(self):
         if self.is_polynomial():

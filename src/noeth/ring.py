@@ -19,22 +19,51 @@ Exponent = tuple[int, ...]
 TermKey = tuple[int, Exponent]  # (position, exponent)
 
 
-class Record:
-    """Immutable value with named fields, like a frozen dataclass but cheaper to import.
+class Frozen:
+    """Immutable slot-only value: the one way a value type is built and frozen.
 
-    A subclass keeps its fields, named in _fields in __init__ order, in
-    slots; __init__ sets each once through _set, and _key to their tuple, by
-    which records of one class compare and hash.
+    A subclass keeps its fields in slots and names them in _fields, in
+    __init__ order.  __init__ checks its arguments and sets the fields once
+    through _assign; _of(*values) sets them with no check at all, the trusted
+    path for values already known to be well-formed.  Setting or deleting an
+    attribute raises, and copy and pickle rebuild a value through __init__.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ()
     _fields = ()
-    _set = object.__setattr__
+    _set = object.__setattr__  # the one writer past the refusal below: _assign and cached hashes
+
+    def _assign(self, *values):
+        for name, value in zip(self._fields, values):
+            self._set(name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        value = object.__new__(cls)
+        value._assign(*values)
+        return value
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Record(Frozen):
+    """Frozen value that behaves like a frozen dataclass but is cheaper to import.
+
+    _assign also keeps the tuple of field values as _key, by which records of
+    one class compare and hash; the repr reads like a dataclass's.
+    """
+
+    __slots__ = ("_key",)
+
+    def _assign(self, *values):
+        Frozen._assign(self, *values)
+        self._set("_key", values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -48,9 +77,6 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
-
 
 class RingDescriptor(Record):
     __slots__ = _fields = ("names", "x_count", "t_count", "rank")
@@ -62,11 +88,7 @@ class RingDescriptor(Record):
             raise ValueError("variable count does not match names")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        self._set("_key", (names, x_count, t_count, rank))
-        self._set("names", names)
-        self._set("x_count", x_count)
-        self._set("t_count", t_count)
-        self._set("rank", rank)
+        self._assign(names, x_count, t_count, rank)
 
     @property
     def nvars(self) -> int:
@@ -83,8 +105,9 @@ class RingDescriptor(Record):
     def zero_exp(self) -> Exponent:
         return (0,) * self.nvars
 
-    def var_exp(self, i: int) -> Exponent:
-        return tuple(1 if j == i else 0 for j in range(self.nvars))
+    def var_exp(self, i: int, e: int = 1) -> Exponent:
+        """The exponent of x_i^e."""
+        return tuple(e if j == i else 0 for j in range(self.nvars))
 
     def var_index(self, name: str) -> int:
         return self.names.index(name)

@@ -53,6 +53,8 @@ def test_constructor_filters_and_validates():
         DiffOp(RXY, {(2, (0, 0)): 1})
     with pytest.raises(RingMismatchError):
         DiffOp(RXY, {(1, (0, 0, 0)): 1})
+    with pytest.raises(RingMismatchError, match=r"bad exponent \(-1, 0\)"):
+        DiffOp(RXY, {(1, (-1, 0)): 1})
     with pytest.raises(RingMismatchError):
         DiffOp(RXY, {(1, (0, 0)): 1}, center=(1,))
     with pytest.raises(RingMismatchError, match="0.5"):

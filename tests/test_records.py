@@ -1,10 +1,10 @@
 """The value types are immutable records that behave as frozen dataclasses did.
 
-One table covers every record class: construction by position and by
-keyword with the defaults, equality and hashing by class and field values,
-the dataclass-style repr (the texts were taken from the dataclass versions),
-and refusal to set or delete a field.  NoetherianBasis is equal only to
-itself.
+One table covers every record class and the three term types: construction
+by position and by keyword with the defaults, equality and hashing by class
+and field values, the repr (for records the dataclass-style texts, taken
+from the dataclass versions), refusal to set or delete a field, and copy and
+pickle.  NoetherianBasis is equal only to itself.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from noeth import (
 )
 from noeth.epsolution import SolutionFamily, SolutionSummand, SolutionTerm
 from noeth.groebner import Staircase
-from noeth.problem import Component, ProblemSpec
+from noeth.problem import Component, ProblemSpec, parse_problem
+from noeth.ratfun import RationalFunction
 from test_bench_tracer import pinned_tracer
 
 R = RingDescriptor(("x", "y"), 2)
@@ -39,6 +40,7 @@ X = Polynomial.variable(R, "x")
 ONE = DiffOp(R, {(1, (0, 0)): 1})
 ORIGIN = (Fraction(0), Fraction(0))
 R_REPR = "RingDescriptor(names=('x', 'y'), x_count=2, t_count=0, rank=1)"
+T = Polynomial.variable(RingDescriptor(("t",), 1), "t")
 
 # class, positional arguments, keyword arguments that give the same record, repr
 RECORDS = [
@@ -74,7 +76,22 @@ RECORDS = [
      "SolutionSummand(constant='c1', component=1, center=(Fraction(0, 1),), integral=False, terms=())"),
     (SolutionFamily, (R, ()), {"ring": R, "summands": ()},
      f"SolutionFamily(ring={R_REPR}, summands=())"),
+    (Polynomial, (R, {(1, (1, 0)): 1}), {"ring": R, "terms": {(1, (1, 0)): 1}}, "Polynomial(1*x)"),
+    (DiffOp, (R, {(1, (0, 2)): Fraction(1, 2)}, (1, 0)),
+     {"ring": R, "terms": {(1, (0, 2)): Fraction(1, 2)}, "center": (Fraction(1), Fraction(0))},
+     "DiffOp(1/2*dy^2)"),
+    (RationalFunction, (T, T + 1), {"num": T, "den": T + 1}, "RatFun(Polynomial(1*t) / Polynomial(1*1 + 1*t))"),
 ]
+
+
+def assert_copies_equal(value):
+    """copy.copy, copy.deepcopy and a pickle round trip each give an equal value of the same type."""
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and repr(twin) == repr(value)
+        if isinstance(value, NoetherianBasis):  # equal only to itself
+            assert twin.operators == value.operators and twin.source == value.source
+        else:
+            assert twin == value and hash(twin) == hash(value)
 
 
 @pytest.mark.parametrize("cls, args, kwargs, text", RECORDS, ids=[row[0].__name__ for row in RECORDS])
@@ -86,6 +103,7 @@ def test_a_record_behaves_as_its_frozen_dataclass_did(cls, args, kwargs, text):
     else:
         assert a == b and hash(a) == hash(b)
     assert a != args and a != object()
+    assert_copies_equal(a)
     for name in kwargs:
         value = getattr(a, name)
         with pytest.raises(AttributeError):
@@ -95,6 +113,13 @@ def test_a_record_behaves_as_its_frozen_dataclass_did(cls, args, kwargs, text):
         assert getattr(a, name) is value
     with pytest.raises(AttributeError):
         a.extra = 1
+
+
+def test_values_the_program_builds_copy_and_pickle():
+    basis = buchberger([X**2, Polynomial.variable(R, "y") ** 2], DegLex(), R)
+    spec = parse_problem("ring x, y; order deglex; ideal x^2, x*y, y^3;")
+    for value in (basis, spec, noetherian_forward(basis)):
+        assert_copies_equal(value)
 
 
 def test_records_of_different_classes_or_fields_differ():
