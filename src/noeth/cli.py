@@ -9,9 +9,9 @@ JSON with --json.  Exit codes: 0 success, 1 domain error, 2 parse error.
 Every command reads its problem through ``load_problem``, a memo keyed by the
 file's text that holds the MEMO_SIZE most recently used problems.  Repeated
 calls of ``main`` in one process on the same text share one parse and one
-Groebner basis; a file that changes is a new key, and errors are raised again
-rather than kept.  Each command's argument parser is likewise built once per
-process.  A one-shot ``noeth`` process parses and computes as before.
+Groebner basis per center; a file that changes is a new key, and errors are
+raised again rather than kept.  Each command's argument parser is likewise
+built once per process.  A one-shot ``noeth`` process computes as before.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .epsolution import build_solution, render_solution, solution_json
 from .errors import NoethError, ParseError
 from .groebner import buchberger, corner_monomials, is_member, normal_form, staircase
 from .noetherian import (
+    _translate_generators,
     noetherian_backward,
     noetherian_forward,
     noetherian_linear,
@@ -57,24 +58,35 @@ class Problem:
     The derived values are computed on first use; one that raises is not
     kept, so the next use raises again.  ``buchberger`` and
     ``noetherian_positive`` are looked up as module globals at that point,
-    so a wrapper set on this module sees every call.
+    so a wrapper set on this module sees every call.  The constructions run
+    on the translate of the generators to each center, placed back there.
     """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
+        self.translates = {}  # generators -> {moved point: reduced basis}
 
-    @functools.cached_property
+    @property
     def basis(self):
         """The reduced Groebner basis of the generators under the declared order."""
-        spec = self.spec
-        if not spec.generators:
+        return self.translate(self.spec.generators, None)
+
+    def translate(self, generators, center):
+        """The reduced basis of generators moved as noetherian.translate moves a basis of them."""
+        if not generators:
             raise NoethError("the problem file declares no ideal or module generators")
-        return buchberger(spec.generators, spec.effective_order, spec.ring)
+        spec, cache = self.spec, self.translates.setdefault(generators, {})
+        return _translate_generators(generators, spec.effective_order, spec.ring, center, cache, buchberger)
+
+    def build(self, construction, generators, center):
+        """construction run at the origin on the translate to center, its basis placed at center."""
+        basis = construction(self.translate(generators, center))
+        return basis if center is None else basis.at(center)
 
     @functools.cached_property
     def positive(self):
         """The parameter-coefficient operator basis at the center (parameter rings)."""
-        return noetherian_positive(self.basis, self.spec.center)
+        return self.build(noetherian_positive, self.spec.generators, self.spec.center)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -101,16 +113,12 @@ def _doc(command: str, spec: ProblemSpec, **fields) -> dict:
 
 
 def _noether_basis(problem: Problem, method: str, check_all: bool):
-    G, center = problem.basis, problem.spec.center
-    basis = METHODS[method](G, center=center)
+    spec = problem.spec
+    basis = problem.build(METHODS[method], spec.generators, spec.center)
     if check_all:
-        # the constructions share G and its translate to the center, and
-        # each returns the canonical row form, so equal spans are equal tuples
+        # each construction returns the canonical row form: equal spans are equal tuples
         for name, build in METHODS.items():
-            if name == method:
-                continue
-            other = build(G, center=center)
-            if basis.operators != other.operators:
+            if name != method and problem.build(build, spec.generators, spec.center).operators != basis.operators:
                 raise NoethError(f"method disagreement: {method} and {name} spans differ")
     return basis
 
@@ -188,10 +196,7 @@ def cmd_ep_solution(problem, args):
     if not spec.components:
         raise NoethError("ep-solution needs component clauses (a primary decomposition)")
     build = noetherian_positive if spec.ring.t_count else noetherian_forward
-    parts = [
-        (comp.center, build(buchberger(comp.generators, spec.effective_order, spec.ring), comp.center))
-        for comp in spec.components
-    ]
+    parts = [(comp.center, problem.build(build, comp.generators, comp.center)) for comp in spec.components]
     family = build_solution(spec.ring, parts)
     if args.json:
         return _doc("ep-solution", spec, summands=solution_json(family))

@@ -11,7 +11,7 @@ it, and the dual of a polynomial copies its coefficients verbatim.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -88,14 +88,19 @@ def _lowered(terms: Mapping, j: int) -> dict:
 
 def apply_at(L: DiffOp, f: Polynomial):
     """The scalar L(f) evaluated at L.center (rational coefficients only)."""
-    if not L.ring.same_variables(f.ring) or L.ring.rank != f.ring.rank:
-        raise RingMismatchError("operator and polynomial rings differ")
-    g = f.substitute_affine(L.center) if any(L.center) else f
-    pad = (0,) * L.ring.t_count
-    total = Fraction(0)
-    for (pos, alpha), c in L.terms.items():
-        total += c * g.coefficient((pos, alpha + pad))
-    return total
+    return next(apply_all((L,), f))
+
+
+def apply_all(ops: Iterable[DiffOp], f: Polynomial) -> Iterator:
+    """apply_at(L, f) for L in ops, lazily, with f moved once to each center the operators name."""
+    moved: dict[tuple, Polynomial] = {}
+    for L in ops:
+        if not L.ring.same_variables(f.ring) or L.ring.rank != f.ring.rank:
+            raise RingMismatchError("operator and polynomial rings differ")
+        if L.center not in moved:
+            moved[L.center] = f.substitute_affine(L.center) if any(L.center) else f
+        g, pad = moved[L.center], (0,) * L.ring.t_count
+        yield sum((c * g.coefficient((pos, alpha + pad)) for (pos, alpha), c in L.terms.items()), Fraction(0))
 
 
 def dual_of_polynomial(g: Polynomial, center=None) -> DiffOp:
@@ -211,10 +216,11 @@ class Echelon:
         return True
 
     def operators(self, ring: RingDescriptor, center=None) -> tuple[DiffOp, ...]:
-        """The rows as operators, in pivot order."""
+        """The rows as operators, in pivot order; the rows hold operator keys and nonzero entries."""
         rows = self._field_rows()
+        center = as_center(ring, center)
         ordered = ({k: rows[p][k] for k in sorted(rows[p], key=self.key)} for p in self.pivots())
-        return tuple(DiffOp(ring, terms, center) for terms in ordered)
+        return tuple(DiffOp._of(ring, terms, center) for terms in ordered)
 
 
 def _cancel(vector: dict, c, row: dict, d, integral: bool) -> tuple[dict, int]:
@@ -279,6 +285,8 @@ def closure(ops, echelon: Echelon | None = None) -> tuple[DiffOp, ...]:
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         return ()
+    if any(L.ring != ops[0].ring for L in ops):
+        raise RingMismatchError("operator rings differ")
     span = Echelon() if echelon is None else echelon
     queue = deque(ops)
     while queue:
@@ -304,7 +312,10 @@ def canonical_operator_basis(ops, ring=None, center=None, pivot_keys=None) -> tu
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         return ()
+    ring = ops[0].ring if ring is None else ring
+    if any(L.ring != ring for L in ops):
+        raise RingMismatchError("operator rings differ")
     span = Echelon(ops, key=reading_key if pivot_keys is None else pivots_first(pivot_keys))
     if pivot_keys is not None and span.pivots() != list(pivot_keys):
         raise NotClosedError("span does not project onto the residual monomials")
-    return span.operators(ops[0].ring if ring is None else ring, ops[0].center if center is None else center)
+    return span.operators(ring, ops[0].center if center is None else center)

@@ -25,6 +25,7 @@ from .diffop import (
     DiffOp,
     Echelon,
     _lowered,
+    apply_all,
     apply_at,
     closure,
     is_closed,
@@ -74,6 +75,12 @@ class NoetherianBasis(Record):
     def __len__(self):
         return len(self.operators)
 
+    def at(self, center) -> "NoetherianBasis":
+        """This basis with its operators acting at center; an operator's center is only where it acts."""
+        center = as_center(self.operators[0].ring, center)
+        ops = tuple(DiffOp._of(L.ring, L.terms, center) for L in self.operators)
+        return NoetherianBasis(ops, self.multiplicity, center, self.method, self.source)
+
     def validate(self) -> None:
         """Check the certificate above; NotPrimaryError when an operator does not annihilate source."""
         ops = self.operators
@@ -111,19 +118,24 @@ def translate(G, center):
     """
     if not isinstance(G, GroebnerBasis):
         raise NoethError("expected a Groebner basis; run buchberger() first")
-    ring = G.ring
-    center = as_center(ring, center)
-    moved = center[: ring.x_count] + (Fraction(0),) * ring.t_count
-    if any(moved):
-        G0 = G.translates.get(moved)
-        if G0 is None:
-            G0 = buchberger([g.substitute_affine(moved) for g in G.elements], G.order, ring)
-            G.translates[moved] = G0
-    elif G.reduced:
-        G0 = G
-    else:
-        G0 = buchberger(list(G.elements), G.order, ring)
-    return G0, center
+    center = as_center(G.ring, center)
+    if G.reduced and not any(center[: G.ring.x_count]):
+        return G, center
+    return _translate_generators(G.elements, G.order, G.ring, center, G.translates), center
+
+
+def _moved_point(ring, center) -> tuple:
+    """The point translate moves to the origin: the x-block of center, the parameters kept."""
+    return as_center(ring, center)[: ring.x_count] + (Fraction(0),) * ring.t_count
+
+
+def _translate_generators(gens, order: AnyOrder, ring, center, cache: dict, run=None) -> GroebnerBasis:
+    """The reduced basis, by run or buchberger, of gens moved as translate moves them, kept in cache by moved point."""
+    moved = _moved_point(ring, center)
+    G0 = cache.get(moved)
+    if G0 is None:
+        G0 = cache[moved] = (run or buchberger)([g.substitute_affine(moved) if any(moved) else g for g in gens], order, ring)
+    return G0
 
 
 def _prepare(G, center):
@@ -348,7 +360,7 @@ def noetherian_backward(G: GroebnerBasis, center=None) -> NoetherianBasis:
     mu = stair.multiplicity
     corners = corner_monomials(stair, G0)
     span = Echelon(key=pivots_first(stair.monomials))
-    ops = closure([DiffOp(ring, _accumulate_backward(corner, G0, mu), center) for corner in corners], span)
+    ops = closure([DiffOp._of(ring, _accumulate_backward(corner, G0, mu), center) for corner in corners], span)
     # The corner sums drop every monomial of degree >= mu, which loses nothing
     # only on input primary at the center; validate refuses the rest.
     basis = NoetherianBasis(ops, mu, center, "backward", G0)
@@ -484,7 +496,7 @@ def ideal_from_conditions(ops: Sequence[DiffOp], order: AnyOrder) -> GroebnerBas
         if any(lead[0] == m[0] and exp_divides(lead[1], m[1]) for lead, _ in elements):
             continue
         mono = Polynomial.monomial(ring, m[1], 1, m[0])
-        vector = {("op", i): v for i, L in enumerate(ops) if (v := apply_at(L, mono))}
+        vector = {("op", i): v for i, v in enumerate(apply_all(ops, mono)) if v}
         relation = _relation(kernel, vector, m)
         if relation is not None:
             elements.append((m, Polynomial(ring, relation)))
@@ -502,4 +514,4 @@ def membership_by_operators(f: Polynomial, basis: NoetherianBasis) -> bool:
     """True when every operator annihilates f at the center; no parameters, which apply_at fixes there."""
     if f.ring.t_count or any(type(c) is not Fraction for L in basis.operators for c in L.terms.values()):
         raise NoethError("membership over parameters: use member_positive")
-    return all(apply_at(L, f) == 0 for L in basis.operators)
+    return all(v == 0 for v in apply_all(basis.operators, f))

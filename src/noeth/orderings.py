@@ -93,12 +93,13 @@ class ModuleOrder(Record):
 
 
 AnyOrder = TermOrder | ModuleOrder
+_TOP_ORDERS: dict = {}  # one shared term-over-position ModuleOrder per plain term order
 
 
 def as_module_order(order: AnyOrder) -> ModuleOrder:
     if isinstance(order, ModuleOrder):
         return order
-    return ModuleOrder(order, TOP)
+    return _TOP_ORDERS.get(order) or _TOP_ORDERS.setdefault(order, ModuleOrder(order, TOP))
 
 
 def base_order(order: AnyOrder) -> TermOrder:

@@ -247,10 +247,12 @@ class Polynomial(TermVector):
     def substitute_affine(self, point: Iterable) -> "Polynomial":
         """Replace each variable v_i by v_i + p_i (recentering at -p); rational coefficients only.
 
-        The expansion runs over the integers.  With p_i = a_i / D, lam the lcm
-        of f's denominators and deg its total degree, a term c v^e adds
-        lam * c * D^(deg - |e|) * prod_i (D v_i + a_i)^(e_i), expanded
-        binomially, to D^deg * lam * f(v + p), which is divided back at the end.
+        A Taylor shift over the integers, one variable at a time.  With
+        p_i = a_i / D, lam the lcm of f's denominators and deg its total
+        degree, a term c v^e starts as the integer lam * c * D^(deg - |e|).
+        The pass for v_i takes each v_i^e to (v_i + a_i)^e by one binomial row
+        per e, like terms merge between passes, and a_i = 0 skips its pass.
+        A term v^m then stands for itself over lam * D^(deg - |m|).
         """
         point = [as_coeff(p) for p in point]
         if len(point) != self.ring.nvars:
@@ -258,24 +260,23 @@ class Polynomial(TermVector):
         if not all(type(c) is Fraction for c in self.terms.values()):
             raise RingMismatchError("substitution needs rational coefficients")
         den = lcm(*[p.denominator for p in point])
-        nums = [p.numerator * (den // p.denominator) for p in point]
         lam = lcm(*[c.denominator for c in self.terms.values()])
         deg = max(self.total_degree(), 0)
-        scale = lam * den**deg
-        acc: dict[TermKey, int] = {}
-        for (pos, exp), c in self.terms.items():
-            # expand prod_i (D v_i + a_i)^{e_i} by binomial convolution, on keys of position pos
-            start = c.numerator * (lam // c.denominator) * den ** (deg - exp_deg(exp))
-            partial: dict[TermKey, int] = {(pos, self.ring.zero_exp()): start}
-            for i, (e, a) in enumerate(zip(exp, nums)):
-                if e == 0:
-                    continue
-                nxt: dict[TermKey, int] = {}
-                for k in range(e + 1) if a else (e,):
-                    add_shifted(nxt, partial.items(), self.ring.var_exp(i, k), comb(e, k) * a ** (e - k) * den**k)
-                partial = nxt
-            add_into(acc, partial.items())
-        return Polynomial._of(self.ring, {key: Fraction(v, scale) for key, v in acc.items()})
+        acc = {key: v * den ** (deg - exp_deg(key[1])) for key, v in integer_multiple(self.terms, lam).items()}
+        for i, p in enumerate(point):
+            if not p:
+                continue
+            a = p.numerator * (den // p.denominator)
+            rows, shifted = {}, {}  # e -> the coefficients of (v_i + a)^e by power of v_i; the new terms
+            for (pos, exp), c in acc.items():
+                row = rows.get(e := exp[i]) or rows.setdefault(e, [comb(e, k) * a ** (e - k) for k in range(e + 1)])
+                head, tail = exp[:i], exp[i + 1 :]
+                for k, b in enumerate(row):
+                    key = (pos, head + (k,) + tail)
+                    shifted[key] = shifted.get(key, 0) + b * c
+            acc = shifted
+        out = {(pos, m): Fraction(v, lam * den ** (deg - exp_deg(m))) for (pos, m), v in acc.items() if v}
+        return Polynomial._of(self.ring, out)
 
 
 def integer_multiple(terms: dict, scale: int) -> dict:

@@ -22,7 +22,7 @@ from functools import reduce
 from .diffop import DiffOp
 from .errors import NoethError, NormalPositionError, NotEliminationOrderError, NotPrimaryError
 from .groebner import GroebnerBasis, staircase
-from .noetherian import NoetherianBasis, dual_rows, noetherian_forward, translate
+from .noetherian import NoetherianBasis, dual_rows, _moved_point, noetherian_forward, translate
 from .orderings import (
     AnyOrder,
     as_module_order,
@@ -175,7 +175,7 @@ def member_positive(f: Polynomial, basis: NoetherianBasis) -> bool:
     as rational functions of the parameters.
     """
     ring = f.ring
-    point = basis.center[: ring.x_count] + (Fraction(0),) * ring.t_count
+    point = _moved_point(ring, basis.center)
     groups = group_by_x(f.substitute_affine(point) if any(point) else f)
     for L in basis.operators:
         total = None

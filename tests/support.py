@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from noeth import DiffOp, NoetherianBasis, Polynomial, RingDescriptor, normal_form
 from noeth.orderings import leading_term
@@ -87,6 +87,15 @@ def random_origin_primary(rng: random.Random, ring: RingDescriptor, cap: int = 1
         if not f.is_zero():
             gens.append(f)
     return gens
+
+
+def module_vector(first, second) -> Polynomial:
+    """The element of RM2 with entries first and second, polynomials over RXY or 0."""
+    terms = {}
+    for pos, entry in ((1, first), (2, second)):
+        if entry:
+            terms.update(((pos, exp), c) for (_, exp), c in entry.terms.items())
+    return Polynomial(RM2, terms)
 
 
 def random_combination(rng: random.Random, gens, max_terms=3, max_deg=3) -> Polynomial:
@@ -215,6 +224,36 @@ def reference_substitute_affine(f: Polynomial, point) -> Polynomial:
         for m, v in partial.items():
             acc[(pos, m)] = acc.get((pos, m), 0) + v
     return Polynomial(ring, acc)
+
+
+def per_term_substitute_affine(f: Polynomial, point) -> Polynomial:
+    """f(v + p) over the integers, each term's product expanded on its own.
+
+    Polynomial.substitute_affine's former method, kept as a reference for its
+    Taylor shift.  With p_i = a_i / D, lam the lcm of f's denominators and
+    deg its total degree, a term c v^e adds lam * c * D^(deg - |e|) *
+    prod_i (D v_i + a_i)^(e_i), expanded binomially, to D^deg * lam * f(v + p),
+    which is divided back at the end.
+    """
+    ring = f.ring
+    point = [Fraction(p) for p in point]
+    den = lcm(*[p.denominator for p in point])
+    nums = [p.numerator * (den // p.denominator) for p in point]
+    lam = lcm(*[c.denominator for c in f.terms.values()])
+    deg = max(f.total_degree(), 0)
+    acc: dict = {}
+    for (pos, exp), c in f.terms.items():
+        partial = {ring.zero_exp(): c.numerator * (lam // c.denominator) * den ** (deg - exp_deg(exp))}
+        for i, (e, a) in enumerate(zip(exp, nums)):
+            grown: dict = {}
+            for m, v in partial.items():
+                for k in range(e + 1):
+                    up = m[:i] + (k,) + m[i + 1 :]
+                    grown[up] = grown.get(up, 0) + v * comb(e, k) * a ** (e - k) * den**k
+            partial = grown
+        for m, v in partial.items():
+            acc[(pos, m)] = acc.get((pos, m), 0) + v
+    return Polynomial(ring, {key: Fraction(v, lam * den**deg) for key, v in acc.items()})
 
 
 def fix_parameters(f: Polynomial, t0) -> Polynomial:

@@ -13,14 +13,38 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import noeth.cli
+import noeth.noetherian
+from noeth import (
+    NoethError,
+    Polynomial,
+    build_solution,
+    buchberger,
+    noetherian_backward,
+    noetherian_forward,
+    noetherian_linear,
+    noetherian_positive,
+    render_operator,
+    render_solution,
+)
 from noeth.cli import build_arg_parser, main
 from noeth.groebner import STAIRCASE_CAP
 from noeth.problem import parse_problem
+from support import (
+    RM2,
+    RXY,
+    RXYT,
+    RXYZ,
+    module_vector,
+    random_combination,
+    random_fraction,
+    random_origin_primary,
+)
 
 STANDARD = "ring x, y;\norder deglex;\nideal x^2 - y, y^2, x*y;\n"
 PARAMETER = "ring x, y | t;\norder lex;\nideal x^2, y^2, -x*t + y;\n"
@@ -357,7 +381,8 @@ def test_posdim_json_names_the_center(capsys, tmp_path):
 
 
 def test_check_all_at_a_shifted_center_counts_buchberger_runs(capsys, tmp_path, monkeypatch):
-    # one basis of the input and one translate, shared by the three constructions
+    # one basis of the generators moved to the center, shared by the three
+    # constructions; no basis of the input where it is
     import noeth.cli
     import noeth.noetherian
 
@@ -375,8 +400,8 @@ def test_check_all_at_a_shifted_center_counts_buchberger_runs(capsys, tmp_path, 
         calls.clear()
         code, out, _ = run(capsys, "noether", *argv, str(path))
         assert (code, out) == (0, "1\ndx\ndy\ndx dy\n")
-        assert len(calls) == 2
-    # warm: the memo keeps the basis and, on it, the translate
+        assert len(calls) == 1
+    # warm: the memo keeps the translate
     calls.clear()
     assert run(capsys, "noether", "--check-all", str(path))[:2] == (0, "1\ndx\ndy\ndx dy\n")
     assert calls == []
@@ -660,6 +685,36 @@ def test_a_warm_repeat_parses_and_runs_buchberger_zero_times(capsys, monkeypatch
     assert json.loads(cold[2][1])["member"] is True
 
 
+def test_gb_then_noether_at_the_origin_runs_buchberger_once(capsys, monkeypatch, standard):
+    # at the origin the translate the constructions run on is the basis gb prints
+    counts = _count_calls(monkeypatch, noeth.cli, "buchberger")
+    assert run(capsys, "gb", standard)[:2] == (0, "x^2 - y\nx y\ny^2\n")
+    for argv in (["noether"], ["noether", "--check-all"], ["noether-posdim"], ["mult"]):
+        assert run(capsys, *argv, standard)[0] == 0
+    assert counts == {"buchberger": 1}
+
+
+EP_COMPONENTS = (
+    "ring x, y | t;\norder lex;\n"
+    "component x^2 - y*(t-3), y^2 at 0, 0, 3;\n"
+    "component (x-1)^2, y at 1, 0, 0;\n"
+    "component (x+1/2)^2 - y*t, y^2 at -1/2, 0, 0;\n"
+)
+
+
+@pytest.mark.parametrize("text, components", [(MODULE_EP, 2), (EP_COMPONENTS, 3)], ids=["module", "parameters"])
+def test_ep_solution_runs_buchberger_once_per_component(capsys, monkeypatch, tmp_path, text, components):
+    counts = _count_calls(monkeypatch, noeth.cli, "buchberger")
+    library = _count_calls(monkeypatch, noeth.noetherian, "buchberger")
+    path = tmp_path / "components.noeth"
+    path.write_text(text)
+    assert run(capsys, "ep-solution", str(path))[0] == 0
+    assert (counts, library) == ({"buchberger": components}, {})
+    # warm: the memo keeps each component's translate
+    assert run(capsys, "ep-solution", "--json", str(path))[0] == 0
+    assert (counts, library) == ({"buchberger": components}, {})
+
+
 def test_a_parameter_member_reuses_the_posdim_basis(capsys, monkeypatch, parameter):
     counts = _count_calls(monkeypatch, noeth.cli, "noetherian_positive")
     assert run(capsys, "noether-posdim", parameter)[0] == 0
@@ -781,6 +836,144 @@ def test_mutated_problem_files_exit_cleanly(capsys, tmp_path, index):
         if code:
             prefix = "parse error: " if code == 2 else "error: "
             assert (out, err.startswith(prefix)) == ("", True), (argv[:-1], text, err)
+
+
+# A seeded oracle of the CLI's route to operators at a center (one basis of the
+# generators moved there, the construction run at the origin and its result
+# placed at the center) against the library's, f(buchberger(gens), center).
+
+
+def _entry_text(f, pos):
+    terms = sorted(((exp, c) for (p, exp), c in f.terms.items() if p == pos), reverse=True)
+    names = f.ring.names
+    return " + ".join(f"{c}" + "".join(f"*{n}^{e}" for n, e in zip(names, exp) if e) for exp, c in terms) or "0"
+
+
+def _generator_text(f):
+    """f in problem-file syntax: a polynomial, or a bracketed vector at rank > 1."""
+    if f.ring.rank == 1:
+        return _entry_text(f, 1)
+    return "[" + ", ".join(_entry_text(f, pos) for pos in range(1, f.ring.rank + 1)) + "]"
+
+
+def _ring_text(ring, order, precedence=None):
+    names = ", ".join(ring.x_names) + (" | " + ", ".join(ring.t_names) if ring.t_count else "")
+    return f"ring {names};\norder {order};\n" + (f"moduleorder {precedence};\n" if precedence else "")
+
+
+def _point_text(point):
+    return ", ".join(str(c) for c in point)
+
+
+def _moved_to(gens, center):
+    """gens moved so that what they did at the origin they do at center."""
+    return [g.substitute_affine([-c for c in center]) for g in gens]
+
+
+def _oracle_cases(rng):
+    """(file text, commands) pairs: shifted ideals and modules, non-primary inputs and
+    centers off the input, each on plain and parameter rings."""
+    def point(n):
+        return tuple(rng.choice([Fraction(0), random_fraction(rng, 3)]) for _ in range(n))
+
+    noether = [["noether"], ["noether", "--method", "backward"], ["noether", "--method", "linear"],
+               ["noether", "--check-all"], ["noether-posdim"]]
+    cases = []
+    for ring in (RXY, RXY, RXYZ):
+        gens = random_origin_primary(rng, ring, 10)
+        gens.append(random_combination(rng, gens))
+        center = point(ring.nvars)
+        moved = _moved_to(gens, center)
+        head = _ring_text(ring, rng.choice(["lex", "deglex", "degrevlex"]))
+        ideal = "ideal " + ", ".join(map(_generator_text, moved)) + ";\n"
+        cases.append((head + ideal + f"center {_point_text(center)};\n", noether))
+        # a center that is not a zero, and a non-primary input: the ideal times
+        # the maximal ideal of a second point
+        off = tuple(c + 1 for c in center)
+        cases.append((head + ideal + f"center {_point_text(off)};\n", noether))
+        xs = [Polynomial.variable(ring, i) for i in range(ring.nvars)]
+        other = [x - c for x, c in zip(xs, off)]
+        product = ", ".join(_generator_text(g * h) for g in moved[:2] for h in other)
+        cases.append((head + f"ideal {product};\ncenter {_point_text(center)};\n", noether))
+        components = "".join(
+            f"component {', '.join(map(_generator_text, _moved_to(gens, c)))} at {_point_text(c)};\n"
+            for c in (center, off, point(ring.nvars))
+        )
+        cases.append((head + components, [["ep-solution"]]))
+    # rank 2: I1 e1 and (h g, g) for g in I2, primary when I1 and I2 are
+    for precedence in ("top", "pot"):
+        first, second = (random_origin_primary(rng, RXY, 6) for _ in range(2))
+        h = Polynomial.variable(RXY, rng.randrange(2)).scale(random_fraction(rng, 3) or 1)
+        gens = [module_vector(g, 0) for g in first] + [module_vector(h * g, g) for g in second]
+        center = point(2)
+        head = _ring_text(RM2, rng.choice(["lex", "deglex"]), precedence)
+        module = "module " + ", ".join(map(_generator_text, _moved_to(gens, center))) + ";\n"
+        for c in (center, tuple(c - 1 for c in center)):
+            cases.append((head + module + f"center {_point_text(c)};\n", noether))
+        components = "".join(
+            f"component {', '.join(map(_generator_text, _moved_to(gens, c)))} at {_point_text(c)};\n"
+            for c in (center, (Fraction(0), Fraction(0)))
+        )
+        cases.append((head + components, [["ep-solution"]]))
+    # parameters: x^2 - a y t and y^2, primary along x = y = 0, with one more
+    # element of (x^2, y^2), which may break the primary or normal position
+    for _ in range(3):
+        x, y, t = (Polynomial.variable(RXYT, i) for i in range(3))
+        gens = [x**2 - y * t.scale(random_fraction(rng, 3) or 1), y**2, random_combination(rng, [x**2, y**2])]
+        center = point(2) + (random_fraction(rng, 3),)
+        moved = [g.substitute_affine([-center[0], -center[1], 0]) for g in gens]
+        head = _ring_text(RXYT, rng.choice(["lex", "product(lex, deglex)"]))
+        ideal = "ideal " + ", ".join(map(_generator_text, moved)) + ";\n"
+        for c in (center, (center[0] + 1,) + center[1:]):
+            cases.append((head + ideal + f"center {_point_text(c)};\n", [["noether-posdim"], ["noether"]]))
+        components = f"component {', '.join(map(_generator_text, moved))} at {_point_text(center)};\n"
+        cases.append((head + components + components.replace(_point_text(center), _point_text(point(3))),
+                      [["ep-solution"]]))
+    return cases
+
+
+def _library_outcome(text, argv):
+    """(exit code, stdout, stderr) of argv on text through the library route."""
+    spec = parse_problem(text)
+    order = spec.effective_order
+    methods = {"forward": noetherian_forward, "backward": noetherian_backward, "linear": noetherian_linear}
+    try:
+        if argv[0] == "ep-solution":
+            build = noetherian_positive if spec.ring.t_count else noetherian_forward
+            parts = [(c.center, build(buchberger(c.generators, order, spec.ring), c.center)) for c in spec.components]
+            return 0, render_solution(build_solution(spec.ring, parts)) + "\n", ""
+        G = buchberger(spec.generators, order, spec.ring)
+        if argv[0] == "noether-posdim":
+            basis = noetherian_positive(G, spec.center)
+        else:
+            method = argv[2] if "--method" in argv else "forward"
+            basis = methods[method](G, spec.center)
+            if "--check-all" in argv:
+                for name, build in methods.items():
+                    if build(G, spec.center).operators != basis.operators:
+                        raise NoethError(f"method disagreement: {method} and {name} spans differ")
+        return 0, "".join(render_operator(L, order) + "\n" for L in basis.operators), ""
+    except NoethError as exc:
+        return 1, "", f"error: {exc}\n"
+
+
+def test_the_cli_route_matches_the_library_route(capsys, tmp_path):
+    rng = random.Random(2401)
+    path = tmp_path / "oracle.noeth"
+    outcomes = Counter()
+    for text, commands in _oracle_cases(rng):
+        path.write_text(text)
+        for argv in commands:
+            expected = _library_outcome(text, argv)
+            assert run(capsys, *argv, str(path)) == expected, (argv, text)
+            outcomes[expected[0]] += 1
+            if expected[0] == 0 and argv[0] != "ep-solution":
+                # the JSON document names the center the operators are placed at
+                code, out, _ = run(capsys, *argv, str(path), "--json")
+                center = parse_problem(text).center
+                assert (code, json.loads(out)["center"]) == (0, [str(c) for c in center])
+    # both outcomes are exercised, answers and named errors
+    assert outcomes[0] >= 30 and outcomes[1] >= 30, outcomes
 
 
 # SHA-256 of every CLI outcome on the seed-7 benchmark corpus (see

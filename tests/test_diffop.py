@@ -28,7 +28,7 @@ from noeth.diffop import Echelon, alpha_factorial
 from noeth.errors import NotClosedError, RingMismatchError
 from noeth.linalg import rref
 from noeth.ring import reading_key
-from support import RXY, RXYZ, fraction_rank, random_fraction, random_polynomial
+from support import RM2, RX, RXY, RXYZ, fraction_rank, random_fraction, random_polynomial
 
 
 def op(terms, ring=RXY, center=None):
@@ -465,3 +465,16 @@ def test_canonical_basis_pivot_keys():
     assert got == (one, dx)
     with pytest.raises(NotClosedError):
         canonical_operator_basis([dx], pivot_keys=[(1, (0, 1))])
+
+
+def test_a_caller_ring_or_mixed_rings_are_refused():
+    dx, dx_module = op({(1, 0): 1}), DiffOp(RM2, {(2, (1, 0)): 1})
+    for ring in (RX, RXYZ, RM2):
+        with pytest.raises(RingMismatchError):
+            canonical_operator_basis([dx], ring=ring)
+    for ops in ([dx, dx_module], [dx, op({(1, 0, 0): 1}, ring=RXYZ)]):
+        with pytest.raises(RingMismatchError):
+            canonical_operator_basis(ops)
+        with pytest.raises(RingMismatchError):
+            closure(ops)
+    assert canonical_operator_basis([dx], ring=RXY, center=(1, 2))[0].center == (1, 2)

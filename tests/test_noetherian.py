@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -20,6 +21,7 @@ from noeth import (
     NoetherianBasis,
     Polynomial,
     RationalFunction,
+    apply_at,
     buchberger,
     ideal_from_conditions,
     is_member,
@@ -36,6 +38,7 @@ from noeth.errors import (
     NoethError,
     NotClosedError,
     NotPrimaryError,
+    RingMismatchError,
     ZeroPolynomialError,
 )
 from noeth.posdim import extend_to_rational_coeffs
@@ -45,6 +48,7 @@ from support import (
     RX,
     RXY,
     RXYZ,
+    module_vector,
     one_term_dropped,
     random_combination,
     random_origin_primary,
@@ -310,15 +314,6 @@ def mixed_fraction(rng):
     return Fraction(rng.randint(-(2**40), 2**40), rng.randint(2**20, 2**40))
 
 
-def vector(first, second):
-    """The element of RM2 with entries first and second, polynomials over RXY or 0."""
-    terms = {}
-    for pos, entry in ((1, first), (2, second)):
-        if entry:
-            terms.update(((pos, exp), c) for (_, exp), c in entry.terms.items())
-    return Polynomial(RM2, terms)
-
-
 def test_dual_rows_match_the_fraction_walk():
     rng = random.Random(433)
     cases = []
@@ -335,7 +330,7 @@ def test_dual_rows_match_the_fraction_walk():
                 sheared(random_origin_primary(rng, RXY, 6), rng, lambda: mixed_fraction(rng)) for _ in range(2)
             )
             h = random_polynomial(rng, RXY, max_terms=3, max_deg=2).scale(mixed_fraction(rng) or 1)
-            gens = [vector(g, 0) for g in first] + [vector(h * g, g) for g in second]
+            gens = [module_vector(g, 0) for g in first] + [module_vector(h * g, g) for g in second]
             center = (mixed_fraction(rng), mixed_fraction(rng))
             moved = [g.substitute_affine([-c for c in center]) for g in gens]
             cases.append((buchberger(moved, order, RM2), center))
@@ -494,7 +489,7 @@ def test_membership_by_operators_matches_normal_form():
         assert membership_by_operators(f, basis) == is_member(f, G)
 
 
-def test_membership_at_shifted_center():
+def test_membership_at_shifted_center(monkeypatch):
     x, y = xy_vars()
     gens = [(x - 2) ** 2, y - 3]
     G = buchberger(gens, DegLex(), RXY)
@@ -503,6 +498,52 @@ def test_membership_at_shifted_center():
     for _ in range(20):
         f = random_polynomial(rng, RXY, max_terms=5, max_deg=3)
         assert membership_by_operators(f, basis) == normal_form(f, G).is_zero()
+    # the first operator is the identity, and a polynomial it does not
+    # annihilate is refused without reading the others
+    reads = []
+    monkeypatch.setattr(Polynomial, "coefficient", lambda f, key, _read=Polynomial.coefficient: reads.append(key) or _read(f, key))
+    assert len(basis) == 2 and not membership_by_operators((x - 2) ** 2 + 1, basis)
+    assert reads == [(1, (0, 0))]
+
+
+def test_a_basis_placed_at_a_center():
+    x, y = xy_vars()
+    at_origin = noetherian_linear(buchberger([x**2, y], DegLex(), RXY))
+    placed = at_origin.at((2, 3))
+    assert placed.operators == noetherian_linear(buchberger([(x - 2) ** 2, y - 3], DegLex(), RXY), (2, 3)).operators
+    assert placed.center == (2, 3) and {L.center for L in placed} == {(2, 3)}
+    with pytest.raises(RingMismatchError):
+        at_origin.at((2,))
+
+
+def test_membership_and_conditions_move_each_polynomial_once(monkeypatch):
+    # a basis at a shifted center moves each probe, and each monomial the
+    # inverse visits, to the center once, not once per operator
+    rng = random.Random(2401)
+    cases = [case for case in random_primary_cases(rng) if case[2] and any(case[2])]
+    expected = []
+    for gens, order, center in cases:
+        G = buchberger(gens, order, gens[0].ring)
+        basis = noetherian_forward(G, center)
+        probes = [random_combination(rng, gens), random_polynomial(rng, G.ring, max_terms=5, max_deg=4)]
+        verdicts = [all(apply_at(L, f) == 0 for L in basis.operators) for f in probes]
+        expected.append((G, basis, probes, verdicts))
+    moves = Counter()
+    substitute = Polynomial.substitute_affine
+
+    def counted(f, point):
+        moves[f, tuple(point)] += 1
+        return substitute(f, point)
+
+    monkeypatch.setattr(Polynomial, "substitute_affine", counted)
+    for G, basis, probes, verdicts in expected:
+        assert len(basis) > 1
+        moves.clear()
+        assert [membership_by_operators(f, basis) for f in probes] == verdicts
+        assert verdicts[0] and sum(moves.values()) == len(probes)
+        moves.clear()
+        assert ideal_from_conditions(basis.operators, G.order).elements == G.elements
+        assert moves and max(moves.values()) == 1
 
 
 def test_ideal_from_conditions_goldens():

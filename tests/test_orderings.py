@@ -152,6 +152,16 @@ def test_as_module_order_and_base():
     assert key_compare(mo, (1, (1, 0)), (1, (0, 1)), RXY) > 0
 
 
+@pytest.mark.parametrize("order", SCALAR_ORDERS + [ProductOrder(DegRevLex(), Lex())])
+def test_as_module_order_shares_one_record_per_term_order(order):
+    # equal orders built apart get the identical wrapper
+    rebuilt = type(order)(*(getattr(order, name) for name in order._fields))
+    assert rebuilt == order
+    assert as_module_order(order) is as_module_order(rebuilt)
+    assert as_module_order(order) == ModuleOrder(order, TOP)
+    assert as_module_order(Lex()) is not as_module_order(DegLex())
+
+
 def test_keys_sort_like_the_reference_comparison():
     rng = random.Random(59)
     # exponents of degree <= 3 in three variables: many terms share a degree

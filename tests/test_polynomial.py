@@ -13,11 +13,15 @@ from noeth.errors import RingMismatchError
 from support import (
     RM2,
     RX,
+    RXT,
     RXY,
     RXYT,
     RXYZ,
+    per_term_substitute_affine,
+    random_combination,
     random_fraction,
     random_nonzero,
+    random_origin_primary,
     random_polynomial,
     reference_substitute_affine,
 )
@@ -201,6 +205,49 @@ def test_substitute_affine_matches_the_fraction_expansion():
         assert zero.substitute_affine([Fraction(1, 3)] * ring.nvars) == zero
     f = random_nonzero(rng, RM2)
     assert f.substitute_affine([0, 0]) == f
+
+
+def _shift_point(rng, ring, params_fixed=False):
+    """Fractions, integers and zeros mixed; a parameter ring's t-block stays 0 when asked."""
+    point = [
+        rng.choice([Fraction(0), Fraction(rng.randint(-3, 3)), random_fraction(rng, 5)]) for _ in range(ring.nvars)
+    ]
+    if params_fixed:
+        point[ring.x_count :] = [Fraction(0)] * ring.t_count
+    return point
+
+
+def _taylor_cases(rng):
+    """(polynomial, point) pairs: seeded primary ideals, rank-2 modules and parameter rings."""
+    cases = []
+    for ring in (RX, RXY, RXYZ):
+        gens = random_origin_primary(rng, ring, 12)
+        gens.append(random_combination(rng, gens))
+        cases += [(g, _shift_point(rng, ring)) for g in gens]
+    for _ in range(8):
+        cases.append((random_nonzero(rng, RM2, max_terms=6, max_deg=5), _shift_point(rng, RM2)))
+    for ring in (RXT, RXYT):
+        for _ in range(6):
+            cases.append((random_nonzero(rng, ring, max_terms=6, max_deg=5), _shift_point(rng, ring, True)))
+    cases.append((random_nonzero(rng, RXYZ), [Fraction(0), Fraction(5, 7), Fraction(0)]))
+    return cases
+
+
+def test_taylor_shift_matches_the_per_term_expansion():
+    rng = random.Random(2401)
+    for f, point in _taylor_cases(rng):
+        got = f.substitute_affine(point)
+        assert got == per_term_substitute_affine(f, point) == reference_substitute_affine(f, point)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+        assert got.substitute_affine([-p for p in point]) == f
+
+
+def test_the_taylor_shift_merges_like_terms_between_variables():
+    # (x + y)^3 moved to (x - 1, y + 1) is (x + y)^3 again: every cross term cancels
+    x, y = xy()
+    f = (x + y) ** 3
+    assert f.substitute_affine([-1, 1]) == f
+    assert (x * y).substitute_affine([Fraction(1, 2), Fraction(-1, 3)]) == (x + Fraction(1, 2)) * (y - Fraction(1, 3))
 
 
 def test_substitute_affine_refuses_rational_function_coefficients():
