@@ -24,6 +24,7 @@ from .epsolution import build_solution, render_solution, solution_json
 from .errors import NoethError, ParseError
 from .groebner import buchberger, corner_monomials, is_member, normal_form, staircase
 from .noetherian import (
+    _refuse_parameters,
     _translate_generators,
     noetherian_backward,
     noetherian_forward,
@@ -114,6 +115,7 @@ def _doc(command: str, spec: ProblemSpec, **fields) -> dict:
 
 def _noether_basis(problem: Problem, method: str, check_all: bool):
     spec = problem.spec
+    _refuse_parameters(spec.ring)  # before the translate's Buchberger, which the refusal does not need
     basis = problem.build(METHODS[method], spec.generators, spec.center)
     if check_all:
         # each construction returns the canonical row form: equal spans are equal tuples

@@ -19,7 +19,7 @@ from .diffop import alpha_factorial
 from .noetherian import NoetherianBasis
 from .polynomial import Polynomial
 from .ratfun import RationalFunction
-from .render import render_polynomial
+from .render import _signed_sum, render_polynomial
 from .ring import Exponent, Record, RingDescriptor, reading_key
 
 
@@ -91,43 +91,37 @@ def build_solution(ring: RingDescriptor, parts) -> SolutionFamily:
 # -- text rendering ----------------------------------------------------------------
 
 
-def _display_ring(ring: RingDescriptor, with_frequencies: bool) -> RingDescriptor:
-    names = list(ring.names)
-    if with_frequencies:
-        names += [n + "_" for n in ring.t_names]
-    return RingDescriptor(tuple(names), len(names))
+def _reading_text(items, names) -> str:
+    """(exponent, coefficient) items as one signed sum in the graded reading order."""
+    return _signed_sum(sorted(items, key=lambda item: reading_key((1, item[0]))), names)
 
 
-def _component_polynomial(ring, disp, terms, position, with_frequencies: bool) -> Polynomial:
-    body: dict = {}
+def _position_items(ring: RingDescriptor, summand: SolutionSummand, position: int) -> list:
+    """The summand's terms at position as x^alpha times its scalar, a parameter power read in the frequencies."""
     tzero = (0,) * ring.t_count
-    fzero = (0,) * (ring.t_count if with_frequencies else 0)
-    for t in terms:
+    fzero = tzero if summand.integral else ()
+    items = []
+    for t in summand.terms:
         if t.position != position:
             continue
         if isinstance(t.scalar, Polynomial):
-            for (_, texp), c in t.scalar.terms.items():
-                exp = t.alpha + tzero + texp
-                body[(1, exp)] = body.get((1, exp), Fraction(0)) + c
+            items += [(t.alpha + tzero + texp, c) for (_, texp), c in t.scalar.terms.items()]
         else:
-            exp = t.alpha + tzero + fzero
-            body[(1, exp)] = body.get((1, exp), Fraction(0)) + t.scalar
-    return Polynomial(disp, {k: c for k, c in body.items() if c})
+            items.append((t.alpha + tzero + fzero, t.scalar))
+    return items
 
 
-def _exponent_argument(ring, disp, center, integral: bool) -> Polynomial:
-    terms: dict = {}
-    width = disp.nvars
-    for i, c in enumerate(center):
-        if c:
-            terms[(1, disp.var_exp(i))] = Fraction(c)
-    if integral:
-        for k in range(ring.t_count):
-            exp = [0] * width
-            exp[ring.x_count + k] = 1
-            exp[ring.nvars + k] = 1
-            terms[(1, tuple(exp))] = Fraction(1)
-    return Polynomial(disp, terms)
+def _exponent_items(ring: RingDescriptor, summand: SolutionSummand) -> list:
+    """The center's coordinates on the variables, and t * t_ for each parameter of an integral."""
+    width = ring.nvars + (ring.t_count if summand.integral else 0)
+
+    def unit(*indices):
+        return tuple(int(j in indices) for j in range(width))
+
+    items = [(unit(i), Fraction(c)) for i, c in enumerate(summand.center) if c]
+    if summand.integral:
+        items += [(unit(ring.x_count + k, ring.nvars + k), Fraction(1)) for k in range(ring.t_count)]
+    return items
 
 
 def _wrap(text: str) -> str:
@@ -142,18 +136,11 @@ def render_solution(family: SolutionFamily) -> str:
     ring = family.ring
     lines = []
     for i, s in enumerate(family.summands):
-        disp = _display_ring(ring, s.integral)
-        if ring.rank == 1:
-            poly = _component_polynomial(ring, disp, s.terms, 1, s.integral)
-            body = _wrap(render_polynomial(poly))
-        else:
-            entries = [
-                render_polynomial(_component_polynomial(ring, disp, s.terms, pos, s.integral))
-                for pos in range(1, ring.rank + 1)
-            ]
-            body = "(" + ", ".join(entries) + ")"
-        earg = _exponent_argument(ring, disp, s.center, s.integral)
-        efactor = "" if earg.is_zero() else f" e^({render_polynomial(earg)})"
+        names = ring.names + (tuple(n + "_" for n in ring.t_names) if s.integral else ())
+        sums = [_reading_text(_position_items(ring, s, pos), names) for pos in range(1, ring.rank + 1)]
+        body = _wrap(sums[0]) if ring.rank == 1 else "(" + ", ".join(sums) + ")"
+        earg = _exponent_items(ring, s)
+        efactor = f" e^({_reading_text(earg, names)})" if earg else ""
         if s.integral:
             freqs = ", ".join(n + "_" for n in ring.t_names)
             core = body or "1"

@@ -138,10 +138,16 @@ def _translate_generators(gens, order: AnyOrder, ring, center, cache: dict, run=
     return G0
 
 
+def _refuse_parameters(ring) -> None:
+    """Raise unless ring has no parameters, as the zero-dimensional constructions need."""
+    if ring.t_count:
+        raise NoethError("variables after the separator require the parameter-coefficient construction")
+
+
 def _prepare(G, center):
     """translate for the zero-dimensional constructions, whose center must be a zero of the input."""
-    if isinstance(G, GroebnerBasis) and G.ring.t_count:
-        raise NoethError("variables after the separator require the parameter-coefficient construction")
+    if isinstance(G, GroebnerBasis):
+        _refuse_parameters(G.ring)
     G0, center = translate(G, center)
     # The center is a zero unless the values of G0 at the origin span the
     # whole free module; then so does the input near the center (Nakayama).

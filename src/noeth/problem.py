@@ -53,6 +53,8 @@ KEYWORDS = {
 
 # Clauses a file may give at most once; only `component` repeats.
 _SINGLE_CLAUSES = {"ring", "order", "moduleorder", "ideal", "module", "center"}
+# Clauses that need the ring's variables.
+_GENERATOR_CLAUSES = {"ideal", "module", "component", "center"}
 
 _WORD_TAIL = "0123456789_"
 
@@ -167,13 +169,12 @@ class _Parser:
         precedence = TOP
         generators: list[Polynomial] = []
         center: tuple[Fraction, ...] | None = None
-        components: list[Component] = []
-        module_rows: list[list[Polynomial]] | None = None
-        component_rows: list[tuple[list, tuple, Token]] = []
+        module_rows: list[list[Polynomial]] = []
+        component_rows: list[tuple[list, tuple]] = []
         seen: set[str] = set()
 
         while self.peek().kind != "end":
-            tok = self.peek()
+            tok = self.next()
             if tok.kind != "keyword":
                 self.fail("expected a clause keyword", tok)
             if tok.text in seen:
@@ -182,44 +183,29 @@ class _Parser:
                 self.fail("a file gives either an 'ideal' or a 'module' clause", tok)
             if tok.text in _SINGLE_CLAUSES:
                 seen.add(tok.text)
+            if tok.text in _GENERATOR_CLAUSES and ring is None:
+                self.fail("generators appear before the ring clause", tok)
             if tok.text == "ring":
-                self.next()
                 ring = self.parse_ring_clause()
             elif tok.text == "order":
-                self.next()
                 order_tok = self.peek()
                 order = self.parse_order_expr()
-                self.expect_punct(";")
             elif tok.text == "moduleorder":
-                self.next()
-                prec = self.peek()
+                prec = self.next()
                 if prec.kind != "keyword" or prec.text not in ("top", "pot"):
                     self.fail("expected top or pot", prec)
-                precedence = self.next().text
-                self.expect_punct(";")
+                precedence = prec.text
             elif tok.text == "ideal":
-                self.next()
-                self.require_ring(ring, tok)
                 generators = self.parse_list(self.parse_polynomial, ring)
-                self.expect_punct(";")
             elif tok.text == "module":
-                self.next()
-                self.require_ring(ring, tok)
                 module_rows = self.parse_list(self.parse_vector, ring)
-                self.expect_punct(";")
             elif tok.text == "component":
-                self.next()
-                self.require_ring(ring, tok)
-                rows, point = self.parse_component_body(ring)
-                component_rows.append((rows, point, tok))
-                self.expect_punct(";")
+                component_rows.append(self.parse_component_body(ring))
             elif tok.text == "center":
-                self.next()
-                self.require_ring(ring, tok)
                 center = self.parse_point(ring)
-                self.expect_punct(";")
             else:
                 self.fail(f"unexpected keyword {tok.text!r} at clause start", tok)
+            self.expect_punct(";")
 
         if ring is None:
             self.fail("missing ring clause")
@@ -231,13 +217,9 @@ class _Parser:
         # Vector widths decide the module rank; every vector in the file, a
         # one-entry [f] included, has to agree, and scalar generators cannot
         # mix with vectors of rank > 1.
-        widths = set()
-        if module_rows is not None:
-            widths.update(len(row) for row in module_rows)
-        for rows, _, tok in component_rows:
-            for row in rows:
-                widths.add(len(row) if isinstance(row, list) else 0)
-        vector_widths = {w for w in widths if w > 0}
+        rows = module_rows + [row for comp_rows, _ in component_rows for row in comp_rows]
+        widths = {len(row) if isinstance(row, list) else 0 for row in rows}
+        vector_widths = widths - {0}
         if len(vector_widths) > 1:
             self.fail(f"vector lengths disagree: {sorted(vector_widths)}")
         rank = vector_widths.pop() if vector_widths else 1
@@ -245,29 +227,17 @@ class _Parser:
             self.fail("scalar generators cannot mix with module vectors")
         spec_ring = ring.with_rank(rank) if rank > 1 else ring
 
-        if module_rows is not None:
-            generators = [_assemble_vector(spec_ring, row) for row in module_rows]
-        for rows, point, _ in component_rows:
-            gens = []
-            for row in rows:
-                if isinstance(row, list):
-                    gens.append(_assemble_vector(spec_ring, row) if rank > 1 else row[0])
-                else:
-                    gens.append(row)
-            components.append(Component(tuple(gens), point))
+        def assemble(row):
+            return _assemble_vector(spec_ring, row) if isinstance(row, list) else row
 
         return ProblemSpec(
             ring=spec_ring,
             order=order,
             module_precedence=precedence,
-            generators=tuple(generators),
+            generators=tuple(map(assemble, module_rows)) if module_rows else tuple(generators),
             center=center,
-            components=tuple(components),
+            components=tuple(Component(tuple(map(assemble, comp_rows)), point) for comp_rows, point in component_rows),
         )
-
-    def require_ring(self, ring, tok):
-        if ring is None:
-            self.fail("generators appear before the ring clause", tok)
 
     def parse_ring_clause(self) -> RingDescriptor:
         x_names = self.parse_name_list([])
@@ -275,7 +245,6 @@ class _Parser:
         if self.at_punct("|"):
             self.next()
             t_names = self.parse_name_list(x_names)
-        self.expect_punct(";")
         return RingDescriptor(tuple(x_names + t_names), len(x_names), len(t_names))
 
     def parse_name_list(self, earlier: list[str]) -> list[str]:

@@ -62,48 +62,32 @@ def render_polynomial(f: Polynomial, order: AnyOrder | None = None) -> str:
 
 
 def _scaled_monomial_text(c, mono: str, leading: bool) -> str:
-    """One rendered term, including its sign/joiner prefix."""
-    if isinstance(c, RationalFunction) and c.is_polynomial() and c.num.total_degree() <= 0:
-        # Constant rational functions print exactly like plain rationals.
-        c = c.num.coefficient((1, c.num.ring.zero_exp()))
-    if isinstance(c, RationalFunction):
-        text = _ratfun_text(c)
-        if text.startswith("-"):
-            joined = f"{text[1:]} {mono}" if mono else text[1:]
-            return f"-{joined}" if leading else f" - {joined}"
-        joined = f"{text} {mono}" if mono else text
-        return joined if leading else f" + {joined}"
-    neg = c < 0
-    mag = -c if neg else c
-    if mono and mag == 1:
-        body = mono
-    elif mono:
-        body = f"{mag} {mono}"
-    else:
-        body = str(mag)
+    """One rendered term, including its sign/joiner prefix; a magnitude of 1 before a monomial is dropped."""
+    text = coeff_string(c)
+    neg = text[0] == "-"
+    mag = text[1:] if neg else text
+    body = (mono if mag == "1" else f"{mag} {mono}") if mono else mag
     if leading:
         return f"-{body}" if neg else body
     return f" - {body}" if neg else f" + {body}"
 
 
-def _ratfun_text(c: RationalFunction) -> str:
-    num = render_polynomial(c.num)
+def coeff_string(c) -> str:
+    """The text of every coefficient: a rational as str writes it, a rational function as num or num/den.
+
+    Each part of a rational function is its polynomial's text, in
+    parentheses unless it is a single term.
+    """
+    if not isinstance(c, RationalFunction):
+        return str(c)
     if c.is_polynomial():
-        if len(c.num.terms) == 1:
-            ((key, k),) = c.num.terms.items()
-            mono = _monomial_text(c.num.ring.names, key[1])
-            if mono and k == 1:
-                return mono
-            if mono and k == -1:
-                return f"-{mono}"
-            if mono:
-                return f"{k} {mono}"
-            return str(k)
-        return f"({num})"
-    den = render_polynomial(c.den)
-    left = num if len(c.num.terms) == 1 else f"({num})"
-    right = den if len(c.den.terms) == 1 else f"({den})"
-    return f"{left}/{right}"
+        return _parenthesized(c.num)
+    return f"{_parenthesized(c.num)}/{_parenthesized(c.den)}"
+
+
+def _parenthesized(f: Polynomial) -> str:
+    text = render_polynomial(f)
+    return text if len(f.terms) == 1 else f"({text})"
 
 
 def render_module_term(ring: RingDescriptor, key) -> str:
@@ -138,12 +122,6 @@ def render_operator(L: DiffOp, order: AnyOrder | None = None) -> str:
 
 
 # -- JSON ------------------------------------------------------------------------
-
-
-def coeff_string(c) -> str:
-    if isinstance(c, RationalFunction):
-        return _ratfun_text(c)
-    return str(c)
 
 
 def polynomial_json(f: Polynomial, order: AnyOrder | None = None) -> dict:

@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from noeth import DiffOp, NoetherianBasis, Polynomial, RingDescriptor, normal_form
+from noeth import DiffOp, NoetherianBasis, Polynomial, RationalFunction, RingDescriptor, normal_form
+from noeth.diffop import alpha_factorial
 from noeth.orderings import leading_term
 from noeth.ring import exp_add, exp_deg, exp_divides, exp_sub, reading_key
 
@@ -520,3 +521,101 @@ def one_term_dropped(basis):
             cut = DiffOp(L.ring, {k: c for k, c in L.terms.items() if k != key}, L.center)
             yield NoetherianBasis(ops[:i] + (cut,) + ops[i + 1 :], basis.multiplicity, basis.center, basis.method,
                                   basis.source)
+
+
+def reference_scaled_monomial_text(c, mono: str, leading: bool) -> str:
+    """One rendered term with its sign or joiner, as render wrote it with a Fraction writer and a ratfun writer.
+
+    The reference for render's single coefficient writer: a constant
+    rational function prints as its Fraction, any other one as
+    reference_ratfun_text.
+    """
+    if isinstance(c, RationalFunction) and c.is_polynomial() and c.num.total_degree() <= 0:
+        c = c.num.coefficient((1, c.num.ring.zero_exp()))
+    if isinstance(c, RationalFunction):
+        text = reference_ratfun_text(c)
+        if text.startswith("-"):
+            joined = f"{text[1:]} {mono}" if mono else text[1:]
+            return f"-{joined}" if leading else f" - {joined}"
+        joined = f"{text} {mono}" if mono else text
+        return joined if leading else f" + {joined}"
+    neg = c < 0
+    mag = -c if neg else c
+    if mono and mag == 1:
+        body = mono
+    elif mono:
+        body = f"{mag} {mono}"
+    else:
+        body = str(mag)
+    if leading:
+        return f"-{body}" if neg else body
+    return f" - {body}" if neg else f" + {body}"
+
+
+def _reference_monomial(names, exp) -> str:
+    return " ".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e)
+
+
+def _reference_sum(items, names) -> str:
+    texts = [reference_scaled_monomial_text(c, _reference_monomial(names, exp), i == 0)
+             for i, (exp, c) in enumerate(items)]
+    return "".join(texts) or "0"
+
+
+def reference_ratfun_text(c) -> str:
+    """A rational function's text, a single-term numerator written term by term."""
+    f = c.num
+    num = _reference_sum([(exp, k) for (_, exp), k in f.sorted_terms()], f.ring.names)
+    if c.is_polynomial():
+        if len(f.terms) == 1:
+            ((key, k),) = f.terms.items()
+            mono = _reference_monomial(f.ring.names, key[1])
+            if mono and k == 1:
+                return mono
+            if mono and k == -1:
+                return f"-{mono}"
+            if mono:
+                return f"{k} {mono}"
+            return str(k)
+        return f"({num})"
+    den = _reference_sum([(exp, k) for (_, exp), k in c.den.sorted_terms()], c.den.ring.names)
+    left = num if len(f.terms) == 1 else f"({num})"
+    right = den if len(c.den.terms) == 1 else f"({den})"
+    return f"{left}/{right}"
+
+
+def reference_coeff_string(c) -> str:
+    return reference_ratfun_text(c) if isinstance(c, RationalFunction) else str(c)
+
+
+def reference_operator_text(L, keys) -> str:
+    """L's text with its terms in the order of keys, one signed sum per position in parentheses at rank > 1."""
+    names = ["d" + name for name in L.ring.x_names]
+    sums = []
+    for pos in range(1, L.ring.rank + 1):
+        items = [(alpha, L.terms[(p, alpha)] * Fraction(1, alpha_factorial(alpha))) for p, alpha in keys if p == pos]
+        sums.append(_reference_sum(items, names))
+    return sums[0] if L.ring.rank == 1 else "(" + ", ".join(sums) + ")"
+
+
+def random_ratfun_operator(rng: random.Random, ring: RingDescriptor) -> DiffOp:
+    """A DiffOp over ring whose coefficients are constant and non-constant rational functions.
+
+    Numerators and denominators are random polynomials on the parameter
+    block with one to three terms, so single-term, negative and
+    parenthesized parts all occur.
+    """
+    tring = ring.t_subring()
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = (rng.randint(1, ring.rank), random_exponent(rng, ring.x_count, 3))
+        kind = rng.randrange(4)
+        if kind == 0:
+            c = RationalFunction.from_fraction(random_fraction(rng), tring)
+        else:
+            c = RationalFunction(random_nonzero(rng, tring, 3, 2))
+            if kind == 3:
+                c = c / RationalFunction(random_nonzero(rng, tring, 3, 2))
+        if c:
+            terms[key] = c
+    return DiffOp(ring, terms)

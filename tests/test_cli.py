@@ -171,6 +171,28 @@ def test_ep_solution_posdim_integral(capsys, tmp_path):
     )
 
 
+def test_ep_solution_with_two_parameters(capsys, tmp_path):
+    path = tmp_path / "two.noeth"
+    path.write_text("ring x, y | s, t;\norder lex;\ncomponent x^2, y - s*x - t*x at 0, 0, 1, -2;\n")
+    code, out, _ = run(capsys, "ep-solution", str(path))
+    assert code == 0
+    assert out == (
+        "f = Int[ 1 e^(s - 2 t + s s_ + t t_) dnu1(s_, t_) ]\n"
+        "  + Int[ (x - y + y s_ + y t_) e^(s - 2 t + s s_ + t t_) dnu2(s_, t_) ]\n"
+    )
+    code, out, _ = run(capsys, "ep-solution", "--json", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ring"] == {"names": ["x", "y", "s", "t"], "x_count": 2, "t_count": 2, "rank": 1}
+    center = ["0", "0", "1", "-2"]
+    assert doc["summands"] == [
+        {"constant": "nu1", "component": 1, "center": center, "integral": True,
+         "terms": [{"pos": 1, "alpha": [0, 0], "scalar": "1"}]},
+        {"constant": "nu2", "component": 1, "center": center, "integral": True,
+         "terms": [{"pos": 1, "alpha": [1, 0], "scalar": "1"}, {"pos": 1, "alpha": [0, 1], "scalar": "-1 + s + t"}]},
+    ]
+
+
 def test_missing_file_is_exit_one(capsys, tmp_path):
     code, out, err = run(capsys, "gb", str(tmp_path / "absent.noeth"))
     assert code == 1
@@ -405,6 +427,24 @@ def test_check_all_at_a_shifted_center_counts_buchberger_runs(capsys, tmp_path, 
     calls.clear()
     assert run(capsys, "noether", "--check-all", str(path))[:2] == (0, "1\ndx\ndy\ndx dy\n")
     assert calls == []
+
+
+def test_noether_refuses_a_parameter_ring_before_any_buchberger_run(capsys, tmp_path, monkeypatch):
+    # the refusal reads only the ring clause
+    calls = []
+
+    def counted(*args, _run=noeth.cli.buchberger, **kwargs):
+        calls.append(args)
+        return _run(*args, **kwargs)
+
+    monkeypatch.setattr(noeth.cli, "buchberger", counted)
+    path = tmp_path / "parameter.noeth"
+    path.write_text("ring x, y | t; order lex; ideal x^2 - y*t, y^2; center 1, 0, 0;")
+    message = "error: variables after the separator require the parameter-coefficient construction\n"
+    for argv in (["--method", "forward"], ["--method", "backward"], ["--method", "linear"], ["--check-all"]):
+        noeth.cli.load_problem.cache_clear()
+        assert run(capsys, "noether", *argv, str(path)) == (1, "", message)
+        assert calls == []
 
 
 def test_no_generators_error(capsys, tmp_path):

@@ -242,6 +242,36 @@ def test_expression_lexing_and_diagnostics(text, expected):
         ("ring x;\norder lex;\nideal x, é;", ("unknown variable 'é'", 3, 10)),
         ("ring x;\norder lex;\nideal x, x²;", ("unexpected character '²'", 3, 11)),
         ("ring x;\norder lex;\ncenter 2/0;\nideal x;", ("zero denominator", 3, 8)),
+        # a generator clause before the ring clause
+        ("order lex;\nideal x;", ("generators appear before the ring clause", 2, 1)),
+        ("order lex;\nmodule [x, 1];", ("generators appear before the ring clause", 2, 1)),
+        ("order lex;\ncomponent x at 0;", ("generators appear before the ring clause", 2, 1)),
+        ("order lex;\ncenter 0;", ("generators appear before the ring clause", 2, 1)),
+        # a clause without its ';'
+        ("ring x\norder lex;\nideal x;", ("expected ';'", 2, 1)),
+        ("ring x | t\norder lex;\nideal x;", ("expected ';'", 2, 1)),
+        ("ring x;\norder lex\nideal x;", ("expected ';'", 3, 1)),
+        ("ring x, y;\norder lex;\nmoduleorder pot\nmodule [x, 1];", ("expected ';'", 4, 1)),
+        ("ring x;\norder lex;\nideal x;\ncenter 0\n", ("expected ';'", 5, 1)),
+        ("ring x;\norder lex;\ncomponent x at 0\ncomponent x - 1 at 1;", ("expected ';'", 4, 1)),
+        # clause keywords
+        ("ring x;\nlex;", ("unexpected keyword 'lex' at clause start", 2, 1)),
+        ("ring x, y;\norder lex;\nmoduleorder lex;", ("expected top or pot", 3, 13)),
+        ("ring x, y;\norder lex;\nmoduleorder x;", ("expected top or pot", 3, 13)),
+        ("ring x;\norder lex;\norder deglex;", ("repeated 'order' clause", 3, 1)),
+        ("ring x; order lex;\ncomponent x at 0;\nring y;", ("repeated 'ring' clause", 3, 1)),
+        ("ring x;\ncenter 0;\norder lex;\ncenter 1;", ("repeated 'center' clause", 4, 1)),
+        ("ring x;\norder lex;\nideal x;\nmodule [x];", ("a file gives either an 'ideal' or a 'module' clause", 4, 1)),
+        ("ring x;\norder lex;\nmodule [x];\nideal x;", ("a file gives either an 'ideal' or a 'module' clause", 4, 1)),
+        # checks after the last clause: vector widths, then a product order on a ring without parameters
+        ("ring x, y;\norder lex;\nmodule [x, 1];\ncomponent [x, 1, 0] at 0, 0;", ("vector lengths disagree: [2, 3]", 4, 29)),
+        ("ring x, y;\norder lex;\ncomponent [x, 1] at 0, 0;\ncomponent [y] at 0, 0;", ("vector lengths disagree: [1, 2]", 4, 23)),
+        ("ring x, y;\norder lex;\nmodule [x, 1], [y, 0];\ncomponent y at 0, 0;",
+         ("scalar generators cannot mix with module vectors", 4, 21)),
+        ("ring x, y;\norder lex;\ncomponent x, [y, 1] at 0, 0;", ("scalar generators cannot mix with module vectors", 3, 29)),
+        ("ring x;\norder product(lex, lex);\nideal x;", ("product order needs a ring with a parameter block", 2, 7)),
+        ("ring x;\nideal x;\norder product(lex,\n  deglex);\ncenter 0;",
+         ("product order needs a ring with a parameter block", 3, 7)),
     ],
 )
 def test_problem_file_lexing_and_diagnostics(text, expected):

@@ -19,13 +19,20 @@ from noeth import (
     render_polynomial,
 )
 from noeth.render import (
+    _operator_keys,
     coeff_string,
     emit_json,
     operator_json,
     polynomial_json,
     ring_json,
 )
-from support import RM2, RXY
+from support import (
+    RM2,
+    RXY,
+    random_ratfun_operator,
+    reference_coeff_string,
+    reference_operator_text,
+)
 
 RXYT2 = RingDescriptor(("x", "y", "t"), 2, 1)
 
@@ -95,6 +102,70 @@ def test_parameter_operator_text():
     assert render_operator(L) == "t dy + dx"
     M = DiffOp(RXYT2, {(1, (1, 0)): (t + 1) / t})
     assert render_operator(M) == "(1 + t)/t dx"
+
+
+RXYST = RingDescriptor(("x", "y", "s", "t"), 2, 2)
+RXYST2 = RingDescriptor(("x", "y", "s", "t"), 2, 2, 2)
+
+
+def _st():
+    tring = RXYST.t_subring()
+    return tuple(RationalFunction(Polynomial.variable(tring, name)) for name in ("s", "t"))
+
+
+def _ratfun_cases():
+    s, t = _st()
+    one = s / s
+    return [
+        ({(1, (1, 0)): -t}, "-t dx", "-t dx", ["-t"]),
+        ({(1, (1, 0)): one, (1, (0, 1)): -t}, "dx - t dy", "-t dy + dx", ["1", "-t"]),
+        (
+            {(1, (1, 0)): one * Fraction(3, 2), (1, (0, 0)): one * -2, (1, (0, 2)): one * Fraction(-1, 3)},
+            "3/2 dx - 1/6 dy^2 - 2",
+            "-1/6 dy^2 + 3/2 dx - 2",
+            ["3/2", "-1/3", "-2"],
+        ),
+        ({(1, (1, 0)): 2 * t}, "2 t dx", "2 t dx", ["2 t"]),
+        (
+            {(1, (1, 0)): (s + t) / (t - 1), (1, (0, 0)): (s * t - 1) / (s + t * t)},
+            "(s + t)/(-1 + t) dx + (-1 + s t)/(s + t^2)",
+            "(s + t)/(-1 + t) dx + (-1 + s t)/(s + t^2)",
+            ["(s + t)/(-1 + t)", "(-1 + s t)/(s + t^2)"],
+        ),
+        (
+            {(1, (1, 0)): -t / (s + 1), (1, (0, 1)): -2 * s * t / (t + 1), (1, (0, 0)): one},
+            "-t/(1 + s) dx - 2 s t/(1 + t) dy + 1",
+            "-2 s t/(1 + t) dy - t/(1 + s) dx + 1",
+            ["-t/(1 + s)", "-2 s t/(1 + t)", "1"],
+        ),
+    ]
+
+
+@pytest.mark.parametrize("terms, lex_text, reading_text, coeffs", _ratfun_cases())
+def test_rational_function_coefficient_goldens(terms, lex_text, reading_text, coeffs):
+    from noeth import Lex
+
+    L = DiffOp(RXYST, terms)
+    assert render_operator(L, Lex()) == lex_text
+    assert render_operator(L) == reading_text
+    assert [term["coeff"] for term in operator_json(L, Lex())["terms"]] == coeffs
+
+
+@pytest.mark.parametrize("ring", [RXYST, RXYST2])
+def test_rational_function_text_matches_the_reference_writer(ring):
+    # the term writer before coeff_string became the one coefficient text
+    from noeth import Lex
+
+    rng = random.Random(2501)
+    for _ in range(1000):
+        L = random_ratfun_operator(rng, ring)
+        for order in (None, Lex()):
+            keys = _operator_keys(ring, L.terms, order)
+            assert render_operator(L, order) == reference_operator_text(L, keys)
+            assert operator_json(L, order)["terms"] == [
+                {"pos": pos, "alpha": list(alpha), "coeff": reference_coeff_string(L.terms[(pos, alpha)])}
+                for pos, alpha in keys
+            ]
 
 
 def test_render_module_term():
