@@ -6,130 +6,80 @@ zero-dimensional ideal or submodule, extends the construction to positive
 dimension through rational-function coefficients in a parameter block, and
 renders symbolic exponential-polynomial solution families for the associated
 constant-coefficient PDE systems.
+
+``import noeth`` loads none of the submodules: each public name is imported
+from the submodule that defines it on its first use (PEP 562).
 """
-
-from __future__ import annotations
-
-from .diffop import (
-    DiffOp,
-    apply_at,
-    canonical_operator_basis,
-    closure,
-    dual_of_polynomial,
-    is_closed,
-    span_equal_operators,
-)
-from .epsolution import SolutionFamily, build_solution, render_solution, solution_json
-from .errors import (
-    InfiniteStaircaseError,
-    NoethError,
-    NormalPositionError,
-    NotClosedError,
-    NotEliminationOrderError,
-    NotPrimaryError,
-    ParseError,
-    ResourceLimitError,
-    RingMismatchError,
-    ZeroPolynomialError,
-)
-from .groebner import (
-    GroebnerBasis,
-    Staircase,
-    buchberger,
-    corner_monomials,
-    eliminate,
-    is_member,
-    normal_form,
-    s_polynomial,
-    staircase,
-)
-from .noetherian import (
-    NoetherianBasis,
-    ideal_from_conditions,
-    membership_by_operators,
-    noetherian_backward,
-    noetherian_forward,
-    noetherian_linear,
-)
-from .orderings import (
-    POT,
-    TOP,
-    DegLex,
-    DegRevLex,
-    Lex,
-    ModuleOrder,
-    ProductOrder,
-)
-from .polynomial import Polynomial, poly_mul
-from .posdim import (
-    extend_to_rational_coeffs,
-    member_positive,
-    noetherian_positive,
-)
-from .problem import ProblemSpec, parse_polynomial, parse_problem
-from .ratfun import RationalFunction, poly_gcd, poly_lcm
-from .render import render_module_term, render_operator, render_polynomial
-from .ring import RingDescriptor
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DiffOp",
-    "DegLex",
-    "DegRevLex",
-    "GroebnerBasis",
-    "InfiniteStaircaseError",
-    "Lex",
-    "ModuleOrder",
-    "NoethError",
-    "NoetherianBasis",
-    "NormalPositionError",
-    "NotClosedError",
-    "NotEliminationOrderError",
-    "NotPrimaryError",
-    "ParseError",
-    "Polynomial",
-    "POT",
-    "ProblemSpec",
-    "ProductOrder",
-    "RationalFunction",
-    "ResourceLimitError",
-    "RingDescriptor",
-    "RingMismatchError",
-    "SolutionFamily",
-    "Staircase",
-    "TOP",
-    "ZeroPolynomialError",
-    "apply_at",
-    "buchberger",
-    "build_solution",
-    "canonical_operator_basis",
-    "closure",
-    "corner_monomials",
-    "dual_of_polynomial",
-    "eliminate",
-    "extend_to_rational_coeffs",
-    "ideal_from_conditions",
-    "is_closed",
-    "is_member",
-    "member_positive",
-    "membership_by_operators",
-    "noetherian_backward",
-    "noetherian_forward",
-    "noetherian_linear",
-    "noetherian_positive",
-    "normal_form",
-    "parse_polynomial",
-    "parse_problem",
-    "poly_gcd",
-    "poly_lcm",
-    "poly_mul",
-    "render_module_term",
-    "render_operator",
-    "render_polynomial",
-    "render_solution",
-    "s_polynomial",
-    "solution_json",
-    "span_equal_operators",
-    "staircase",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "DiffOp": "diffop",
+    "apply_at": "diffop",
+    "closure": "diffop",
+    "dual_of_polynomial": "diffop",
+    "is_closed": "diffop",
+    "build_solution": "epsolution",
+    "render_solution": "epsolution",
+    "solution_json": "epsolution",
+    "InfiniteStaircaseError": "errors",
+    "NoethError": "errors",
+    "NormalPositionError": "errors",
+    "NotClosedError": "errors",
+    "NotEliminationOrderError": "errors",
+    "NotPrimaryError": "errors",
+    "ParseError": "errors",
+    "ResourceLimitError": "errors",
+    "RingMismatchError": "errors",
+    "ZeroPolynomialError": "errors",
+    "GroebnerBasis": "groebner",
+    "Staircase": "groebner",
+    "buchberger": "groebner",
+    "corner_monomials": "groebner",
+    "eliminate": "groebner",
+    "is_member": "groebner",
+    "normal_form": "groebner",
+    "staircase": "groebner",
+    "NoetherianBasis": "noetherian",
+    "ideal_from_conditions": "noetherian",
+    "membership_by_operators": "noetherian",
+    "noetherian_backward": "noetherian",
+    "noetherian_forward": "noetherian",
+    "noetherian_linear": "noetherian",
+    "POT": "orderings",
+    "TOP": "orderings",
+    "DegLex": "orderings",
+    "DegRevLex": "orderings",
+    "Lex": "orderings",
+    "ModuleOrder": "orderings",
+    "ProductOrder": "orderings",
+    "Polynomial": "polynomial",
+    "poly_mul": "polynomial",
+    "member_positive": "posdim",
+    "noetherian_positive": "posdim",
+    "ProblemSpec": "problem",
+    "parse_polynomial": "problem",
+    "parse_problem": "problem",
+    "RationalFunction": "ratfun",
+    "poly_gcd": "ratfun",
+    "poly_lcm": "ratfun",
+    "render_module_term": "render",
+    "render_operator": "render",
+    "render_polynomial": "render",
+    "RingDescriptor": "ring",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not importlib: importlib costs start-up modules of its own
+    value = globals()[name] = getattr(__import__(_EXPORTS[name], globals(), None, (name,), 1), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -30,7 +30,7 @@ from .noetherian import (
     noetherian_forward,
     noetherian_linear,
 )
-from .posdim import member_positive, noetherian_positive
+from .posdim import _require_posdim_input, member_positive, noetherian_positive
 from .problem import ProblemSpec, parse_polynomial, parse_problem
 from .render import (
     emit_json,
@@ -87,6 +87,7 @@ class Problem:
     @functools.cached_property
     def positive(self):
         """The parameter-coefficient operator basis at the center (parameter rings)."""
+        _require_posdim_input(self.spec.ring, self.spec.effective_order)  # before the translate's Buchberger
         return self.build(noetherian_positive, self.spec.generators, self.spec.center)
 
 
@@ -198,6 +199,8 @@ def cmd_ep_solution(problem, args):
     if not spec.components:
         raise NoethError("ep-solution needs component clauses (a primary decomposition)")
     build = noetherian_positive if spec.ring.t_count else noetherian_forward
+    if spec.ring.t_count:
+        _require_posdim_input(spec.ring, spec.effective_order)  # before the first component's Buchberger
     parts = [(comp.center, problem.build(build, comp.generators, comp.center)) for comp in spec.components]
     family = build_solution(spec.ring, parts)
     if args.json:

@@ -119,9 +119,10 @@ def noetherian_positive(G: GroebnerBasis, center=None) -> NoetherianBasis:
     element with a term free of x, which does not vanish there for generic
     parameter values, is named as such before the walk.
     """
+    if isinstance(G, GroebnerBasis):
+        _require_posdim_input(G.ring, G.order)  # before the translate's Buchberger, which the check does not need
     G0, center = translate(G, center)
     ring = G0.ring
-    _require_posdim_input(ring, G0.order)
     if ring.t_count == 0:
         inner = noetherian_forward(G, center)
         return NoetherianBasis(inner.operators, inner.multiplicity, center, "positive", inner.source)

@@ -171,7 +171,7 @@ class _Parser:
         center: tuple[Fraction, ...] | None = None
         module_rows: list[list[Polynomial]] = []
         component_rows: list[tuple[list, tuple]] = []
-        seen: set[str] = set()
+        seen: dict[str, Token] = {}  # each single clause's keyword token
 
         while self.peek().kind != "end":
             tok = self.next()
@@ -179,10 +179,10 @@ class _Parser:
                 self.fail("expected a clause keyword", tok)
             if tok.text in seen:
                 self.fail(f"repeated {tok.text!r} clause", tok)
-            if tok.text in ("ideal", "module") and seen & {"ideal", "module"}:
+            if tok.text in ("ideal", "module") and seen.keys() & {"ideal", "module"}:
                 self.fail("a file gives either an 'ideal' or a 'module' clause", tok)
             if tok.text in _SINGLE_CLAUSES:
-                seen.add(tok.text)
+                seen[tok.text] = tok
             if tok.text in _GENERATOR_CLAUSES and ring is None:
                 self.fail("generators appear before the ring clause", tok)
             if tok.text == "ring":
@@ -215,16 +215,16 @@ class _Parser:
             self.fail("product order needs a ring with a parameter block", order_tok)
 
         # Vector widths decide the module rank; every vector in the file, a
-        # one-entry [f] included, has to agree, and scalar generators cannot
-        # mix with vectors of rank > 1.
-        rows = module_rows + [row for comp_rows, _ in component_rows for row in comp_rows]
+        # one-entry [f] included, has to agree, and scalar generators, those
+        # of an ideal clause included, cannot mix with vectors of rank > 1.
+        rows = generators + module_rows + [row for comp_rows, _ in component_rows for row in comp_rows]
         widths = {len(row) if isinstance(row, list) else 0 for row in rows}
         vector_widths = widths - {0}
         if len(vector_widths) > 1:
             self.fail(f"vector lengths disagree: {sorted(vector_widths)}")
         rank = vector_widths.pop() if vector_widths else 1
         if rank > 1 and 0 in widths:
-            self.fail("scalar generators cannot mix with module vectors")
+            self.fail("scalar generators cannot mix with module vectors", seen.get("ideal"))
         spec_ring = ring.with_rank(rank) if rank > 1 else ring
 
         def assemble(row):

@@ -8,10 +8,12 @@ coefficient matrix.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
+from pathlib import Path
 
 from noeth import DiffOp, NoetherianBasis, Polynomial, RationalFunction, RingDescriptor, normal_form
 from noeth.diffop import alpha_factorial
@@ -24,6 +26,16 @@ RXYZ = RingDescriptor(("x", "y", "z"), 3)
 RXT = RingDescriptor(("x", "t"), 1, 1)
 RXYT = RingDescriptor(("x", "y", "t"), 2, 1)
 RM2 = RingDescriptor(("x", "y"), 2, 0, 2)
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module: the benchmark's seeded problem files and calls."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def variables(ring: RingDescriptor, position: int = 1):

@@ -23,7 +23,6 @@ from noeth import (
     build_solution,
     corner_monomials,
     dual_of_polynomial,
-    extend_to_rational_coeffs,
     ideal_from_conditions,
     is_closed,
     membership_by_operators,
@@ -35,10 +34,11 @@ from noeth import (
     parse_problem,
     render_operator,
     render_polynomial,
-    s_polynomial,
-    span_equal_operators,
     staircase,
 )
+from noeth.diffop import span_equal_operators
+from noeth.groebner import s_polynomial
+from noeth.posdim import extend_to_rational_coeffs
 from support import (
     RXY,
     RXYZ,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import random
 import re
@@ -14,7 +13,6 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -40,6 +38,7 @@ from support import (
     RXY,
     RXYT,
     RXYZ,
+    load_workloads,
     module_vector,
     random_combination,
     random_fraction,
@@ -445,6 +444,29 @@ def test_noether_refuses_a_parameter_ring_before_any_buchberger_run(capsys, tmp_
         noeth.cli.load_problem.cache_clear()
         assert run(capsys, "noether", *argv, str(path)) == (1, "", message)
         assert calls == []
+
+
+@pytest.mark.parametrize(
+    "order, clause, generators, element, message",
+    [
+        ("deglex", "ideal", "x^2 - y*t, y^2", "x^2", "a block order comparing the x-variables first is required"),
+        ("lex", "module", "[x, 1], [y, 0], [0, y]", "[x, 0]", "the parameter-coefficient construction handles ideals only"),
+    ],
+    ids=["order", "module"],
+)
+def test_posdim_preconditions_are_checked_before_any_buchberger_run(capsys, tmp_path, monkeypatch, order, clause,
+                                                                     generators, element, message):
+    # both refusals read only the ring and order clauses
+    counts = _count_calls(monkeypatch, noeth.cli, "buchberger")
+    path = tmp_path / "posdim.noeth"
+    for body, argv in (
+        (f"{clause} {generators}; center 1, 0, 0;", ["noether-posdim"]),
+        (f"{clause} {generators};", ["member", element]),
+        (f"component {generators} at 1, 0, 0;", ["ep-solution"]),
+    ):
+        path.write_text(f"ring x, y | t; order {order}; {body}\n")
+        assert run(capsys, *argv, str(path)) == (1, "", f"error: {message}\n")
+        assert counts == {}
 
 
 def test_no_generators_error(capsys, tmp_path):
@@ -1020,7 +1042,6 @@ def test_the_cli_route_matches_the_library_route(capsys, tmp_path):
 # test_corpus_output_is_byte_identical).  It changes only with an intended
 # change to some output text or JSON.
 CORPUS_DIGEST = "9a1746dc2107d1df44ed7e0c69765643ab0468ca70a3eded4b15c4aa9c83927f"
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def corpus_calls(workdir):
@@ -1029,9 +1050,7 @@ def corpus_calls(workdir):
     The argvs are the calls of the three benchmark workloads, then linear and
     --check-all --json on every noether problem.
     """
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     files, argvs = {}, []
     for name in workloads.WORKLOADS:
         workload_files, calls, _ = workloads.build(name, 7, workdir)

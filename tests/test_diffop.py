@@ -17,14 +17,12 @@ from noeth import (
     RingDescriptor,
     apply_at,
     buchberger,
-    canonical_operator_basis,
     closure,
     dual_of_polynomial,
     is_closed,
     noetherian_positive,
-    span_equal_operators,
 )
-from noeth.diffop import Echelon, alpha_factorial
+from noeth.diffop import Echelon, alpha_factorial, canonical_operator_basis, span_equal_operators
 from noeth.errors import NotClosedError, RingMismatchError
 from noeth.linalg import rref
 from noeth.ring import reading_key

@@ -21,12 +21,11 @@ from noeth import (
     eliminate,
     is_member,
     normal_form,
-    s_polynomial,
     staircase,
 )
 from noeth import groebner
 from noeth.errors import InfiniteStaircaseError, NotEliminationOrderError, ResourceLimitError, RingMismatchError
-from noeth.groebner import _reducer
+from noeth.groebner import _reducer, s_polynomial
 from noeth.orderings import as_module_order, leading_term
 from noeth.posdim import extend_to_rational_coeffs
 from noeth.ratfun import RationalFunction

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import noeth
 import noeth.errors
 import noeth.orderings
@@ -15,9 +17,22 @@ import noeth.posdim
 
 
 def test_every_exported_name_resolves():
-    assert len(noeth.__all__) == len(set(noeth.__all__))
+    assert len(noeth.__all__) == len(set(noeth.__all__)) == 53
     for name in noeth.__all__:
         assert getattr(noeth, name) is not None, name
+
+
+def test_a_star_import_binds_exactly_the_exported_names():
+    namespace = {}
+    exec("from noeth import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(noeth.__all__)
+    assert set(noeth.__all__) <= set(dir(noeth))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        noeth.no_such_name
+    assert not hasattr(noeth, "no_such_name")
 
 
 def test_error_classes_are_all_exported():
@@ -30,14 +45,19 @@ def test_error_classes_are_all_exported():
 
 
 def test_helpers_stay_importable_from_their_modules():
+    from noeth.diffop import canonical_operator_basis, span_equal_operators
+    from noeth.epsolution import SolutionFamily
+    from noeth.groebner import s_polynomial
     from noeth.orderings import as_module_order, is_elimination_for, leading_term
+    from noeth.posdim import extend_to_rational_coeffs
     from noeth.render import emit_json, operator_json, polynomial_json, ring_json
 
     helpers = (as_module_order, is_elimination_for, leading_term, emit_json, operator_json,
-               polynomial_json, ring_json)
+               polynomial_json, ring_json, canonical_operator_basis, span_equal_operators,
+               SolutionFamily, s_polynomial, extend_to_rational_coeffs)
     for helper in helpers:
         assert callable(helper)
-        assert helper.__name__ not in noeth.__all__
+        assert helper.__name__ not in noeth.__all__ and not hasattr(noeth, helper.__name__)
     for gone in ("translate_to_origin", "smallest_term", "monomial_keys_below", "backward_step",
                  "multiplicity_extended", "NormalPositionReport", "check_normal_position",
                  "cleanup_operators"):
@@ -60,10 +80,20 @@ def test_orderings_keeps_one_monic():
     assert callable(noeth.orderings.monic_by_key)
 
 
-def test_start_up_loads_no_dataclasses_inspect_or_typing():
+def _loaded_by(statement):
+    """The modules a fresh interpreter without site holds after statement, sorted."""
     # -S: modules that site's .pth files import, such as typing, would mask a
     # regression here
-    code = "import sys, noeth.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    code = f"{statement}; import sys; print(' '.join(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(noeth.__file__).resolve().parent.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    return out.stdout.split()
+
+
+def test_start_up_loads_no_dataclasses_importlib_inspect_or_typing():
+    loaded = _loaded_by("import noeth.cli")
+    assert {"dataclasses", "importlib", "inspect", "typing"} & set(loaded) == set()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert [name for name in _loaded_by("import noeth") if name.startswith("noeth.")] == []

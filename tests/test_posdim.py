@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+import noeth.noetherian
 from noeth import (
     DegLex,
     DiffOp,
@@ -20,7 +21,6 @@ from noeth import (
     RingDescriptor,
     apply_at,
     buchberger,
-    extend_to_rational_coeffs,
     is_member,
     member_positive,
     membership_by_operators,
@@ -39,7 +39,7 @@ from noeth.errors import (
     NotPrimaryError,
     ZeroPolynomialError,
 )
-from noeth.posdim import _cleared_row, group_by_x
+from noeth.posdim import _cleared_row, extend_to_rational_coeffs, group_by_x
 from noeth.ring import reading_key, t_part
 from support import (
     RM2,
@@ -135,6 +135,27 @@ def test_posdim_input_guards():
     vec = Polynomial.variable(module_ring, "x", 1)
     with pytest.raises(NoethError):
         noetherian_positive(buchberger([vec], Lex(), module_ring))
+
+
+def test_posdim_preconditions_come_before_the_translate(monkeypatch):
+    # the ring and the order decide both refusals; the move to the center is a Buchberger run
+    runs = []
+
+    def counted(*args, _run=noeth.noetherian.buchberger, **kwargs):
+        runs.append(args)
+        return _run(*args, **kwargs)
+
+    monkeypatch.setattr(noeth.noetherian, "buchberger", counted)
+    module_ring = RingDescriptor(("x", "t"), 1, 1, 2)
+    cases = (
+        (buchberger(worked_generators(), DegLex()), "a block order comparing the x-variables first is required"),
+        (buchberger([Polynomial.variable(module_ring, "x", 1)], Lex(), module_ring),
+         "the parameter-coefficient construction handles ideals only"),
+    )
+    for G, message in cases:
+        with pytest.raises(NoethError, match=message):
+            noetherian_positive(G, (1,) * G.ring.nvars)
+    assert runs == []
 
 
 def test_posdim_entry_points_need_a_groebner_basis():

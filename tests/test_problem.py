@@ -272,6 +272,10 @@ def test_expression_lexing_and_diagnostics(text, expected):
         ("ring x;\norder product(lex, lex);\nideal x;", ("product order needs a ring with a parameter block", 2, 7)),
         ("ring x;\nideal x;\norder product(lex,\n  deglex);\ncenter 0;",
          ("product order needs a ring with a parameter block", 3, 7)),
+        # an ideal clause's generators are scalars: beside vectors the error is at the clause
+        ("ring x, y;\norder lex;\nideal x, y^2;\ncomponent [x, 1], [y, 0], [0, y] at 0, 0;",
+         ("scalar generators cannot mix with module vectors", 3, 1)),
+        ("ring x, y;\norder lex;\ncomponent [1, x] at 0, 0;\n  ideal x;", ("scalar generators cannot mix with module vectors", 4, 3)),
     ],
 )
 def test_problem_file_lexing_and_diagnostics(text, expected):
