@@ -124,30 +124,28 @@ def alpha_factorial(alpha: Exponent) -> int:
 
 
 class Echelon:
-    """Reduced row echelon form of a span of sparse vectors, kept as term dicts.
+    """Reduced row echelon form of a span of rational vectors, kept as integer term dicts.
 
-    Vectors are dicts from column to coefficient, such as DiffOp.terms;
-    columns are ordered by key (reading_key unless given).  Each row is keyed
-    by its pivot, is 0 at every other pivot and has no term before its pivot:
-    the unique RREF of the span, whatever order the vectors arrive in.
+    Vectors are dicts from column to Fraction, such as DiffOp.terms; columns
+    are ordered by key (reading_key unless given).  Each row is keyed by its
+    pivot, is 0 at every other pivot and has no term before its pivot: the
+    unique RREF of the span, whatever order the vectors arrive in.
 
-    While every coefficient seen is a Fraction the rows are fraction-free
-    (Bareiss, Math. Comp. 1968): primitive integer dicts with a positive
-    pivot entry d, each standing for itself over d, which keeps them unique.
-    A vector is scaled to integers with a running scale lam, and its entry c
-    at a pivot is cancelled, with h = gcd(c, d), by multiplying it (and lam)
-    by d/h and subtracting c/h times the row.  Fractions appear only in
-    reduce()'s result and in operators().  A vector with another coefficient
-    type, such as RationalFunction, turns the rows into field rows with
-    pivot entry 1 for good.
+    The rows are fraction-free (Bareiss, Math. Comp. 1968): primitive integer
+    dicts with a positive pivot entry d, each standing for itself over d,
+    which keeps them unique.  A vector is scaled to integers with a running
+    scale lam, and its entry c at a pivot is cancelled, with h = gcd(c, d),
+    by multiplying it (and lam) by d/h and subtracting c/h times the row.
+    Fractions appear only in reduce()'s result and in operators().  A vector
+    with a coefficient that is not a Fraction, such as a RationalFunction, is
+    refused with RingMismatchError before any row changes.
     """
 
-    __slots__ = ("key", "rows", "integral")
+    __slots__ = ("key", "rows")
 
     def __init__(self, ops: Iterable[DiffOp] = (), key=reading_key):
         self.key = key
         self.rows: dict[OpKey, dict] = {}
-        self.integral = True
         for L in ops:
             self.add(L.terms)
 
@@ -157,103 +155,79 @@ class Echelon:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Echelon):
             return NotImplemented
-        return self._field_rows() == other._field_rows()
-
-    def _field_rows(self) -> dict:
-        """The rows scaled to pivot entry 1."""
-        if not self.integral:
-            return self.rows
-        return {p: {k: Fraction(v, row[p]) for k, v in row.items()} for p, row in self.rows.items()}
+        return self.rows == other.rows
 
     def pivots(self) -> list[OpKey]:
         return sorted(self.rows, key=self.key)
 
     def _eliminate(self, terms: Mapping) -> tuple[dict, int]:
-        """(lam * terms with every pivot eliminated, lam); integers and lam > 0 while integral, else lam 1."""
-        if self.integral and not all(type(c) is Fraction for c in terms.values()):
-            self.rows = self._field_rows()
-            self.integral = False
-        if not self.integral:
-            return self._cancel_pivots(dict(terms), 1)
+        """(lam * terms with every pivot eliminated, lam), integers with lam > 0; the rows stay as they are."""
+        if not all(isinstance(c, Fraction) for c in terms.values()):
+            raise RingMismatchError("operator spans take rational coefficients only")
         lam = lcm(*[c.denominator for c in terms.values()])
-        return self._cancel_pivots(integer_multiple(terms, lam), lam)
-
-    def _cancel_pivots(self, out: dict, lam) -> tuple[dict, int]:
-        """(m * out with every pivot eliminated, m * lam), for a vector out already in the rows' form.
-
-        out is integers while integral, else field elements; the call takes
-        it over and leaves the rows as they are.
-        """
-        rows, integral = self.rows, self.integral
+        out, rows = integer_multiple(terms, lam), self.rows
         # A row is 0 at every other pivot, so eliminating one pivot leaves
         # the coefficients at the others as they were.
         for p in [k for k in out if k in rows]:
             row = rows[p]
-            out, m = _cancel(out, out[p], row, row[p], integral)
+            out, m = _cancel(out, out[p], row, row[p])
             lam *= m
         return out, lam
 
     def reduce(self, terms: Mapping) -> dict:
         """What is left of a term dict after eliminating every pivot; empty in the span."""
         out, lam = self._eliminate(terms)
-        return {k: Fraction(v, lam) for k, v in out.items()} if self.integral else out
+        return {k: Fraction(v, lam) for k, v in out.items()}
 
     def add(self, terms: Mapping) -> bool:
         """Extend the span by a term dict; False when it already lies in it."""
         row, _ = self._eliminate(terms)
         if not row:
             return False
-        integral, rows = self.integral, self.rows
+        rows = self.rows
         p = min(row, key=self.key)
-        row = _normalized(row, row[p], integral)
+        row = _normalized(row, row[p])
         d = row[p]
         for q, other in rows.items():
             c = other.get(p)
             if c:
-                other, _ = _cancel(other, c, row, d, integral)
-                rows[q] = _normalized(other, other[q], integral)
+                other, _ = _cancel(other, c, row, d)
+                rows[q] = _normalized(other, other[q])
         rows[p] = row
         return True
 
     def operators(self, ring: RingDescriptor, center=None) -> tuple[DiffOp, ...]:
-        """The rows as operators, in pivot order; the rows hold operator keys and nonzero entries."""
-        rows = self._field_rows()
-        center = as_center(ring, center)
-        ordered = ({k: rows[p][k] for k in sorted(rows[p], key=self.key)} for p in self.pivots())
-        return tuple(DiffOp._of(ring, terms, center) for terms in ordered)
+        """The rows over their pivot entries as operators, in pivot order; the rows hold operator keys."""
+        center, rows = as_center(ring, center), self.rows
+        return tuple(
+            DiffOp._of(ring, {k: Fraction(rows[p][k], rows[p][p]) for k in sorted(rows[p], key=self.key)}, center)
+            for p in self.pivots()
+        )
 
 
-def _cancel(vector: dict, c, row: dict, d, integral: bool) -> tuple[dict, int]:
-    """(m * vector - (m * c / d) * row, m), cancelling vector's entry c at row's pivot entry d.
+def _cancel(vector: dict, c: int, row: dict, d: int) -> tuple[dict, int]:
+    """(m * vector - (c / h) * row, m), cancelling vector's entry c at row's pivot entry d.
 
-    m = d / gcd(c, d) over the integers; a field row has d = 1, and m = 1."""
-    m = 1
-    if integral:
-        h = gcd(c, d)
-        m, c = d // h, c // h
-        if m != 1:
-            vector = {k: v * m for k, v in vector.items()}
-    _subtract(vector, c, row)
+    h = gcd(c, d) and m = d / h, so the result stays over the integers.
+    """
+    h = gcd(c, d)
+    m, c = d // h, c // h
+    if m != 1:
+        vector = {k: v * m for k, v in vector.items()}
+    for k, r in row.items():
+        s = vector.get(k)
+        s = -c * r if s is None else s - c * r
+        if s:
+            vector[k] = s
+        else:
+            vector.pop(k, None)
     return vector, m
 
 
-def _normalized(row: dict, lead, integral: bool) -> dict:
-    """row scaled to its unique form: primitive with a positive lead over the integers, else lead 1."""
-    if not integral:
-        return row if lead == 1 else {k: c / lead for k, c in row.items()}
+def _normalized(row: dict, lead: int) -> dict:
+    """row scaled to its unique form: primitive, with a positive lead."""
     g = gcd(*row.values()) if lead > 0 else -gcd(*row.values())
     return row if g == 1 else {k: v // g for k, v in row.items()}
-
-
-def _subtract(terms: dict, c, row: dict) -> None:
-    """terms -= c * row, in place, dropping cancelled entries."""
-    for k, r in row.items():
-        s = terms.get(k)
-        s = -c * r if s is None else s - c * r
-        if s:
-            terms[k] = s
-        else:
-            terms.pop(k, None)
 
 
 def span_equal_operators(a, b) -> bool:
@@ -261,23 +235,13 @@ def span_equal_operators(a, b) -> bool:
 
 
 def is_closed(ops) -> bool:
-    """Stable under every lowering morphism (as a span).
-
-    The rows of the Echelon of ops span what ops span and lowering is linear,
-    so the span is closed exactly when every lowered row lies in it.  The
-    rows are lowered and eliminated in their own form, integers on rational
-    input, and no operator is lowered or rescaled.
-    """
-    ops = [L for L in ops if not L.is_zero()]
-    if not ops:
-        return True
-    span = Echelon(ops)
-    lowered = (_lowered(row, j) for row in span.rows.values() for j in range(ops[0].ring.x_count))
-    return not any(span._cancel_pivots(terms, 1)[0] for terms in lowered)
+    """Stable under every lowering morphism (as a span): the closure of rational operators ops adds nothing."""
+    ops = list(ops)
+    return len(closure(ops)) == len(Echelon(ops))
 
 
 def closure(ops, echelon: Echelon | None = None) -> tuple[DiffOp, ...]:
-    """Smallest sigma-stable span containing ops, as a canonical basis.
+    """Smallest sigma-stable span containing rational operators ops, as a canonical basis.
 
     echelon is an empty Echelon to build the span in, for a caller that
     wants its rows or its column order; the basis comes in that order.

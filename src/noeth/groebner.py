@@ -102,6 +102,11 @@ class GroebnerBasis(Record):
         return _Reducers(self.ring, term_key, integral, [_reducer(g, term_key, integral) for g in self.elements])
 
     @cached_property
+    def generators(self) -> tuple[Polynomial, ...]:
+        """What the basis was computed from, where its maker kept that (noetherian.translate does); else elements."""
+        return self.elements
+
+    @cached_property
     def translates(self) -> dict:
         """Reduced bases of this input moved so that a center becomes the origin, by center."""
         return {}

@@ -57,10 +57,15 @@ class NoetherianBasis(Record):
 
     source is the translate G0 of the input, or for posdim its extension over
     Q(t); None for a hand-built basis.  validate certifies the basis: the
-    operators annihilate source, there are multiplicity of them, each has a
-    private key, at which every other operator is 0, and each lowering is the
-    combination its entries at the private keys prescribe.  So they span the
-    dual space, and source is primary at the origin (Mourrain, JPAA 1997).
+    operators annihilate source.generators (the input generators moved to
+    the origin, which translate keeps with G0), there are multiplicity of
+    them, each has a private key, at which every other operator is 0, and
+    each lowering is the combination its entries at the private keys
+    prescribe.  A span closed under lowering that annihilates generators
+    annihilates their ideal, so they span the dual space and the input is
+    primary at the origin (Mourrain, JPAA 1997), even if buchberger lost an
+    element of G0.  An extra element (a larger ideal) still passes, since
+    the multiplicity is counted on source's staircase.
     """
 
     __slots__ = _fields = ("operators", "multiplicity", "center", "method", "source")
@@ -82,9 +87,9 @@ class NoetherianBasis(Record):
         return NoetherianBasis(ops, self.multiplicity, center, self.method, self.source)
 
     def validate(self) -> None:
-        """Check the certificate above; NotPrimaryError when an operator does not annihilate source."""
+        """Check the certificate above; NotPrimaryError when an operator does not annihilate a generator."""
         ops = self.operators
-        for g in self.source or ():
+        for g in () if self.source is None else self.source.generators:
             if any(sum(c * L.terms[k] for k, c in g.terms.items() if k in L.terms) for L in ops):
                 raise NotPrimaryError(
                     "the input is not primary at the center: an operator does not annihilate the input"
@@ -134,7 +139,9 @@ def _translate_generators(gens, order: AnyOrder, ring, center, cache: dict, run=
     moved = _moved_point(ring, center)
     G0 = cache.get(moved)
     if G0 is None:
-        G0 = cache[moved] = (run or buchberger)([g.substitute_affine(moved) if any(moved) else g for g in gens], order, ring)
+        gens = tuple(g.substitute_affine(moved) if any(moved) else g for g in gens)
+        G0 = cache[moved] = (run or buchberger)(gens, order, ring)
+        G0._set("generators", gens)  # what validate checks, so a basis that lost an element is caught
     return G0
 
 

@@ -85,7 +85,9 @@ def extend_to_rational_coeffs(G: GroebnerBasis) -> GroebnerBasis:
     """Rewrite a basis over the x-block with rational-function coefficients.
 
     Elements are made monic but deliberately not interreduced, so the leading
-    terms stay exactly the x-parts of the original leading terms.
+    terms stay exactly the x-parts of the original leading terms: under the
+    order _require_posdim_input demands, the x-part of a lead is the lead of
+    the element's extension.
     """
     ring = G.ring
     _require_posdim_input(ring, G.order)
@@ -96,10 +98,7 @@ def extend_to_rational_coeffs(G: GroebnerBasis) -> GroebnerBasis:
     for ((pos, exp), _), g in zip(G.leading_terms(), G.elements):
         lead_x = (pos, x_part(ring, exp))
         terms = {key: RationalFunction(tpoly) for key, tpoly in group_by_x(g).items()}
-        ext = Polynomial(xring, terms)
-        if lead_by_key(ext, term_key)[0] != lead_x:
-            raise NoethError("the order does not preserve leading terms under extension")
-        extended.append((term_key(lead_x), monic_by_key(ext, term_key)))
+        extended.append((term_key(lead_x), monic_by_key(Polynomial(xring, terms), term_key)))
     extended.sort(key=lambda pair: pair[0], reverse=True)
     return GroebnerBasis(xring, sx, tuple(ext for _, ext in extended), reduced=False)
 

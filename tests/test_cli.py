@@ -19,6 +19,7 @@ import pytest
 import noeth.cli
 import noeth.noetherian
 from noeth import (
+    GroebnerBasis,
     NoethError,
     Polynomial,
     build_solution,
@@ -467,6 +468,38 @@ def test_posdim_preconditions_are_checked_before_any_buchberger_run(capsys, tmp_
         path.write_text(f"ring x, y | t; order {order}; {body}\n")
         assert run(capsys, *argv, str(path)) == (1, "", f"error: {message}\n")
         assert counts == {}
+
+
+def test_a_basis_that_lost_an_element_gives_no_answer(capsys, tmp_path, monkeypatch):
+    # validate checks the input generators moved to the center, not the basis
+    # buchberger returned, so no copy that drops one element of that basis
+    # constructs an answer; each is refused, mostly for an infinite staircase
+    files, _, _ = load_workloads().build("noether-forward", 401, str(tmp_path))
+    sizes, dropped = [], [None]
+
+    def dropping(*args, _run=noeth.cli.buchberger, **kwargs):
+        G = _run(*args, **kwargs)
+        sizes.append(len(G))
+        i = dropped[0]
+        return G if i is None else GroebnerBasis(G.ring, G.order, G.elements[:i] + G.elements[i + 1 :], G.reduced)
+
+    monkeypatch.setattr(noeth.cli, "buchberger", dropping)
+    refusals = Counter()
+    for file_name, text in sorted(files.items()):
+        path = tmp_path / file_name
+        path.write_text(text)
+        path = str(path)
+        dropped[0] = None
+        sizes.clear()
+        noeth.cli.load_problem.cache_clear()
+        assert run(capsys, "noether", path)[0] == 0
+        for i in range(sizes[0]):
+            dropped[0] = i
+            noeth.cli.load_problem.cache_clear()
+            code, out, err = run(capsys, "noether", path)
+            assert (code, out) == (1, ""), (file_name, i, out)
+            refusals["does not annihilate the input" in err] += 1
+    assert sum(refusals.values()) == 741 and refusals[True] >= 80, refusals
 
 
 def test_no_generators_error(capsys, tmp_path):

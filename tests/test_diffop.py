@@ -13,7 +13,6 @@ from noeth import (
     DiffOp,
     Lex,
     Polynomial,
-    RationalFunction,
     RingDescriptor,
     apply_at,
     buchberger,
@@ -275,30 +274,6 @@ def test_echelon_matches_dense_rref_with_pivot_keys():
                 canonical_operator_basis(mixed, pivot_keys=front)
 
 
-def test_echelon_matches_dense_rref_over_rational_functions():
-    ring = RingDescriptor(("x", "y", "t"), 2, 1)
-    x, y, t = (Polynomial.variable(ring, i) for i in range(3))
-    rng = random.Random(359)
-
-    def scalar():
-        # coefficients live in the parameter block's own ring
-        cring = RingDescriptor(("t",), 1)
-        u = Polynomial.variable(cring, 0)
-        num = Polynomial.constant(cring, random_fraction(rng)) + u.scale(random_fraction(rng))
-        den = Polynomial.constant(cring, rng.randint(1, 3)) + u.scale(rng.randint(0, 2))
-        return RationalFunction(num, den)
-
-    for gens in ([x**3, y - x * t], [x**2, y**3, x * y * t - y**2]):
-        cleaned = list(noetherian_positive(buchberger(gens, Lex())).operators)
-        for _ in range(3):
-            ops = combinations(rng, cleaned, scalar, len(cleaned) + 1)
-            span = check_against_dense(ops, ring)
-            assert all(span.reduce(L.terms) == {} for L in cleaned) is (len(span) == len(cleaned))
-        keys = sorted({k for L in cleaned for k in L.terms}, key=reading_key, reverse=True)
-        rank = {k: i for i, k in enumerate(keys)}
-        check_against_dense(cleaned, ring, lambda k: rank[k])
-
-
 def big_fraction(rng):
     """A small fraction, or one whose denominator exceeds 2^64."""
     if rng.random() < 0.5:
@@ -306,16 +281,7 @@ def big_fraction(rng):
     return Fraction(rng.randint(-(2**70), 2**70), rng.randint(2**64, 2**72))
 
 
-def field_echelon(ops):
-    """The same span built on the field path, as after a rational-function vector."""
-    span = Echelon()
-    span.integral = False
-    for L in ops:
-        span.add(L.terms)
-    return span
-
-
-def test_integer_echelon_matches_the_field_path_and_dense_rref():
+def test_integer_echelon_matches_dense_rref_on_big_fractions():
     rng = random.Random(367)
     for _ in range(30):
         ring = rng.choice([RXY, RXYZ])
@@ -326,42 +292,46 @@ def test_integer_echelon_matches_the_field_path_and_dense_rref():
         ops += combinations(rng, ops, lambda: big_fraction(rng), rng.randint(0, 3))
         rng.shuffle(ops)
         span = check_against_dense(ops, ring)
-        field = field_echelon(ops)
-        assert span.integral and not field.integral
-        assert span == field and field == span
-        assert span.pivots() == field.pivots()
-        assert span.operators(ring) == field.operators(ring)
         for p, row in span.rows.items():
             assert all(type(v) is int for v in row.values())
             assert row[p] > 0 and math.gcd(*row.values()) == 1
         probes = combinations(rng, ops, lambda: big_fraction(rng), 3) + [random_operator(rng, ring, max_deg=5)]
         for L in probes:
-            assert span.reduce(L.terms) == field.reduce(L.terms)
-            assert all(type(c) is Fraction for c in span.reduce(L.terms).values())
-        assert span.add(probes[-1].terms) is field.add(probes[-1].terms)
-        assert span == field
+            rest = span.reduce(L.terms)
+            assert all(type(c) is Fraction for c in rest.values())
+            assert not any(p in rest for p in span.pivots())
+            # what reduce() took away lies in the span
+            assert len(dense_echelon(ops + [L - DiffOp(ring, rest)])[0]) == len(span)
+        grows = len(dense_echelon(ops + probes[-1:])[0]) > len(span)
+        assert span.add(probes[-1].terms) is grows
         check_against_dense(ops + probes[-1:], ring)
+        assert span == Echelon(ops + probes[-1:])
 
 
-def test_echelon_switches_to_field_rows_at_the_first_rational_function():
+def test_span_functions_refuse_rational_function_coefficients():
     ring = RingDescriptor(("x", "y", "t"), 2, 1)
     x, y, t = (Polynomial.variable(ring, i) for i in range(3))
-    rf_ops = list(noetherian_positive(buchberger([x**3, y - x * t], Lex())).operators)
-    assert not all(type(c) is Fraction for L in rf_ops for c in L.terms.values())
+    rf_ops = noetherian_positive(buchberger([x**3, y - x * t], Lex())).operators
+    rf = next(L for L in rf_ops if not all(type(c) is Fraction for c in L.terms.values()))
     rng = random.Random(373)
     fraction_ops = [op({(0, 1): big_fraction(rng), (2, 0): big_fraction(rng)}, ring), op({(1, 0): 3}, ring)]
     span = Echelon(fraction_ops)
-    assert span.integral
-    for L in rf_ops:
-        span.add(L.terms)
-    assert not span.integral
-    rows, pivots = dense_echelon(fraction_ops + rf_ops)
-    assert [list(L.terms.items()) for L in span.operators(ring)] == rows
-    assert span.pivots() == pivots
-    # reduce() switches too, and the span compares equal across the two forms
-    probe = Echelon(fraction_ops)
-    assert probe.reduce(rf_ops[-1].terms) == field_echelon(fraction_ops).reduce(rf_ops[-1].terms)
-    assert not probe.integral and probe == Echelon(fraction_ops)
+    rows = {p: dict(row) for p, row in span.rows.items()}
+    for refused in (span.add, span.reduce):
+        with pytest.raises(RingMismatchError, match="rational coefficients only"):
+            refused(rf.terms)
+        # refused before any row changed
+        assert span.rows == rows and span == Echelon(fraction_ops)
+    calls = (
+        closure,
+        is_closed,
+        canonical_operator_basis,
+        lambda ops: span_equal_operators(fraction_ops, ops),
+        lambda ops: span_equal_operators(ops, fraction_ops),
+    )
+    for call in calls:
+        with pytest.raises(RingMismatchError, match="rational coefficients only"):
+            call(fraction_ops + [rf])
 
 
 def test_echelon_reduce_and_add():
@@ -404,18 +374,6 @@ def test_is_closed_agrees_with_a_dense_rank_check():
             ops += combinations(rng, ops, lambda: big_fraction(rng), rng.randint(0, 2))  # dependent
         rng.shuffle(ops)
         cases.append(ops)
-    ring = RingDescriptor(("x", "y", "t"), 2, 1)
-    x, y, t = (Polynomial.variable(ring, i) for i in range(3))
-    cring = RingDescriptor(("t",), 1)
-    u = Polynomial.variable(cring, 0)
-
-    def scalar():
-        return RationalFunction(u.scale(random_fraction(rng) or 1) + 1, u + rng.randint(1, 3))
-
-    for gens in ([x**3, y - x * t], [x**2, y**3, x * y * t - y**2]):
-        rf_ops = list(noetherian_positive(buchberger(gens, Lex())).operators)
-        cases += [rf_ops, rf_ops[1:], rf_ops[:-1], rf_ops + combinations(rng, rf_ops, scalar, 2)]
-        cases.append(combinations(rng, rf_ops[1:], scalar, 2))
     outcomes = Counter()
     for ops in cases:
         expect = dense_is_closed(ops)

@@ -81,14 +81,14 @@ def test_tagged_reduction_relations_span_the_kernel():
         assert all(relation[last] == 1 for relation, last in zip(relations, lasts))
 
 
-def test_rref_and_relations_over_rational_functions():
+def test_rref_over_rational_functions():
     RT = RingDescriptor(("t",), 1)
     t = RationalFunction(Polynomial.variable(RT, "t"))
     one = RationalFunction.from_fraction(1, RT)
-    # the columns 1 and t of the row [1, t] satisfy t * (1) - (t) = 0
-    assert relations_of([[one], [t]]) == [{1: Fraction(1), 0: -t}]
     reduced, pivots = rref([[t, t * t]])
     assert pivots == [0] and reduced == [[one, t]]
+    reduced, pivots = rref([[one, t], [t, t * t + one]])
+    assert pivots == [0, 1] and reduced == [[one, t - t], [t - t, one]]
 
 
 def test_empty_and_zero_matrices():
