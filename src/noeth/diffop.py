@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .errors import NotClosedError, RingMismatchError
+from .errors import NotClosedError, NotPrimaryError, RingMismatchError
 from .polynomial import Polynomial, TermVector, checked_terms, integer_multiple
 from .ring import Exponent, RingDescriptor, as_center, exp_deg, reading_key, t_part, x_part
 
@@ -240,11 +240,14 @@ def is_closed(ops) -> bool:
     return len(closure(ops)) == len(Echelon(ops))
 
 
-def closure(ops, echelon: Echelon | None = None) -> tuple[DiffOp, ...]:
+def closure(ops, echelon: Echelon | None = None, bound: int | None = None) -> tuple[DiffOp, ...]:
     """Smallest sigma-stable span containing rational operators ops, as a canonical basis.
 
     echelon is an empty Echelon to build the span in, for a caller that
     wants its rows or its column order; the basis comes in that order.
+    bound is the multiplicity of the input the operators should be dual to:
+    its dual space has that many dimensions, so NotPrimaryError is raised as
+    soon as the span has more rows.
     """
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
@@ -256,6 +259,10 @@ def closure(ops, echelon: Echelon | None = None) -> tuple[DiffOp, ...]:
     while queue:
         L = queue.popleft()
         if span.add(L.terms):
+            if bound is not None and len(span) > bound:
+                raise NotPrimaryError(
+                    f"the input is not primary at the center: the lowering closure outgrows the multiplicity {bound}"
+                )
             queue.extend(L.sigma(j) for j in range(L.ring.x_count))
     return span.operators(ops[0].ring, ops[0].center)
 

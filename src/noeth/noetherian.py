@@ -168,40 +168,6 @@ def _prepare(G, center):
     return G0, center
 
 
-def _multiplication_matrices(G0: GroebnerBasis, stair: Staircase) -> list[tuple[dict, object]]:
-    """Multiplication by each variable on the quotient, in the staircase basis.
-
-    Entry j is (columns, D_j) with M_j = columns / D_j: columns maps every
-    residual monomial b to the sparse column D_j * NF(x_j * b), integers on
-    rational input.  A product that stays in the staircase is its own normal
-    form, the column {x_j * b: D_j}; only the border needs the division
-    loop, and D_j is the lcm of the denominators of the border's normal
-    forms, each in lowest terms.  Over a field of coefficients
-    (RationalFunction) every denominator, and D_j, is 1.
-    """
-    ring = G0.ring
-    reducers = G0._reducers
-    residual = set(stair.monomials)
-    matrices = []
-    for j in range(ring.nvars):
-        unit = ring.var_exp(j)
-        forms = {}
-        for pos, exp in stair.monomials:
-            key = (pos, exp_add(exp, unit))
-            forms[(pos, exp)] = ({key: 1}, 1) if key in residual else _monomial_normal_form(reducers, key)
-        den = lcm(*[scale for _, scale in forms.values()])
-        columns = {}
-        for b, (terms, scale) in forms.items():
-            columns[b] = terms if scale == den else {k: v * (den // scale) for k, v in terms.items()}
-        matrices.append((columns, den))
-    return matrices
-
-
-def _monomial_normal_form(reducers, key) -> tuple[dict, object]:
-    """NF of the monomial key as (terms, den) in lowest terms, standing for terms / den."""
-    return _lowest_terms(*_divide({key: 1}, 1, reducers, reducers.integral))
-
-
 def _lowest_terms(terms: dict, den) -> tuple[dict, object]:
     """(terms, den) for the vector terms / den, divided by the gcd of den and every entry.
 
@@ -215,66 +181,83 @@ def _lowest_terms(terms: dict, den) -> tuple[dict, object]:
     return {k: v // g for k, v in terms.items()}, den // g
 
 
-def _times(matrix: tuple, vector: tuple) -> tuple[dict, object]:
-    """The product M_j * v for sparse vectors v = terms / den over the staircase, in lowest terms."""
-    columns, den = matrix
-    terms, vden = vector
-    out: dict = {}
-    for b, c in terms.items():
-        for key, v in columns[b].items():
-            out[key] = out.get(key, 0) + c * v
-    return _lowest_terms({key: v for key, v in out.items() if v}, den * vden)
+def _raised(key: TermKey, j: int) -> TermKey:
+    """The monomial key times x_j."""
+    pos, exp = key
+    return pos, exp[:j] + (exp[j] + 1,) + exp[j + 1 :]
 
 
 def _nonzero_normal_forms(G0: GroebnerBasis, stair: Staircase) -> dict[TermKey, tuple]:
     """NF(x^alpha e_pos) for every monomial outside the input, by degree.
 
-    Each normal form is a pair (terms, den), standing for terms / den with
-    integer terms on rational input and den 1 over a field of coefficients.
-    Layer d+1 comes from layer d through NF(x^(alpha + e_j)) = M_j NF(x^alpha);
-    only nonzero normal forms are carried, since a monomial with a zero
-    predecessor lies in the input.  The walk ends at the first empty layer,
-    beyond which every monomial lies in the input.  On primary input that
-    layer has degree at most mu; a nonzero layer of degree mu means the
-    maximal ideal is not nilpotent modulo the input.
+    Each normal form is a pair (terms, den) in lowest terms, standing for
+    terms / den with integer terms on rational input and den 1 over a field
+    of coefficients.  The walk reaches each monomial once, from the one with
+    its last variable lowered, and carries only nonzero normal forms: a
+    divisor of a monomial outside the input is outside it too.  A staircase
+    monomial b is its own normal form, and its child x_j b is the column
+    NF(x_j b).  NF(x_j m) for m outside the staircase is sum_b c_b NF(x_j b)
+    over the terms c_b b of NF(m), over the lcm of the denominators of the
+    columns it touches.  A column is the monomial itself inside the
+    staircase, else one division per border monomial per walk, made when the
+    walk first needs it: under lex a border normal form may hold staircase
+    monomials of higher degree, whose columns the walk needs before it
+    reaches their degree.  On primary input every nonzero normal form has
+    degree below mu; one of degree mu means the maximal ideal is not
+    nilpotent modulo the input.
     """
     ring = G0.ring
-    n = ring.nvars
     mu = stair.multiplicity
-    units = [ring.var_exp(j) for j in range(n)]
     reducers = G0._reducers
-    layer = {}
+    residual = set(stair.monomials)
+    borders: dict[TermKey, tuple] = {}
+
+    def normal_form(key):
+        if key in residual:
+            return {key: 1}, 1
+        if key not in borders:
+            borders[key] = _lowest_terms(*_divide({key: 1}, 1, reducers, reducers.integral))
+        return borders[key]
+
+    columns: list[dict] = [{} for _ in range(ring.nvars)]  # NF(x_j b) by staircase monomial b
+    found: dict[TermKey, tuple] = {}
+    walk = []
     for pos in range(1, ring.rank + 1):
         key = (pos, ring.zero_exp())
-        nf = _monomial_normal_form(reducers, key)
+        nf = normal_form(key)
         if nf[0]:
-            layer[key] = nf
-    mult = _multiplication_matrices(G0, stair)
-    found: dict[TermKey, tuple] = {}
-    degree = 0
-    while layer:
-        if degree == mu:
-            raise NotPrimaryError(
-                f"the input is not primary at the center: a monomial of degree {mu} "
-                f"(the multiplicity) has a nonzero normal form"
-            )
-        found.update(layer)
-        above: dict[TermKey, tuple] = {}
-        seen: set[TermKey] = set()
-        for (pos, alpha), vector in layer.items():
-            for j in range(n):
-                key = (pos, exp_add(alpha, units[j]))
-                if key in seen:
-                    continue
-                seen.add(key)
-                up = key[1]
-                if any(up[k] and (pos, exp_sub(up, units[k])) not in layer for k in range(n)):
-                    continue
-                image = _times(mult[j], vector)
-                if image[0]:
-                    above[key] = image
-        layer = above
-        degree += 1
+            found[key] = nf
+            walk.append((key, 0, 0))
+    for key, last, degree in walk:  # grows while it is walked, degree by degree
+        terms, den = found[key]
+        inside = key in residual
+        for j, column in enumerate(columns[last:], last):
+            up = _raised(key, j)
+            if inside:
+                nf = column[key] = normal_form(up)
+            else:
+                images = []
+                for b, c in terms.items():
+                    col = column.get(b)
+                    if col is None:
+                        col = column[b] = normal_form(_raised(b, j))
+                    images.append((c, col))
+                common = lcm(*[cden for _, (_, cden) in images])
+                out: dict = {}
+                for c, (cterms, cden) in images:
+                    if cden != common:
+                        c *= common // cden
+                    for k, v in cterms.items():
+                        out[k] = out.get(k, 0) + c * v
+                nf = _lowest_terms({k: v for k, v in out.items() if v}, den * common)
+            if nf[0]:
+                if degree + 1 == mu:
+                    raise NotPrimaryError(
+                        f"the input is not primary at the center: a monomial of degree {mu} "
+                        f"(the multiplicity) has a nonzero normal form"
+                    )
+                found[up] = nf
+                walk.append((up, j, degree + 1))
     return found
 
 
@@ -282,8 +265,9 @@ def dual_rows(G0: GroebnerBasis, stair: Staircase) -> list[dict]:
     """Operator terms, one dict per staircase monomial beta, in staircase order.
 
     The row at beta maps every monomial to the beta-coefficient of its normal
-    form, keys in reading order.  This is where the walk's integers become
-    Fractions, one per entry; field coefficients pass as they are.
+    form, keys in reading order, as one walk of _nonzero_normal_forms finds
+    them.  This is where the walk's integers become Fractions, one per
+    entry; field coefficients pass as they are.
     """
     nfs = _nonzero_normal_forms(G0, stair)
     rows: dict[TermKey, dict] = {beta: {} for beta in stair.monomials}
@@ -298,9 +282,9 @@ def noetherian_forward(G: GroebnerBasis, center=None) -> NoetherianBasis:
     """Taylor-coefficient construction: one operator per residual monomial.
 
     The operator at a residual monomial beta collects the beta-coefficients
-    of the normal forms of all monomials, read off a degree walk with the
-    multiplication matrices; raises NotPrimaryError when the input is not
-    primary at the center.
+    of the normal forms of all monomials, read off one degree walk that
+    divides only the border monomials it reaches, each once; raises
+    NotPrimaryError when the input is not primary at the center.
     """
     G0, center = _prepare(G, center)
     stair = staircase(G0)
@@ -373,9 +357,11 @@ def noetherian_backward(G: GroebnerBasis, center=None) -> NoetherianBasis:
     mu = stair.multiplicity
     corners = corner_monomials(stair, G0)
     span = Echelon(key=pivots_first(stair.monomials))
-    ops = closure([DiffOp._of(ring, _accumulate_backward(corner, G0, mu), center) for corner in corners], span)
+    corner_ops = [DiffOp._of(ring, _accumulate_backward(corner, G0, mu), center) for corner in corners]
+    ops = closure(corner_ops, span, bound=mu)
     # The corner sums drop every monomial of degree >= mu, which loses nothing
-    # only on input primary at the center; validate refuses the rest.
+    # only on input primary at the center; a closure of more than mu rows and
+    # validate refuse the rest.
     basis = NoetherianBasis(ops, mu, center, "backward", G0)
     basis.validate()
     return basis

@@ -9,9 +9,9 @@ the translate is primary and in normal position (no leading term free of x,
 and a parameter-free pure power of each x-variable among them), the ideal
 extends to a zero-dimensional one over rational functions in the
 parameters.  Its dual basis is the forward construction run on that
-extension: the multiplication matrices and the degree walk of the
-zero-dimensional case, with rational-function coefficients, each row then
-cleared of denominators and common parameter factors.
+extension: the degree walk of the zero-dimensional case, with
+rational-function coefficients, each row then cleared of denominators and
+common parameter factors.
 """
 
 from __future__ import annotations

@@ -27,6 +27,15 @@ RXT = RingDescriptor(("x", "t"), 1, 1)
 RXYT = RingDescriptor(("x", "y", "t"), 2, 1)
 RM2 = RingDescriptor(("x", "y"), 2, 0, 2)
 
+# Small problem files the CLI tests run and the error-contract test mutates.
+STANDARD = "ring x, y;\norder deglex;\nideal x^2 - y, y^2, x*y;\n"
+PARAMETER = "ring x, y | t;\norder lex;\nideal x^2, y^2, -x*t + y;\n"
+MODULE_EP = (
+    "ring x, y;\norder lex;\nmoduleorder top;\n"
+    "component [x, 1], [y, x], [0, y] at 0, 0;\n"
+    "component [x - 1, 1], [y, 0], [0, x - 1], [0, y] at 1, 0;\n"
+)
+
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
@@ -462,11 +471,14 @@ def oracle_multiplicity(basis):
 
 
 # -- the forward walk over a field ---------------------------------------------
-# noetherian.dual_rows walks integer vectors over one denominator each.  This
-# is the same degree walk over the coefficient field: the columns of M_j are
-# normal_form results with Fraction (or rational-function) coefficients, a
-# product inside the staircase is the column {x_j b: Fraction(1)}, and every
-# product of the walk is a field product.
+# The walk noetherian.dual_rows used to run, kept as the reference: all of the
+# multiplication matrices M_1..M_n built first, their columns normal_form
+# results with Fraction (or rational-function) coefficients, a product inside
+# the staircase the column {x_j b: Fraction(1)}, and each layer of degree d+1
+# the products M_j NF(m) of layer d, over monomials whose every predecessor
+# has a nonzero normal form.  The library walks integer vectors over one
+# denominator each, multiplies only normal forms outside the staircase and
+# divides each border monomial once, when it first needs it.
 
 
 def reference_dual_rows(G0, stair):

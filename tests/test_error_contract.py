@@ -1,10 +1,11 @@
 """The error contract of the CLI over problem files nobody chose.
 
-Seeded mutations of the benchmark's noether and query-mix problem files run
-through ``cli.main`` in process.  Each run must end in one of three ways: an
-answer (exit 0), a parse error with a line and a column (exit 2), or a domain
-error whose message names one of the preconditions in PRECONDITIONS (exit 1).
-A traceback fails the test, and so does a run over CASE_SECONDS.
+Seeded mutations of the benchmark's noether and query-mix problem files, and
+of the small texts the CLI tests use, run through ``cli.main`` in process
+with every command.  Each run must end in one of three ways: an answer
+(exit 0), a parse error with a line and a column (exit 2), or a domain error
+whose message names one of the preconditions in PRECONDITIONS (exit 1).  A
+traceback fails the test, and so does a run over CASE_SECONDS.
 """
 
 from __future__ import annotations
@@ -12,16 +13,18 @@ from __future__ import annotations
 import random
 import re
 import signal
+import string
 from collections import Counter
 
 import pytest
 
 from noeth.cli import main
-from support import load_workloads
+from support import MODULE_EP, PARAMETER, STANDARD, load_workloads
 
 # Every text a domain error may give, as a full match.
 PRECONDITIONS = tuple(map(re.compile, (
     r"the problem file declares no ideal or module generators",
+    r"ep-solution needs component clauses \(a primary decomposition\)",
     r"variables after the separator require the parameter-coefficient construction",
     r"the parameter-coefficient construction handles ideals only",
     r"a block order comparing the x-variables first is required",
@@ -33,9 +36,13 @@ PRECONDITIONS = tuple(map(re.compile, (
 PARSE_ERROR = re.compile(r"parse error: .+ \(line \d+, column \d+\)\n")
 
 COMMANDS = (
-    ["gb"], ["mult"], ["corners"], ["noether"], ["noether", "--method", "backward"], ["noether-posdim"],
+    ["gb"], ["nf", "x^2 + x"], ["mult"], ["staircase"], ["corners"], ["noether"],
+    ["noether", "--method", "backward"], ["noether", "--check-all"], ["noether-posdim"],
+    ["member", "x^2 - y"], ["ep-solution"],
 )
-CASES = 1200
+# Every third case mutates one of these small texts, the rest a benchmark file.
+SMALL_TEXTS = (STANDARD, PARAMETER, MODULE_EP)
+CASES = 1800
 # Most cases end in milliseconds and the slowest in under 0.6 s on a 2-vCPU host; this bound catches a run without end.
 CASE_SECONDS = 3
 # Files the mutations do not find on their own, each run with every command.
@@ -44,6 +51,11 @@ FIXED = [
     "ring x, y; order lex; ideal x, y^2; component [x, 1], [y, 0], [0, y] at 0, 0;\n",
 ]
 _LEXEME = re.compile(r"[0-9]+|[^\W\d]\w*|\S")
+_NON_ASCII = "\u00b2\u00e9\u03be\u0663\u00a0\u200b\u2212\uff10"
+_KINDS = (
+    "insert-clause", "drop-clause", "repeat-clause", "replace", "delete", "duplicate", "swap",
+    "printable", "non-ascii", "zero-denominator",
+)
 
 
 def _clauses(text):
@@ -51,21 +63,37 @@ def _clauses(text):
 
 
 def _mutant(rng, text, pool):
-    """text with a clause of another file inserted, a clause dropped, or a token
-    replaced by one of another file's, deleted or repeated."""
-    kind = rng.choice(["insert", "drop", "replace", "delete", "repeat"])
-    if kind in ("insert", "drop"):
+    """text with one edit: a clause of a file in pool inserted, a clause dropped
+    or repeated, a token replaced by one of a file in pool, deleted, duplicated
+    or swapped with the next, a character inserted, or a denominator zeroed."""
+    kind = rng.choice(_KINDS)
+    if kind.endswith("-clause"):
         clauses = _clauses(text)
-        at = rng.randrange(len(clauses) + (kind == "insert"))
-        if kind == "insert":
+        at = rng.randrange(len(clauses) + (kind == "insert-clause"))
+        if kind == "insert-clause":
             clauses.insert(at, "\n" + rng.choice(_clauses(rng.choice(pool))).strip())
-        else:
+        elif kind == "drop-clause":
             del clauses[at]
+        else:
+            clauses.insert(at, clauses[at])
         return "".join(clauses) + "\n"
-    a, b = rng.choice([m.span() for m in _LEXEME.finditer(text)])
+    if kind in ("printable", "non-ascii"):
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(string.printable.strip() if kind == "printable" else _NON_ASCII) + text[at:]
+    spans = [m.span() for m in _LEXEME.finditer(text)]
+    if kind == "zero-denominator":
+        a, b = rng.choice([span for span in spans if text[span[0]].isdigit()])
+        return text[:b] + "/0" + text[b:]
+    i = rng.randrange(len(spans))
+    a, b = spans[i]
     if kind == "replace":
         return text[:a] + rng.choice(_LEXEME.findall(rng.choice(pool))) + text[b:]
-    return text[:a] + text[b:] if kind == "delete" else text[:b] + " " + text[a:b] + text[b:]
+    if kind == "delete":
+        return text[:a] + text[b:]
+    if kind == "duplicate":
+        return text[:b] + rng.choice(["", " "]) + text[a:b] + text[b:]
+    (a, b), (c, d) = sorted([(a, b), spans[(i + 1) % len(spans)]])
+    return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
 
 
 class Overrun(Exception):
@@ -112,7 +140,9 @@ def test_mutated_problem_files_keep_the_error_contract(capsys, tmp_path):
             for argv in COMMANDS:
                 assert _check(capsys, path, text, argv) == 2, (argv, text)
         outcomes = Counter(
-            _check(capsys, path, _mutant(rng, rng.choice(pool), pool), rng.choice(COMMANDS)) for _ in range(CASES)
+            _check(capsys, path, _mutant(rng, rng.choice(SMALL_TEXTS if i % 3 == 0 else pool), pool),
+                   rng.choice(COMMANDS))
+            for i in range(CASES)
         )
     finally:
         signal.signal(signal.SIGALRM, previous)

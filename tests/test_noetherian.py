@@ -336,6 +336,23 @@ def test_dual_rows_match_the_fraction_walk():
             cases.append((buchberger(moved, order, RM2), center))
     spec = parse_problem(MODULE_COMPONENTS)
     cases += [(buchberger(c.generators, spec.effective_order, spec.ring), c.center) for c in spec.components]
+    # Under lex a border normal form can hold staircase monomials of higher
+    # degree than the border monomial: NF(x) = y^2 for x - y^2, y^3.
+    x, y = xy_vars()
+    cases.append((buchberger([x - y**2, y**3], Lex(), RXY), None))
+    for ring in (RXY, RXYZ):
+        for _ in range(3):
+            gens = sheared(random_origin_primary(rng, ring, 10), rng, lambda: mixed_fraction(rng))
+            center = tuple(mixed_fraction(rng) for _ in range(ring.nvars))
+            cases.append((buchberger([g.substitute_affine([-c for c in center]) for g in gens], Lex(), ring), center))
+    for _ in range(2):
+        first, second = (random_origin_primary(rng, RXY, 6) for _ in range(2))
+        h = random_polynomial(rng, RXY, max_terms=3, max_deg=2).scale(mixed_fraction(rng) or 1)
+        gens = [module_vector(g, 0) for g in first] + [module_vector(h * g, g) for g in second]
+        cases.append((buchberger(gens, ModuleOrder(Lex(), POT), RM2), None))
+    # e1 lies outside the staircase (e1 = -x e2) and has a nonzero normal form
+    spec = parse_problem("ring x, y; order deglex; module [1, x], [0, y], [0, x^2];")
+    cases.append((buchberger(spec.generators, spec.effective_order, spec.ring), None))
     largest = 0
     for G, center in cases:
         G0, _ = noeth.noetherian.translate(G, center)
@@ -359,6 +376,27 @@ def test_dual_rows_match_the_fraction_walk():
         [(k, c, type(c)) for k, c in r.items()] for r in reference
     ]
     assert any(type(c) is RationalFunction for r in rows for c in r.values())
+
+
+def test_the_forward_walk_divides_each_monomial_at_most_once(monkeypatch):
+    divided = []
+    divide = noeth.noetherian._divide
+
+    def counted(p, *rest):
+        divided.append(next(iter(p)))
+        return divide(p, *rest)
+
+    monkeypatch.setattr(noeth.noetherian, "_divide", counted)
+    x, y = xy_vars()
+    # x*y is x times y and y times x, one border monomial
+    noetherian_forward(buchberger([x**2, x * y, y**2], DegLex(), RXY))
+    assert sorted(divided) == [(1, (0, 2)), (1, (1, 1)), (1, (2, 0))]
+    rng = random.Random(2801)
+    for ring, order in ((RXY, DegRevLex()), (RXYZ, DegLex()), (RXYZ, Lex())):
+        for _ in range(3):
+            divided.clear()
+            noetherian_forward(buchberger(sheared(random_origin_primary(rng, ring, 12), rng), order, ring))
+            assert divided and len(divided) == len(set(divided))
 
 
 def test_forward_rejects_non_primary_input():
@@ -387,6 +425,26 @@ def test_backward_rejects_non_primary_input():
     # the linear solve runs short of mu closed operators instead
     with pytest.raises(NotPrimaryError, match="not primary"):
         noetherian_linear(buchberger([a**2 - a, b], DegLex()))
+
+
+def test_backward_stops_once_the_closure_outgrows_the_multiplicity(monkeypatch):
+    rows = []
+    add = noeth.diffop.Echelon.add
+    monkeypatch.setattr(noeth.diffop.Echelon, "add", lambda self, row: rows.append(row) or add(self, row))
+    # y^2 - y = y (y - 1): mu 3, and the corner operators close on 5 rows
+    x, y = xy_vars()
+    G = buchberger([y**2 - y, x**2 * y**2 - 2 * x * y - x], DegLex(), RXY)
+    assert staircase(G).multiplicity == 3
+    with pytest.raises(NotPrimaryError, match="^the input is not primary at the center: .+ multiplicity 3$"):
+        noetherian_backward(G)
+    dx3 = DiffOp(RX, {(1, (3,)): Fraction(1)})
+    rows.clear()
+    with pytest.raises(NotPrimaryError, match="multiplicity 2$"):
+        noeth.diffop.closure([dx3], bound=2)
+    assert len(rows) == 3  # it stops at the third row: dx^3, dx^2, dx
+    assert len(noeth.diffop.closure([dx3], bound=4)) == 4
+    # the closure checks of a span take no bound
+    assert noeth.diffop.is_closed(noeth.diffop.closure([dx3]))
 
 
 def test_tracer_sees_the_closure_inside_backward(monkeypatch):
