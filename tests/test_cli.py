@@ -46,6 +46,7 @@ from support import (
     random_fraction,
     random_origin_primary,
 )
+from test_error_contract import COMMANDS, SMALL_TEXTS, case_bound, check, mutant
 
 
 @pytest.fixture()
@@ -859,6 +860,24 @@ def test_a_problem_spec_is_frozen():
     with pytest.raises(AttributeError):
         component.center = (0, 0)
     assert component.center is center
+
+
+# The error contract's seeded mutations, drawn from one small text at a time
+# and run with every command: each mutant must keep the contract that
+# test_error_contract checks, an answer, a parse error or a named precondition.
+MUTANTS_PER_TEXT = 200
+
+
+@pytest.mark.parametrize("index", range(len(SMALL_TEXTS)))
+def test_mutated_problem_files_exit_cleanly(capsys, tmp_path, index):
+    rng = random.Random(f"mutants-{index}")
+    path = tmp_path / "mutant.noeth"
+    with case_bound():
+        outcomes = Counter(
+            check(capsys, path, mutant(rng, SMALL_TEXTS[index], SMALL_TEXTS), rng.choice(COMMANDS))
+            for _ in range(MUTANTS_PER_TEXT)
+        )
+    assert min(outcomes[0], outcomes[1], outcomes[2]) > 0, outcomes
 
 
 # A seeded oracle of the CLI's route to operators at a center (one basis of the

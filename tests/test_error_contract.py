@@ -15,6 +15,7 @@ import re
 import signal
 import string
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -62,7 +63,7 @@ def _clauses(text):
     return [clause + ";" for clause in text.split(";")[:-1]]
 
 
-def _mutant(rng, text, pool):
+def mutant(rng, text, pool):
     """text with one edit: a clause of a file in pool inserted, a clause dropped
     or repeated, a token replaced by one of a file in pool, deleted, duplicated
     or swapped with the next, a character inserted, or a denominator zeroed."""
@@ -104,7 +105,7 @@ def _overrun(signum, frame):
     raise Overrun
 
 
-def _check(capsys, path, text, argv):
+def check(capsys, path, text, argv):
     """The exit code of argv on text, after checking that the outcome keeps the contract."""
     path.write_text(text, encoding="utf-8")
     signal.alarm(CASE_SECONDS)
@@ -127,6 +128,16 @@ def _check(capsys, path, text, argv):
     return code
 
 
+@contextmanager
+def case_bound():
+    """Within this block, check fails a run over CASE_SECONDS."""
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_mutated_problem_files_keep_the_error_contract(capsys, tmp_path):
     workloads = load_workloads()
     pool = []
@@ -134,17 +145,14 @@ def test_mutated_problem_files_keep_the_error_contract(capsys, tmp_path):
         pool += workloads.build(name, 401, str(tmp_path))[0].values()
     rng = random.Random(2601)
     path = tmp_path / "mutant.noeth"
-    previous = signal.signal(signal.SIGALRM, _overrun)
-    try:
+    with case_bound():
         for text in FIXED:
             for argv in COMMANDS:
-                assert _check(capsys, path, text, argv) == 2, (argv, text)
+                assert check(capsys, path, text, argv) == 2, (argv, text)
         outcomes = Counter(
-            _check(capsys, path, _mutant(rng, rng.choice(SMALL_TEXTS if i % 3 == 0 else pool), pool),
-                   rng.choice(COMMANDS))
+            check(capsys, path, mutant(rng, rng.choice(SMALL_TEXTS if i % 3 == 0 else pool), pool),
+                  rng.choice(COMMANDS))
             for i in range(CASES)
         )
-    finally:
-        signal.signal(signal.SIGALRM, previous)
     # all three outcomes are exercised
     assert min(outcomes[0], outcomes[1], outcomes[2]) >= 50, outcomes
