@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .errors import NotClosedError, NotPrimaryError, RingMismatchError
-from .polynomial import Polynomial, TermVector, checked_terms, integer_multiple
+from .polynomial import Polynomial, TermVector, checked_terms, integral
 from .ring import Exponent, RingDescriptor, as_center, exp_deg, reading_key, t_part, x_part
 
 OpKey = tuple[int, Exponent]  # (position, alpha over the x-block)
@@ -126,19 +126,19 @@ def alpha_factorial(alpha: Exponent) -> int:
 class Echelon:
     """Reduced row echelon form of a span of rational vectors, kept as integer term dicts.
 
-    Vectors are dicts from column to Fraction, such as DiffOp.terms; columns
-    are ordered by key (reading_key unless given).  Each row is keyed by its
-    pivot, is 0 at every other pivot and has no term before its pivot: the
-    unique RREF of the span, whatever order the vectors arrive in.
+    Vectors are dicts from column to int or Fraction, such as DiffOp.terms;
+    columns are ordered by key (reading_key unless given).  Each row is keyed
+    by its pivot, is 0 at every other pivot and has no term before its pivot:
+    the unique RREF of the span, whatever order the vectors arrive in.
 
     The rows are fraction-free (Bareiss, Math. Comp. 1968): primitive integer
     dicts with a positive pivot entry d, each standing for itself over d,
     which keeps them unique.  A vector is scaled to integers with a running
     scale lam, and its entry c at a pivot is cancelled, with h = gcd(c, d),
     by multiplying it (and lam) by d/h and subtracting c/h times the row.
-    Fractions appear only in reduce()'s result and in operators().  A vector
-    with a coefficient that is not a Fraction, such as a RationalFunction, is
-    refused with RingMismatchError before any row changes.
+    Fractions appear only in reduce()'s result and in operators().  Any
+    other coefficient, such as a RationalFunction, is refused with
+    RingMismatchError before any row changes.
     """
 
     __slots__ = ("key", "rows")
@@ -162,10 +162,7 @@ class Echelon:
 
     def _eliminate(self, terms: Mapping) -> tuple[dict, int]:
         """(lam * terms with every pivot eliminated, lam), integers with lam > 0; the rows stay as they are."""
-        if not all(isinstance(c, Fraction) for c in terms.values()):
-            raise RingMismatchError("operator spans take rational coefficients only")
-        lam = lcm(*[c.denominator for c in terms.values()])
-        out, rows = integer_multiple(terms, lam), self.rows
+        (out, lam), rows = _integer_vector(terms), self.rows
         # A row is 0 at every other pivot, so eliminating one pivot leaves
         # the coefficients at the others as they were.
         for p in [k for k in out if k in rows]:
@@ -203,6 +200,15 @@ class Echelon:
             DiffOp._of(ring, {k: Fraction(rows[p][k], rows[p][p]) for k in sorted(rows[p], key=self.key)}, center)
             for p in self.pivots()
         )
+
+
+def _integer_vector(terms: Mapping) -> tuple[dict, int]:
+    """(lam * terms, lam) over the integers, a new dict: an int vector as it is, Fractions scaled by integral."""
+    if all(type(c) is int for c in terms.values()):
+        return dict(terms), 1
+    if not all(isinstance(c, Fraction) for c in terms.values()):
+        raise RingMismatchError("operator spans take rational coefficients only")
+    return integral(terms)
 
 
 def _cancel(vector: dict, c: int, row: dict, d: int) -> tuple[dict, int]:
@@ -243,6 +249,8 @@ def is_closed(ops) -> bool:
 def closure(ops, echelon: Echelon | None = None, bound: int | None = None) -> tuple[DiffOp, ...]:
     """Smallest sigma-stable span containing rational operators ops, as a canonical basis.
 
+    The operators share one ring and center, else RingMismatchError; each is
+    scaled to integers once, and the queue holds integer term dicts only.
     echelon is an empty Echelon to build the span in, for a caller that
     wants its rows or its column order; the basis comes in that order.
     bound is the multiplicity of the input the operators should be dual to:
@@ -252,19 +260,22 @@ def closure(ops, echelon: Echelon | None = None, bound: int | None = None) -> tu
     ops = [L for L in ops if not L.is_zero()]
     if not ops:
         return ()
-    if any(L.ring != ops[0].ring for L in ops):
+    ring, center = ops[0].ring, ops[0].center
+    if any(L.ring != ring for L in ops):
         raise RingMismatchError("operator rings differ")
+    if any(L.center != center for L in ops):
+        raise RingMismatchError("operator contexts differ")
     span = Echelon() if echelon is None else echelon
-    queue = deque(ops)
+    queue = deque([_integer_vector(L.terms)[0] for L in ops])
     while queue:
-        L = queue.popleft()
-        if span.add(L.terms):
+        terms = queue.popleft()
+        if span.add(terms):
             if bound is not None and len(span) > bound:
                 raise NotPrimaryError(
                     f"the input is not primary at the center: the lowering closure outgrows the multiplicity {bound}"
                 )
-            queue.extend(L.sigma(j) for j in range(L.ring.x_count))
-    return span.operators(ops[0].ring, ops[0].center)
+            queue.extend(lowered for j in range(ring.x_count) if (lowered := _lowered(terms, j)))
+    return span.operators(ring, center)
 
 
 def pivots_first(pivot_keys) -> Callable:

@@ -26,7 +26,7 @@ import heapq
 from bisect import insort
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     InfiniteStaircaseError,
@@ -36,7 +36,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .orderings import AnyOrder, SortKey, as_module_order, is_elimination_for, lead_by_key, monic_by_key
-from .polynomial import Polynomial, add_shifted, integer_multiple
+from .polynomial import Polynomial, add_shifted, integral
 from .ring import (
     Record,
     RingDescriptor,
@@ -54,10 +54,10 @@ def _all_rational(polys) -> bool:
     return all(type(c) is Fraction for g in polys for c in g.terms.values())
 
 
-def _reducer(g: Polynomial, term_key: SortKey, integral: bool) -> tuple:
+def _reducer(g: Polynomial, term_key: SortKey, scaled: bool) -> tuple:
     """(position, lead exponent, lead coefficient, tail terms) of a nonzero g.
 
-    When integral, the entry describes D*g instead, for D the lcm of g's
+    When scaled, the entry describes D*g instead, for D the lcm of g's
     denominators signed like its lead: integer coefficients, a positive lead,
     and the same remainders as g.
     """
@@ -65,9 +65,8 @@ def _reducer(g: Polynomial, term_key: SortKey, integral: bool) -> tuple:
         raise ZeroPolynomialError("zero polynomial has no leading term")
     lead, lc = lead_by_key(g, term_key)
     terms = g.terms
-    if integral:
-        scale = lcm(*[c.denominator for c in terms.values()])
-        terms = integer_multiple(terms, -scale if lc < 0 else scale)
+    if scaled:
+        terms = integral(terms)[0] if lc > 0 else {k: -c for k, c in integral(terms)[0].items()}
         lc = terms[lead]
     return lead[0], lead[1], lc, [kc for kc in terms.items() if kc[0] != lead]
 
@@ -164,14 +163,12 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
             if g.ring is not ring and g.ring != ring:
                 raise RingMismatchError("normal_form operands live over different rings")
         term_key = as_module_order(order).key(ring)
-        integral = _all_rational(elements)
-        reducers = _Reducers(ring, term_key, integral, [_reducer(g, term_key, integral) for g in elements])
+        scaled = _all_rational(elements)
+        reducers = _Reducers(ring, term_key, scaled, [_reducer(g, term_key, scaled) for g in elements])
     p = f.terms
-    integral = reducers.integral and _all_rational((f,))
-    if not integral:
+    if not (reducers.integral and _all_rational((f,))):
         return Polynomial._of(ring, _divide(dict(p), 1, reducers, False)[0])
-    lam = lcm(*[c.denominator for c in p.values()])
-    remainder, lam = _divide(integer_multiple(p, lam), lam, reducers, True)
+    remainder, lam = _divide(*integral(p), reducers, True)
     return Polynomial._of(ring, {k: Fraction(c, lam) for k, c in remainder.items()})
 
 

@@ -24,6 +24,7 @@ from math import gcd, lcm
 from .diffop import (
     DiffOp,
     Echelon,
+    _cancel,
     _lowered,
     apply_all,
     apply_at,
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis, Staircase, _divide, buchberger, corner_monomials, staircase
 from .orderings import AnyOrder, as_module_order
-from .polynomial import Polynomial, add_into
+from .polynomial import Polynomial, add_into, integral
 from .ring import (
     Record,
     TermKey,
@@ -65,7 +66,10 @@ class NoetherianBasis(Record):
     annihilates their ideal, so they span the dual space and the input is
     primary at the origin (Mourrain, JPAA 1997), even if buchberger lost an
     element of G0.  An extra element (a larger ideal) still passes, since
-    the multiplicity is counted on source's staircase.
+    the multiplicity is counted on source's staircase.  Rational operators
+    and generators are checked as integer rows, each scaled by the lcm of its
+    denominators, and a lowering is cancelled at its private keys as Echelon
+    cancels a pivot; posdim's rational functions sum the combination instead.
     """
 
     __slots__ = _fields = ("operators", "multiplicity", "center", "method", "source")
@@ -89,8 +93,11 @@ class NoetherianBasis(Record):
     def validate(self) -> None:
         """Check the certificate above; NotPrimaryError when an operator does not annihilate a generator."""
         ops = self.operators
-        for g in () if self.source is None else self.source.generators:
-            if any(sum(c * L.terms[k] for k, c in g.terms.items() if k in L.terms) for L in ops):
+        gens = () if self.source is None else self.source.generators
+        exact = all(type(c) is Fraction for f in (*ops, *gens) for c in f.terms.values())
+        rows = [integral(L.terms)[0] if exact else L.terms for L in ops]
+        for g in (integral(g.terms)[0] if exact else g.terms for g in gens):
+            if any(sum(c * row[k] for k, c in g.items() if k in row) for row in rows):
                 raise NotPrimaryError(
                     "the input is not primary at the center: an operator does not annihilate the input"
                 )
@@ -100,14 +107,18 @@ class NoetherianBasis(Record):
         if ops and all(any(alpha) for _, alpha in ops[0].terms):
             raise NoethError("the first operator must have a term of order zero")
         owners = Counter(k for L in ops for k in L.terms)
-        private = {next((k for k in L.terms if owners[k] == 1), None): L.terms for L in ops}
+        private = {next((k for k in row if owners[k] == 1), None): row for row in rows}
         if None in private:
             raise NoethError("an operator has no key at which every other operator is 0")
-        for L, j in ((L, j) for L in ops for j in range(L.ring.x_count)):
-            lowered, combination = _lowered(L.terms, j), {}
-            for k, row in ((k, private[k]) for k in lowered if k in private):
-                c = lowered[k] if row[k] == 1 else lowered[k] / row[k]
-                add_into(combination, row.items() if c == 1 else ((key, c * v) for key, v in row.items()))
+        for row, j in ((row, j) for L, row in zip(ops, rows) for j in range(L.ring.x_count)):
+            lowered, combination = _lowered(row, j), {}
+            for k in [k for k in lowered if k in private]:
+                other, d = private[k], private[k][k]
+                if exact:  # cancelled fraction-free, as Echelon eliminates a pivot: nothing may be left
+                    lowered, _ = _cancel(lowered, lowered[k], other, d)
+                else:  # summed, then compared: a new entry needs no gcd, a rational-function subtraction does
+                    c = lowered[k] if d == 1 else lowered[k] / d
+                    add_into(combination, other.items() if c == 1 else ((key, c * v) for key, v in other.items()))
             if combination != lowered:
                 raise NoethError("operator span is not stable under differentiation lowering")
 

@@ -260,9 +260,9 @@ class Polynomial(TermVector):
         if not all(type(c) is Fraction for c in self.terms.values()):
             raise RingMismatchError("substitution needs rational coefficients")
         den = lcm(*[p.denominator for p in point])
-        lam = lcm(*[c.denominator for c in self.terms.values()])
+        ints, lam = integral(self.terms)
         deg = max(self.total_degree(), 0)
-        acc = {key: v * den ** (deg - exp_deg(key[1])) for key, v in integer_multiple(self.terms, lam).items()}
+        acc = {key: v * den ** (deg - exp_deg(key[1])) for key, v in ints.items()}
         for i, p in enumerate(point):
             if not p:
                 continue
@@ -279,9 +279,10 @@ class Polynomial(TermVector):
         return Polynomial._of(self.ring, out)
 
 
-def integer_multiple(terms: dict, scale: int) -> dict:
-    """scale * terms over the integers; scale must be a multiple of every denominator."""
-    return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}
+def integral(terms: Mapping) -> tuple[dict, int]:
+    """(lam * terms over the integers, lam), lam the lcm of the rational coefficients' denominators."""
+    lam = lcm(*[c.denominator for c in terms.values()])
+    return {k: c.numerator * (lam // c.denominator) for k, c in terms.items()}, lam
 
 
 def add_into(acc: dict, items) -> None:

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import importlib.util
 import random
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 from noeth import DiffOp, NoetherianBasis, Polynomial, RationalFunction, RingDescriptor, normal_form
-from noeth.diffop import alpha_factorial
+from noeth.diffop import Echelon, _lowered, alpha_factorial
+from noeth.errors import NoethError, NotPrimaryError
+from noeth.polynomial import add_into
 from noeth.orderings import leading_term
 from noeth.ring import exp_add, exp_deg, exp_divides, exp_sub, reading_key
 
@@ -545,6 +549,91 @@ def one_term_dropped(basis):
             cut = DiffOp(L.ring, {k: c for k, c in L.terms.items() if k != key}, L.center)
             yield NoetherianBasis(ops[:i] + (cut,) + ops[i + 1 :], basis.multiplicity, basis.center, basis.method,
                                   basis.source)
+
+
+def reference_validate(basis) -> None:
+    """NoetherianBasis.validate as it was, over Fractions: the oracle of the integer-row certificate."""
+    ops = basis.operators
+    for g in () if basis.source is None else basis.source.generators:
+        if any(sum(c * L.terms[k] for k, c in g.terms.items() if k in L.terms) for L in ops):
+            raise NotPrimaryError("the input is not primary at the center: an operator does not annihilate the input")
+    if len(ops) != basis.multiplicity:
+        raise NoethError("operator count does not match the multiplicity")
+    if ops and all(any(alpha) for _, alpha in ops[0].terms):
+        raise NoethError("the first operator must have a term of order zero")
+    owners = Counter(k for L in ops for k in L.terms)
+    private = {next((k for k in L.terms if owners[k] == 1), None): L.terms for L in ops}
+    if None in private:
+        raise NoethError("an operator has no key at which every other operator is 0")
+    for L, j in ((L, j) for L in ops for j in range(L.ring.x_count)):
+        lowered, combination = _lowered(L.terms, j), {}
+        for k, row in ((k, private[k]) for k in lowered if k in private):
+            c = lowered[k] if row[k] == 1 else lowered[k] / row[k]
+            add_into(combination, row.items() if c == 1 else ((key, c * v) for key, v in row.items()))
+        if combination != lowered:
+            raise NoethError("operator span is not stable under differentiation lowering")
+
+
+def validate_outcome(check, basis):
+    """None when check(basis) accepts it, else the class and text of the NoethError it raises."""
+    try:
+        check(basis)
+    except NoethError as err:
+        return type(err), str(err)
+    return None
+
+
+def validate_mutants(basis, rng: random.Random):
+    """(kind, copy) pairs for the validate oracle: basis as it is and four mutants of it.
+
+    The mutants have one term dropped, one coefficient tripled at a key that
+    is not its operator's private key (the first key no other operator
+    has), one operator scaled by 2, which keeps a valid basis valid, and a
+    generator appended, x^alpha e_pos for a key (pos, alpha) of an operator,
+    which that operator does not kill.
+    """
+    ops, gens = basis.operators, () if basis.source is None else tuple(basis.source.generators)
+
+    def copy(operators, generators=None):
+        source = basis.source if generators is None else SimpleNamespace(generators=generators)
+        return NoetherianBasis(operators, basis.multiplicity, basis.center, basis.method, source)
+
+    def replaced(i, L):
+        return copy(ops[:i] + (L,) + ops[i + 1 :])
+
+    yield "as it is", basis
+    yield "term dropped", rng.choice(list(one_term_dropped(basis)))
+    owners = Counter(k for L in ops for k in L.terms)
+    private = {next((k for k in L.terms if owners[k] == 1), None) for L in ops}
+    shared = [(i, k) for i, L in enumerate(ops) for k in L.terms if k not in private]
+    if shared:
+        i, k = rng.choice(shared)
+        L = ops[i]
+        yield "coefficient changed", replaced(i, DiffOp(L.ring, {**L.terms, k: 3 * L.terms[k]}, L.center))
+    i = rng.randrange(len(ops))
+    yield "operator doubled", replaced(i, ops[i].scale(2))
+    (pos, alpha), c = rng.choice(list(rng.choice(ops).terms.items()))
+    one = next(iter(gens[0].terms.values())) if gens else c
+    extra = Polynomial.monomial(gens[0].ring if gens else ops[0].ring, alpha, one / one, pos)
+    yield "generator appended", copy(ops, gens + (extra,))
+
+
+def reference_closure(ops, echelon=None, bound=None):
+    """diffop.closure as it was, queueing Fraction operators: the oracle of the integer queue."""
+    ops = [L for L in ops if not L.is_zero()]
+    if not ops:
+        return ()
+    span = Echelon() if echelon is None else echelon
+    queue = deque(ops)
+    while queue:
+        L = queue.popleft()
+        if span.add(L.terms):
+            if bound is not None and len(span) > bound:
+                raise NotPrimaryError(
+                    f"the input is not primary at the center: the lowering closure outgrows the multiplicity {bound}"
+                )
+            queue.extend(L.sigma(j) for j in range(L.ring.x_count))
+    return span.operators(ops[0].ring, ops[0].center)
 
 
 def reference_scaled_monomial_text(c, mono: str, leading: bool) -> str:

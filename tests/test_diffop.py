@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from noeth import (
+    DegLex,
     DiffOp,
     Lex,
     Polynomial,
@@ -18,14 +19,15 @@ from noeth import (
     buchberger,
     closure,
     dual_of_polynomial,
+    ideal_from_conditions,
     is_closed,
     noetherian_positive,
 )
 from noeth.diffop import Echelon, alpha_factorial, canonical_operator_basis, span_equal_operators
-from noeth.errors import NotClosedError, RingMismatchError
+from noeth.errors import NotClosedError, NotPrimaryError, RingMismatchError
 from noeth.linalg import rref
 from noeth.ring import reading_key
-from support import RM2, RX, RXY, RXYZ, fraction_rank, random_fraction, random_polynomial
+from support import RM2, RX, RXY, RXYZ, fraction_rank, random_fraction, random_polynomial, reference_closure
 
 
 def op(terms, ring=RXY, center=None):
@@ -399,6 +401,37 @@ def test_closure_properties_randomized():
         assert is_closed(grown)
         assert span_equal_operators(list(grown) + list(ops), list(grown))
         assert closure(grown) == grown
+
+
+def test_closure_matches_the_fraction_queue_on_big_fractions():
+    # integer vectors in the queue give the operators the Fraction queue gave,
+    # and a bound stops both after the same number of rows
+    rng = random.Random(2907)
+    for _ in range(30):
+        ring = rng.choice([RX, RXY, RXYZ, RM2])
+        ops = [random_operator(rng, ring, max_terms=3, max_deg=3) for _ in range(rng.randint(1, 3))]
+        ops = [L.scale(big_fraction(rng) or 1) for L in ops]
+        ops += combinations(rng, ops, lambda: big_fraction(rng), rng.randint(0, 2))
+        expect = reference_closure(ops)
+        assert closure(ops) == expect
+        mu, key = len(expect), rng.choice([reading_key, lambda k: (sum(k[1]), reading_key(k))])
+        assert closure(ops, Echelon(key=key), mu) == reference_closure(ops, Echelon(key=key), mu)
+        with pytest.raises(NotPrimaryError, match=f"multiplicity {mu - 1}$"):
+            closure(ops, Echelon(key=key), mu - 1)
+
+
+def test_operators_at_different_centers_are_refused():
+    # the span of 1 at the origin and dx at (1, 2) is no dual space: taken at
+    # one center it gave (x^2 - 2x, y), which holds x*y, and dx at (1, 2)
+    # does not annihilate x*y
+    one, dx = DiffOp.identity(RXY, center=(0, 0)), op({(1, 0): 1}, center=(1, 2))
+    with pytest.raises(RingMismatchError, match="^operator contexts differ$"):
+        ideal_from_conditions([one, dx], DegLex())
+    mixed = [op({(1, 0): 1}), op({(0, 1): 1}, center=(1, 2))]
+    for call in (closure, is_closed):
+        with pytest.raises(RingMismatchError, match="^operator contexts differ$"):
+            call(mixed)
+    assert closure([op({(1, 0): 1}, center=(1, 2)), dx])[0].center == (1, 2)
 
 
 def test_canonical_basis_is_presentation_independent():

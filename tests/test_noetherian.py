@@ -33,6 +33,7 @@ from noeth import (
     parse_problem,
     staircase,
 )
+from noeth.diffop import Echelon, closure
 from noeth.errors import (
     InfiniteStaircaseError,
     NoethError,
@@ -53,7 +54,11 @@ from support import (
     random_combination,
     random_origin_primary,
     random_polynomial,
+    reference_closure,
     reference_dual_rows,
+    reference_validate,
+    validate_mutants,
+    validate_outcome,
 )
 
 
@@ -521,6 +526,62 @@ def test_validate_rejects_malformed_bases():
         NoetherianBasis(squares, 4, zero, "forward", buchberger([y**2, x**2 - y], DegLex(), RXY)).validate()
     with pytest.raises(AttributeError):
         basis.multiplicity = 7
+
+
+def test_validate_matches_the_fraction_reference():
+    # the integer-row certificate accepts and refuses what the Fraction one
+    # did, with the same error, on forward, backward and linear bases
+    rng = random.Random(2901)
+    seen = Counter()
+    for gens, order, center in random_primary_cases(rng):
+        for build in ALL_METHODS:
+            for kind, basis in validate_mutants(build(gens, order, gens[0].ring, center), rng):
+                got = validate_outcome(NoetherianBasis.validate, basis)
+                assert got == validate_outcome(reference_validate, basis), kind
+                seen[kind, got if got is None else got[0]] += 1
+    bases = seen["as it is", None]
+    assert bases == 51 and seen["operator doubled", None] == bases
+    assert seen["generator appended", NotPrimaryError] == bases
+    assert seen["term dropped", None] == 0
+    assert seen["coefficient changed", NoethError] > 0
+
+
+def test_closure_matches_the_fraction_queue(monkeypatch):
+    # the corner operators of backward, closed over integer vectors, give
+    # the operators the Fraction queue gave, and both stop at the same bound
+    sets = []
+    real = noeth.noetherian.closure
+
+    def recording(ops, echelon=None, bound=None):
+        sets.append((list(ops), echelon.key, bound))
+        return real(ops, echelon, bound)
+
+    monkeypatch.setattr(noeth.noetherian, "closure", recording)
+    rng = random.Random(2903)
+    for gens, order, center in random_primary_cases(rng):
+        noetherian_backward(buchberger(gens, order, gens[0].ring), center)
+    x, y = xy_vars()
+    refused = [[y**2 - y, x**2 * y**2 - 2 * x * y - x]]  # its corners close on 5 rows, mu is 3
+    for ring in (RXY, RXYZ):
+        xs = [Polynomial.variable(ring, i) for i in range(ring.nvars)]
+        refused.append([g * h for g in random_origin_primary(rng, ring, 8) for h in [xs[0] - 1] + xs[1:]])
+    for gens in refused:
+        with pytest.raises(NotPrimaryError):
+            noetherian_backward(buchberger(gens, DegLex(), gens[0].ring))
+    monkeypatch.undo()
+    stopped = 0
+    for ops, key, mu in sets:
+        for bound in (None, mu):
+            try:
+                expect = reference_closure(ops, Echelon(key=key), bound)
+            except NotPrimaryError as err:
+                stopped += 1
+                with pytest.raises(NotPrimaryError, match=f"^{err}$"):
+                    closure(ops, Echelon(key=key), bound)
+            else:
+                assert closure(ops, Echelon(key=key), bound) == expect
+        assert closure(ops) == reference_closure(ops)
+    assert len(sets) == 20 and stopped == 2
 
 
 def test_validate_asks_the_first_operator_for_an_order_zero_term():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -56,6 +57,9 @@ from support import (
     random_nonzero,
     random_polynomial,
     reference_normal_form,
+    reference_validate,
+    validate_mutants,
+    validate_outcome,
 )
 
 RXYT2 = RingDescriptor(("x", "y", "t"), 2, 1)
@@ -561,6 +565,25 @@ def test_positive_matches_the_round_loop_reference():
         assert [list(L.terms.items()) for L in basis.operators] == [
             list(L.terms.items()) for L in reference
         ]
+
+
+def test_validate_matches_the_fraction_reference_over_rational_functions():
+    # rational-function operators take validate's field loop, and it
+    # accepts and refuses what the old certificate did, with the same error
+    rng = random.Random(2905)
+    cases = [(worked_generators(), Lex()), (worked_generators(RXYZ2), Lex())]
+    cases += [random_sheared_posdim(rng) for _ in range(6)]
+    seen = Counter()
+    for gens, order in cases:
+        basis = noetherian_positive(buchberger(gens, order))
+        assert all(isinstance(c, RationalFunction) for L in basis for c in L.terms.values())
+        for kind, basis in validate_mutants(basis, rng):
+            got = validate_outcome(NoetherianBasis.validate, basis)
+            assert got == validate_outcome(reference_validate, basis), kind
+            seen[kind, got if got is None else got[0]] += 1
+    assert seen["as it is", None] == seen["operator doubled", None] == len(cases)
+    assert seen["generator appended", NotPrimaryError] == len(cases)
+    assert seen["term dropped", None] == 0
 
 
 @pytest.mark.parametrize("ideal", ["x^2 - x*t", "x^2 - x", "x - 1"])
