@@ -34,8 +34,8 @@ from .posdim import _require_posdim_input, member_positive, noetherian_positive
 from .problem import ProblemSpec, parse_polynomial, parse_problem
 from .render import (
     emit_json,
-    operator_json,
-    polynomial_json,
+    operators_fragment,
+    polynomial_fragment,
     render_module_term,
     render_operator,
     render_polynomial,
@@ -129,7 +129,7 @@ def _noether_basis(problem: Problem, method: str, check_all: bool):
 def cmd_gb(problem, args):
     G = problem.basis
     if args.json:
-        return _doc("gb", problem.spec, basis=[polynomial_json(g, G.order) for g in G.elements])
+        return _doc("gb", problem.spec, basis=[polynomial_fragment(g, G.order) for g in G.elements])
     return [render_polynomial(g, G.order) for g in G.elements]
 
 
@@ -138,7 +138,7 @@ def cmd_nf(problem, args):
     G = problem.basis
     result = normal_form(f, G)
     if args.json:
-        return _doc("nf", problem.spec, result=polynomial_json(result, G.order))
+        return _doc("nf", problem.spec, result=polynomial_fragment(result, G.order))
     return [render_polynomial(result, G.order)]
 
 
@@ -169,7 +169,7 @@ def _operators_output(command, spec, args, basis, **fields):
     if not args.json:
         return [render_operator(L, order) for L in basis.operators]
     center = [str(c) for c in basis.center]
-    operators = [operator_json(L, order) for L in basis.operators]
+    operators = operators_fragment(basis.operators, order)
     return _doc(command, spec, **fields, multiplicity=basis.multiplicity, center=center, operators=operators)
 
 
@@ -303,7 +303,6 @@ def main(argv=None) -> int:
         return 1
     if args.json:
         print(emit_json(output))
-    else:
-        for line in output:
-            print(line)
+    elif output:
+        sys.stdout.write("\n".join(output) + "\n")
     return 0

@@ -19,7 +19,7 @@ from .diffop import alpha_factorial
 from .noetherian import NoetherianBasis
 from .polynomial import Polynomial
 from .ratfun import RationalFunction
-from .render import _signed_sum, render_polynomial
+from .render import _join_terms, _monomial_text, coeff_string, render_polynomial
 from .ring import Exponent, Record, RingDescriptor, reading_key
 
 
@@ -93,7 +93,8 @@ def build_solution(ring: RingDescriptor, parts) -> SolutionFamily:
 
 def _reading_text(items, names) -> str:
     """(exponent, coefficient) items as one signed sum in the graded reading order."""
-    return _signed_sum(sorted(items, key=lambda item: reading_key((1, item[0]))), names)
+    items = sorted(items, key=lambda item: reading_key((1, item[0])))
+    return _join_terms([(coeff_string(c), _monomial_text(names, exp)) for exp, c in items])
 
 
 def _position_items(ring: RingDescriptor, summand: SolutionSummand, position: int) -> list:

@@ -6,12 +6,20 @@ on alpha therefore appears as c/alpha! in front of `d<name>` factors.
 Polynomials print with `^` powers and juxtaposed factors, re-parseable by the
 problem-file grammar.  JSON output uses string rationals "num/den" and integer
 exponent arrays with a fixed key order.
+
+What the operators of one ring and order share in their output (the term
+order, each derivative key's rank, d-monomial text and alpha!) is computed
+once and kept in an _OperatorTerms; text, operator_json and the JSON fragment
+of an operator list all read their terms from its ordered().
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .diffop import DiffOp, alpha_factorial
 from .orderings import AnyOrder, as_module_order, sorted_terms_desc
@@ -30,22 +38,35 @@ def _monomial_text(names, exp: Exponent) -> str:
     return " ".join(parts)
 
 
-def _signed_sum(items, names) -> str:
-    """(exponent, coefficient) items, in output order, as a signed sum of scaled monomials; 0 if none."""
-    pieces = []
-    for idx, (exp, c) in enumerate(items):
-        pieces.append(_scaled_monomial_text(c, _monomial_text(names, exp), leading=(idx == 0)))
-    return "".join(pieces) or "0"
+def _join_terms(terms) -> str:
+    """(coefficient text, monomial text) pairs, in output order, as one signed sum; 0 if none.
+
+    The one sign-and-magnitude rule of every sum written: the first term
+    keeps its minus, later ones join with " + " or " - ", and a magnitude of
+    1 before a monomial is dropped.
+    """
+    out = []
+    for text, mono in terms:
+        if text[0] == "-":
+            out.append(" - ")
+            text = text[1:]
+        else:
+            out.append(" + ")
+        out.append((mono if text == "1" else f"{text} {mono}") if mono else text)
+    if not out:
+        return "0"
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
-def _by_position(ring: RingDescriptor, items, names, brackets: str) -> str:
-    """((pos, exponent), coefficient) items as a signed sum; at rank > 1, one sum per position in brackets."""
-    if ring.rank == 1:
-        return _signed_sum([(exp, c) for (_, exp), c in items], names)
-    sums = [
-        _signed_sum([(exp, c) for (p, exp), c in items if p == pos], names)
-        for pos in range(1, ring.rank + 1)
-    ]
+def _by_position(rank: int, terms: list, positions: list, brackets: str) -> str:
+    """(coefficient text, monomial text) terms as a signed sum; at rank > 1, one per position in brackets.
+
+    positions holds each term's position.
+    """
+    if rank == 1:
+        return _join_terms(terms)
+    sums = [_join_terms([t for t, p in zip(terms, positions) if p == pos]) for pos in range(1, rank + 1)]
     return brackets[0] + ", ".join(sums) + brackets[1]
 
 
@@ -58,31 +79,30 @@ def _polynomial_items(f: Polynomial, order: AnyOrder | None) -> list:
 
 def render_polynomial(f: Polynomial, order: AnyOrder | None = None) -> str:
     """Polynomial text; vectors over a rank > 1 ring render as [f1, ..., fs]."""
-    return _by_position(f.ring, _polynomial_items(f, order), f.ring.names, "[]")
-
-
-def _scaled_monomial_text(c, mono: str, leading: bool) -> str:
-    """One rendered term, including its sign/joiner prefix; a magnitude of 1 before a monomial is dropped."""
-    text = coeff_string(c)
-    neg = text[0] == "-"
-    mag = text[1:] if neg else text
-    body = (mono if mag == "1" else f"{mag} {mono}") if mono else mag
-    if leading:
-        return f"-{body}" if neg else body
-    return f" - {body}" if neg else f" + {body}"
+    names = f.ring.names
+    items = _polynomial_items(f, order)
+    terms = [(coeff_string(c), _monomial_text(names, exp)) for (_, exp), c in items]
+    return _by_position(f.ring.rank, terms, [pos for (pos, _), _ in items], "[]")
 
 
 def coeff_string(c) -> str:
-    """The text of every coefficient: a rational as str writes it, a rational function as num or num/den.
+    """The text of every coefficient: a rational as num or num/den, a rational function likewise from its parts.
 
     Each part of a rational function is its polynomial's text, in
     parentheses unless it is a single term.
     """
+    if isinstance(c, Fraction):
+        return _ratio_text(c.numerator, c.denominator)
     if not isinstance(c, RationalFunction):
         return str(c)
     if c.is_polynomial():
         return _parenthesized(c.num)
     return f"{_parenthesized(c.num)}/{_parenthesized(c.den)}"
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """The text of the rational num/den, in lowest terms with den > 0, as str(Fraction) writes it."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _parenthesized(f: Polynomial) -> str:
@@ -99,26 +119,102 @@ def render_module_term(ring: RingDescriptor, key) -> str:
     return f"e{pos}" if mono == "1" else f"{mono}*e{pos}"
 
 
-def _operator_keys(ring: RingDescriptor, keys, order: AnyOrder | None) -> list:
-    """Derivative keys sorted descending (under order when given)."""
-    keys = list(keys)
+# -- operators ---------------------------------------------------------------------
+
+
+class _OperatorTerms:
+    """What every operator over one ring and order shares in its output, each part computed once.
+
+    Per derivative key (pos, alpha): its rank in the output order (descending
+    under the order when given, else in reading order), the text of its
+    d-monomial and alpha!.  Per JSON newline: each key's term text up to its
+    coefficient.
+    """
+
+    __slots__ = ("ring", "names", "rank", "entries", "heads")
+
+    def __init__(self, ring: RingDescriptor, order: AnyOrder | None):
+        self.ring = ring
+        self.names = ["d" + name for name in ring.x_names]
+        self.rank = _rank_key(ring, order)
+        self.entries = {}  # (pos, alpha) -> (rank, d-monomial text, alpha!)
+        self.heads = {}  # newline -> {(pos, alpha): JSON text of the term before its coefficient}
+
+    def _entry(self, key) -> tuple:
+        entry = self.entries[key] = (self.rank(key), _monomial_text(self.names, key[1]), alpha_factorial(key[1]))
+        return entry
+
+    def ordered(self, terms) -> list:
+        """The one term order of an operator's text and JSON: (entry, key, coefficient) rows, first term first."""
+        entries = self.entries
+        rows = [(entries.get(key) or self._entry(key), key, c) for key, c in terms.items()]
+        if len(rows) > 1:
+            rows.sort(key=_rank_of_row, reverse=True)
+        return rows
+
+    def text(self, L: DiffOp) -> str:
+        terms, positions = [], []
+        for (_, mono, fact), (pos, _), c in self.ordered(L.terms):
+            if isinstance(c, Fraction):
+                num, den = c.numerator, c.denominator
+                if fact != 1:
+                    g = gcd(num, fact)
+                    num, den = num // g, den * (fact // g)
+                text = _ratio_text(num, den)
+            else:
+                text = coeff_string(c if fact == 1 else c * Fraction(1, fact))
+            terms.append((text, mono))
+            positions.append(pos)
+        return _by_position(self.ring.rank, terms, positions, "()")
+
+    def json(self, L: DiffOp, newline: str) -> str:
+        """operator_json(L)'s text at newline."""
+        heads = self.heads.get(newline)
+        if heads is None:
+            heads = self.heads[newline] = {}
+        return _terms_json([(key, c) for _, key, c in self.ordered(L.terms)], "alpha", heads, newline)
+
+
+def _rank_of_row(row):
+    return row[0][0]
+
+
+def _rank_key(ring: RingDescriptor, order: AnyOrder | None) -> Callable:
+    """The sort key of derivative keys (pos, alpha): larger comes first."""
     if order is None:
-        keys.sort(key=reading_key, reverse=True)
-        return keys
-    pad = (0,) * ring.t_count
+        return reading_key
     term_key = as_module_order(order).key(ring)
-    keys.sort(key=lambda k: term_key((k[0], k[1] + pad)), reverse=True)
-    return keys
+    if not ring.t_count:
+        return term_key
+    pad = (0,) * ring.t_count
+    return lambda k: term_key((k[0], k[1] + pad))
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_operator_terms(ring: RingDescriptor, order: AnyOrder | None) -> _OperatorTerms:
+    """The one _OperatorTerms of a ring and order; what it keeps depends on nothing else."""
+    return _OperatorTerms(ring, order)
+
+
+_LAST = [(None, None, None)]  # the ring and order of the last lookup, by identity, and their _OperatorTerms
+
+
+def _operator_terms(ring: RingDescriptor, order: AnyOrder | None) -> _OperatorTerms:
+    """_shared_operator_terms(ring, order), found without hashing when it was the last one asked for.
+
+    The operators of one basis share their ring and order objects, so
+    writing them hashes and compares those values once, not per operator.
+    """
+    last_ring, last_order, terms = _LAST[0]
+    if ring is not last_ring or order is not last_order:
+        terms = _shared_operator_terms(ring, order)
+        _LAST[0] = (ring, order, terms)
+    return terms
 
 
 def render_operator(L: DiffOp, order: AnyOrder | None = None) -> str:
     """Operator text; module operators render as (L1, ..., Ls)."""
-    ring = L.ring
-    items = [
-        (key, L.terms[key] * Fraction(1, alpha_factorial(key[1])))
-        for key in _operator_keys(ring, L.terms, order)
-    ]
-    return _by_position(ring, items, ["d" + name for name in ring.x_names], "()")
+    return _operator_terms(L.ring, order).text(L)
 
 
 # -- JSON ------------------------------------------------------------------------
@@ -134,11 +230,10 @@ def polynomial_json(f: Polynomial, order: AnyOrder | None = None) -> dict:
 
 
 def operator_json(L: DiffOp, order: AnyOrder | None = None) -> dict:
-    keys = _operator_keys(L.ring, L.terms, order)
     return {
         "terms": [
-            {"pos": pos, "alpha": list(alpha), "coeff": coeff_string(L.terms[(pos, alpha)])}
-            for pos, alpha in keys
+            {"pos": pos, "alpha": list(alpha), "coeff": coeff_string(c)}
+            for _, (pos, alpha), c in _operator_terms(L.ring, order).ordered(L.terms)
         ]
     }
 
@@ -152,10 +247,66 @@ def ring_json(ring: RingDescriptor) -> dict:
     }
 
 
+class JsonFragment:
+    """A value in an emit_json document that writes its own JSON text.
+
+    write(newline) returns the text json.dumps(value, indent=2) would give
+    the value it stands for at that place, newline being the line break and
+    indent before the value's closing bracket.  emit_json calls it when it
+    reaches the value, so the writing is part of emitting the document.
+    """
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[[str], str]):
+        self.write = write
+
+
+def polynomial_fragment(f: Polynomial, order: AnyOrder | None = None) -> JsonFragment:
+    """polynomial_json(f, order) as a JsonFragment."""
+    return JsonFragment(lambda newline: _terms_json(_polynomial_items(f, order), "exp", {}, newline))
+
+
+def operators_fragment(operators: Sequence[DiffOp], order: AnyOrder | None = None) -> JsonFragment:
+    """The list of operator_json(L, order) for each L in operators, as a JsonFragment."""
+
+    def write(newline: str) -> str:
+        if not operators:
+            return "[]"
+        inner = newline + "  "
+        texts = [_operator_terms(L.ring, order).json(L, inner) for L in operators]
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+    return JsonFragment(write)
+
+
+def _terms_json(items, field: str, heads: dict, newline: str) -> str:
+    """The JSON text of {"terms": [{"pos", field, "coeff"}, ...]} for ((pos, exponent), coefficient) items.
+
+    heads caches, per key, a term's text before its coefficient at this newline.
+    """
+    n1 = newline + "  "
+    if not items:
+        return "{" + n1 + '"terms": []' + newline + "}"
+    n2 = n1 + "  "
+    close = n2 + "}"
+    texts = []
+    for key, c in items:
+        head = heads.get(key)
+        if head is None:
+            n3 = n2 + "  "
+            head = heads[key] = (
+                "{" + n3 + f'"pos": {key[0]},' + n3 + f'"{field}": ' + _json_text(list(key[1]), n3) + "," + n3 + '"coeff": '
+            )
+        texts.append(head + encode_basestring_ascii(coeff_string(c)) + close)
+    return "{" + n1 + '"terms": [' + n2 + ("," + n2).join(texts) + n1 + "]" + newline + "}"
+
+
 def emit_json(doc: dict) -> str:
     """doc as JSON text, byte-identical to json.dumps(doc, indent=2).
 
-    Documents hold only dicts with str keys, lists, str, int and bool; any
+    Documents hold only dicts with str keys, lists, str, int, bool and
+    JsonFragment values, a fragment standing for the value it writes; any
     other type raises TypeError.  With an indent, json.dumps takes its
     pure-Python encoder, which this direct writer outruns.
     """
@@ -184,4 +335,6 @@ def _json_text(value, newline: str) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(encode_basestring_ascii(key) + ": " + _json_text(v, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, JsonFragment):
+        return value.write(newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -21,7 +21,7 @@ from noeth import DiffOp, NoetherianBasis, Polynomial, RationalFunction, RingDes
 from noeth.diffop import Echelon, _lowered, alpha_factorial
 from noeth.errors import NoethError, NotPrimaryError
 from noeth.polynomial import add_into
-from noeth.orderings import leading_term
+from noeth.orderings import as_module_order, leading_term
 from noeth.ring import exp_add, exp_deg, exp_divides, exp_sub, reading_key
 
 RX = RingDescriptor(("x",), 1)
@@ -709,6 +709,59 @@ def reference_operator_text(L, keys) -> str:
         items = [(alpha, L.terms[(p, alpha)] * Fraction(1, alpha_factorial(alpha))) for p, alpha in keys if p == pos]
         sums.append(_reference_sum(items, names))
     return sums[0] if L.ring.rank == 1 else "(" + ", ".join(sums) + ")"
+
+
+# -- render's operator and polynomial writers as they were before a basis's operators were written in one pass:
+# one sort key per operator, Fraction(1, alpha!) per term, and a dict per term for JSON.
+
+
+def reference_operator_keys(ring: RingDescriptor, keys, order=None) -> list:
+    """Derivative keys sorted descending (under order when given, else in reading order)."""
+    keys = list(keys)
+    if order is None:
+        keys.sort(key=reading_key, reverse=True)
+        return keys
+    pad = (0,) * ring.t_count
+    term_key = as_module_order(order).key(ring)
+    keys.sort(key=lambda k: term_key((k[0], k[1] + pad)), reverse=True)
+    return keys
+
+
+def reference_render_operator(L, order=None) -> str:
+    return reference_operator_text(L, reference_operator_keys(L.ring, L.terms, order))
+
+
+def reference_operator_json(L, order=None) -> dict:
+    return {
+        "terms": [
+            {"pos": pos, "alpha": list(alpha), "coeff": reference_coeff_string(L.terms[(pos, alpha)])}
+            for pos, alpha in reference_operator_keys(L.ring, L.terms, order)
+        ]
+    }
+
+
+def _reference_polynomial_items(f, order) -> list:
+    if order is None:
+        return f.sorted_terms()
+    keys = sorted(f.terms, key=as_module_order(order).key(f.ring), reverse=True)
+    return [(k, f.terms[k]) for k in keys]
+
+
+def reference_render_polynomial(f, order=None) -> str:
+    """f's text, one signed sum per position in brackets at rank > 1."""
+    items = _reference_polynomial_items(f, order)
+    sums = [_reference_sum([(exp, c) for (p, exp), c in items if p == pos], f.ring.names)
+            for pos in range(1, f.ring.rank + 1)]
+    return sums[0] if f.ring.rank == 1 else "[" + ", ".join(sums) + "]"
+
+
+def reference_polynomial_json(f, order=None) -> dict:
+    return {
+        "terms": [
+            {"pos": pos, "exp": list(exp), "coeff": reference_coeff_string(c)}
+            for (pos, exp), c in _reference_polynomial_items(f, order)
+        ]
+    }
 
 
 def random_ratfun_operator(rng: random.Random, ring: RingDescriptor) -> DiffOp:

@@ -81,3 +81,27 @@ def test_tracer_sees_the_normal_forms_inside_buchberger(monkeypatch):
     spans = range(len(tracer.names))
     outcomes = {tracer.outcome[i] for i in spans if tracer.names[i] == "groebner.normal_form"}
     assert {"spair-zero", "spair-nonzero"} <= outcomes
+
+
+def test_tracer_sees_rendering_in_text_and_json(monkeypatch, tmp_path, capsys):
+    # The CLI writes a basis's operators in one pass, not one wrapped call per
+    # term; a render span must still hold that writing in both output modes,
+    # or render.render_s reads about 0.
+    from noeth import cli
+    from support import STANDARD
+
+    path = tmp_path / "standard.noeth"
+    path.write_text(STANDARD, encoding="utf-8")
+    tracer = pinned_tracer(monkeypatch)
+    seen = []
+    try:
+        tracer.install()
+        for argv in (["noether", str(path)], ["noether", str(path), "--json"]):
+            start = len(tracer.names)
+            assert cli.main(argv) == 0
+            seen.append(set(tracer.names[start:]))
+    finally:
+        monkeypatch.undo()
+    capsys.readouterr()
+    assert any(name.startswith("render.") for name in seen[0])
+    assert "render.emit_json" in seen[1]

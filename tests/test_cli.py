@@ -504,6 +504,26 @@ def test_no_generators_error(capsys, tmp_path):
     assert "no ideal or module generators" in err
 
 
+def test_text_output_is_one_write_and_no_lines_print_nothing(monkeypatch, standard):
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["noether", standard]) == 0
+    assert writes == ["1\ndx\n1/2 dx^2 + dy\n"]
+    writes.clear()
+    monkeypatch.setitem(noeth.cli.COMMANDS, "mult", lambda problem, args: [])
+    assert main(["mult", standard]) == 0
+    assert writes == []
+
+
 def test_json_output_is_deterministic(capsys, standard, parameter):
     first = run(capsys, "noether", "--json", standard)
     second = run(capsys, "noether", "--json", standard)

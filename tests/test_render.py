@@ -10,28 +10,41 @@ import pytest
 
 from noeth import (
     DegLex,
+    DegRevLex,
     DiffOp,
+    Lex,
+    ModuleOrder,
     Polynomial,
     RationalFunction,
+    ProductOrder,
     RingDescriptor,
     render_module_term,
     render_operator,
     render_polynomial,
 )
+from noeth.orderings import POT, TOP
 from noeth.render import (
-    _operator_keys,
     coeff_string,
     emit_json,
     operator_json,
+    operators_fragment,
+    polynomial_fragment,
     polynomial_json,
     ring_json,
 )
 from support import (
     RM2,
     RXY,
+    random_exponent,
+    random_polynomial,
     random_ratfun_operator,
     reference_coeff_string,
+    reference_operator_json,
+    reference_operator_keys,
     reference_operator_text,
+    reference_polynomial_json,
+    reference_render_operator,
+    reference_render_polynomial,
 )
 
 RXYT2 = RingDescriptor(("x", "y", "t"), 2, 1)
@@ -160,7 +173,7 @@ def test_rational_function_text_matches_the_reference_writer(ring):
     for _ in range(1000):
         L = random_ratfun_operator(rng, ring)
         for order in (None, Lex()):
-            keys = _operator_keys(ring, L.terms, order)
+            keys = reference_operator_keys(ring, L.terms, order)
             assert render_operator(L, order) == reference_operator_text(L, keys)
             assert operator_json(L, order)["terms"] == [
                 {"pos": pos, "alpha": list(alpha), "coeff": reference_coeff_string(L.terms[(pos, alpha)])}
@@ -249,3 +262,103 @@ def test_emit_json_matches_json_dumps_on_random_documents():
 def test_emit_json_refuses_other_types(bad):
     with pytest.raises(TypeError):
         emit_json({"terms": [{"coeff": bad}]})
+
+
+# -- the one-pass writers against the per-term reference writers -----------------------
+
+RTAU = RingDescriptor(("x", "y", "τ"), 2, 1)  # a non-ASCII name, in JSON "names" and in coefficient text
+RTAU2 = RingDescriptor(("x", "y", "τ"), 2, 1, 2)
+WIDE = 2**64
+
+
+def _big_fraction(rng: random.Random) -> Fraction:
+    """A coefficient whose parts may pass 2^64, its numerator often sharing part of a small alpha!."""
+    num = rng.choice([1, 2, 3, 4, 6, 8, 12, 24, 120, WIDE + 1, 3 * WIDE, 720 * WIDE + 5])
+    return Fraction(rng.choice([num, -num]), rng.choice([1, 1, 2, 5, 9, WIDE - 1, 7**40]))
+
+
+def _random_operators(rng: random.Random, ring: RingDescriptor, ratfun: bool) -> list:
+    """Operators of one ring: zero ones, ones with positions left empty, rational-function ones when asked."""
+    ops = []
+    for _ in range(6):
+        if ratfun and rng.random() < 0.5:
+            ops.append(random_ratfun_operator(rng, ring))
+            continue
+        terms = {}
+        for _ in range(rng.randrange(5)):
+            pos = 1 if rng.random() < 0.4 else rng.randint(1, ring.rank)
+            terms[(pos, random_exponent(rng, ring.x_count, 5))] = _big_fraction(rng)
+        ops.append(DiffOp(ring, terms))
+    return ops
+
+
+def _random_polynomials(rng: random.Random, ring: RingDescriptor) -> list:
+    polys = [random_polynomial(rng, ring) for _ in range(3)]
+    polys.append(Polynomial(ring, {(1, random_exponent(rng, ring.nvars, 6)): _big_fraction(rng)}))
+    return polys
+
+
+def _orders(ring: RingDescriptor) -> list:
+    bases = [Lex(), DegLex(), DegRevLex()]
+    if ring.t_count:
+        bases += [ProductOrder(DegLex(), Lex()), ProductOrder(DegRevLex(), DegLex())]
+    if ring.rank > 1:
+        return [None, bases[1]] + [ModuleOrder(b, p) for b in bases for p in (TOP, POT)]
+    return [None] + bases
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [RXY, RM2, RXYT2, RTAU, RTAU2, RXYST, RXYST2],
+    ids=["xy", "xy-rank2", "xyt", "xytau", "xytau-rank2", "xyst", "xyst-rank2"],
+)
+def test_one_pass_writers_match_the_reference_writers(ring):
+    # Text, operator_json and the emitted document of every operator list and
+    # polynomial against the writers that went term by term; an equal ring
+    # that is another object exercises the writers' lookup by identity.
+    rng = random.Random(3001 + len(ring.names) * 10 + ring.rank)
+    twin = RingDescriptor(ring.names, ring.x_count, ring.t_count, ring.rank)
+    for order in _orders(ring):
+        for r in (ring, twin, ring):
+            ops = _random_operators(rng, r, ratfun=bool(r.t_count))
+            assert [render_operator(L, order) for L in ops] == [reference_render_operator(L, order) for L in ops]
+            assert [operator_json(L, order) for L in ops] == [reference_operator_json(L, order) for L in ops]
+            polys = _random_polynomials(rng, r)
+            assert [render_polynomial(f, order) for f in polys] == [
+                reference_render_polynomial(f, order) for f in polys
+            ]
+            doc = {
+                "ring": ring_json(r),
+                "operators": operators_fragment(ops, order),
+                "nested": [{"operators": operators_fragment(ops[:1], order)}, operators_fragment([], order)],
+                "basis": [polynomial_fragment(f, order) for f in polys],
+                "result": polynomial_fragment(polys[0], order),
+            }
+            expected = {
+                "ring": ring_json(r),
+                "operators": [reference_operator_json(L, order) for L in ops],
+                "nested": [{"operators": [reference_operator_json(ops[0], order)]}, []],
+                "basis": [reference_polynomial_json(f, order) for f in polys],
+                "result": reference_polynomial_json(polys[0], order),
+            }
+            assert emit_json(doc) == json.dumps(expected, indent=2)
+
+
+def test_rational_function_coefficient_polynomials_match_the_reference_writers():
+    rng = random.Random(3002)
+    for ring in (RTAU, RTAU2, RXYST2):
+        xring = ring.x_subring()
+        for _ in range(40):
+            f = Polynomial(xring, random_ratfun_operator(rng, ring).terms)
+            for order in (None, Lex()):
+                assert render_polynomial(f, order) == reference_render_polynomial(f, order)
+                doc = {"result": polynomial_fragment(f, order)}
+                assert emit_json(doc) == json.dumps({"result": reference_polynomial_json(f, order)}, indent=2)
+
+
+def test_scaled_coefficient_goldens():
+    # c / alpha! in lowest terms: alpha! cancels partly, fully, or not at all
+    assert render_operator(DiffOp(RXY, {(1, (3, 2)): Fraction(8, 5)})) == "2/15 dx^3 dy^2"
+    assert render_operator(DiffOp(RXY, {(1, (3, 0)): Fraction(-12, 7)})) == "-2/7 dx^3"
+    assert render_operator(DiffOp(RXY, {(1, (2, 0)): Fraction(WIDE + 1, 3)})) == f"{WIDE + 1}/6 dx^2"
+    assert render_operator(DiffOp(RM2, {(2, (1, 1)): Fraction(-1)})) == "(0, -dx dy)"
