@@ -10,14 +10,14 @@ prepared as a reducer (a GroebnerBasis keeps its reducers), a dividend term
 when it enters the dividend, and an S-pair when it is queued.
 
 Where every coefficient is a Fraction, the division runs over the integers,
-fraction-free: a reducer holds an integer multiple of its element, the
-dividend is scaled to integers, and S-polynomials are integer combinations
-of reducers.  Fractions remain at the edges: the input polynomials, the
-remainder terms normal_form returns, and the monic elements of a
-GroebnerBasis.  The division loop itself, _divide, returns its remainder
-as integers over one scale, which the forward walk keeps.
-Rational-function coefficients (positive dimension) are divided as field
-elements throughout.
+fraction-free: a reducer holds an integer multiple of its element and the
+dividend is scaled to integers.  buchberger holds each element as its
+primitive reducer, and its S-polynomials and their remainders lam * NF pass
+to normal_form and back as int Polynomials.  Fractions remain at the edges:
+the input polynomials, the remainders normal_form returns to other callers,
+and the monic elements of a GroebnerBasis.  _divide returns its remainder as
+integers over one scale, which the forward walk keeps.  Rational-function
+coefficients (positive dimension) are divided as field elements throughout.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from .orderings import AnyOrder, SortKey, as_module_order, is_elimination_for, lead_by_key, monic_by_key
+from .orderings import AnyOrder, SortKey, as_module_order, is_elimination_for, lead_by_key
 from .polynomial import Polynomial, add_shifted, integral
 from .ring import (
     Record,
@@ -71,11 +71,25 @@ def _reducer(g: Polynomial, term_key: SortKey, scaled: bool) -> tuple:
     return lead[0], lead[1], lc, [kc for kc in terms.items() if kc[0] != lead]
 
 
+def _element(terms: dict, term_key: SortKey, integral: bool) -> tuple:
+    """buchberger's reducer of nonzero terms: primitive with a positive lead (over a field, monic)."""
+    lead = max(terms, key=term_key)
+    lc = terms[lead]
+    if integral:
+        d = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
+        if d != 1:
+            terms = {k: c // d for k, c in terms.items()}
+    elif lc != (one := lc / lc):
+        inv = one / lc
+        terms = {k: c * inv for k, c in terms.items()}
+    return lead[0], lead[1], terms[lead], [kc for kc in terms.items() if kc[0] != lead]
+
+
 class _Reducers(list):
     """Prepared reducers in stored order, with the ring and sort key that ranked them.
 
     integral is fixed when the container is made: its entries are integer
-    multiples of elements with Fraction coefficients.
+    multiples of elements with Fraction coefficients, with positive leads.
     """
 
     __slots__ = ("ring", "term_key", "integral")
@@ -144,6 +158,8 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
     subtracts c/h times the shifted integer tail.  The remainder terms leave
     as Fraction(c, lam) for the final lam, so the result is the same
     Polynomial with Fraction coefficients as division over the field gives.
+    Against integral _Reducers, buchberger's f with int coefficients only
+    is divided as it stands and the integers lam * NF(f) are returned.
     """
     ring = f.ring
     if isinstance(basis, GroebnerBasis) and (order is None or order == basis.order):
@@ -166,6 +182,8 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
         scaled = _all_rational(elements)
         reducers = _Reducers(ring, term_key, scaled, [_reducer(g, term_key, scaled) for g in elements])
     p = f.terms
+    if reducers.integral and all(type(c) is int for c in p.values()):
+        return Polynomial._of(ring, _divide(dict(p), 1, reducers, True)[0])
     if not (reducers.integral and _all_rational((f,))):
         return Polynomial._of(ring, _divide(dict(p), 1, reducers, False)[0])
     remainder, lam = _divide(*integral(p), reducers, True)
@@ -228,8 +246,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: AnyOrder) -> Polynomial:
     _Reducers container as order, so that no lead is ranked and no tail is
     built again.  Over the integers the result is then the integer
     combination (gc/h) x^u f - (fc/h) x^v g, for leads fc, gc with
-    h = gcd(fc, gc): a positive multiple of the S-polynomial with the same
-    normal form up to that factor.
+    h = gcd(fc, gc), with int coefficients: a positive multiple of the
+    S-polynomial with the same normal form up to that factor.
     """
     if isinstance(order, _Reducers):
         ring, integral = order.ring, order.integral
@@ -254,8 +272,6 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: AnyOrder) -> Polynomial:
     acc: dict[TermKey, object] = {}
     add_shifted(acc, ftail, exp_sub(lcm_exp, fexp), ffactor)
     add_shifted(acc, gtail, exp_sub(lcm_exp, gexp), gfactor)
-    if integral:
-        acc = {k: Fraction(c) for k, c in acc.items()}
     return Polynomial._of(ring, acc)
 
 
@@ -264,9 +280,9 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
 
     Pairs are selected by smallest lcm (normal strategy) from a heap whose
     entries are ranked when the pair is formed; the coprime-lead and chain
-    criteria prune useless reductions.  S-polynomials are formed from the
-    elements' prepared reducers, over the integers when every coefficient
-    is a Fraction.
+    criteria prune useless reductions.  Each element is held only as its
+    reducer, over the integers when every coefficient is a Fraction; the
+    result keeps them as its reducers and builds its elements from them.
     """
     gens = [g for g in gens if g is not None]
     if ring is None:
@@ -278,14 +294,13 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
             raise RingMismatchError("generators live over different rings")
     term_key = as_module_order(order).key(ring)
 
-    integral = _all_rational(gens)
-    basis: list[Polynomial] = []
-    reducers = _Reducers(ring, term_key, integral)
+    scaled = _all_rational(gens)
+    reducers = _Reducers(ring, term_key, scaled)
     for g in gens:
+        g = Polynomial._of(ring, integral(g.terms)[0]) if scaled else g
         r = normal_form(g, reducers) if reducers else g
         if not r.is_zero():
-            basis.append(monic_by_key(r, term_key))
-            reducers.append(_reducer(basis[-1], term_key, integral))
+            reducers.append(_element(r.terms, term_key, scaled))
 
     lts: list[TermKey] = [entry[:2] for entry in reducers]
     pending: list[tuple] = []  # heap of (key of the lcm, i, j, lcm)
@@ -298,7 +313,7 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
                 lk = (a[0], exp_lcm(a[1], b[1]))
                 heapq.heappush(pending, (term_key(lk), k, new, lk))
 
-    for new in range(1, len(basis)):
+    for new in range(1, len(lts)):
         add_pairs(new)
     processed: set[tuple[int, int]] = set()
 
@@ -312,7 +327,7 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
         # chain criterion: a third element divides the lcm and both side
         # pairs were already handled
         skip = False
-        for k in range(len(basis)):
+        for k in range(len(lts)):
             if k in (i, j):
                 continue
             if _divides(lts[k], lk):
@@ -327,13 +342,12 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
         r = normal_form(s, reducers)
         if r.is_zero():
             continue
-        basis.append(monic_by_key(r, term_key))
-        reducers.append(_reducer(basis[-1], term_key, integral))
+        reducers.append(_element(r.terms, term_key, scaled))
         lts.append(reducers[-1][:2])
-        add_pairs(len(basis) - 1)
+        add_pairs(len(lts) - 1)
 
     # minimalize: drop elements whose lead is divisible by another kept lead
-    order_idx = sorted(range(len(basis)), key=lambda idx: term_key(lts[idx]))
+    order_idx = sorted(range(len(lts)), key=lambda idx: term_key(lts[idx]))
     kept: list[int] = []
     for idx in order_idx:
         if not any(_divides(lts[k], lts[idx]) for k in kept):
@@ -342,18 +356,22 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     # interreduce tails against the other kept elements, in kept order; a
     # minimal basis keeps every lead, so only entry i's tail changes, and only
     # when another lead divides one of its terms
-    reduced = [basis[idx] for idx in kept]
-    others = _Reducers(ring, term_key, integral, [reducers[idx] for idx in kept])
+    others = _Reducers(ring, term_key, scaled, [reducers[idx] for idx in kept])
     leads = [lts[idx] for idx in kept]
-    for i in range(len(reduced)):
+    for i in range(len(others)):
         if not any(_divides(lead, key) for key, _ in others[i][3] for lead in leads):
             continue
-        del others[i]
-        reduced[i] = monic_by_key(normal_form(reduced[i], others), term_key)
-        others.insert(i, _reducer(reduced[i], term_key, integral))
+        pos, exp, lc, tail = others.pop(i)
+        g = Polynomial._of(ring, dict([((pos, exp), lc), *tail]))
+        others.insert(i, _element(normal_form(g, others).terms, term_key, scaled))
 
-    ranked = sorted(zip(others, reduced), key=lambda entry: term_key(entry[0][:2]), reverse=True)
-    return GroebnerBasis(ring, order, tuple(g for _, g in ranked), True)
+    others.sort(key=lambda entry: term_key(entry[:2]), reverse=True)
+    elements = [
+        {k: Fraction(c, lc) if scaled else c for k, c in [((pos, exp), lc), *tail]} for pos, exp, lc, tail in others
+    ]
+    G = GroebnerBasis(ring, order, tuple(Polynomial._of(ring, terms) for terms in elements), True)
+    G._set("_reducers", others)
+    return G
 
 
 # Most monomials staircase() lists before it raises ResourceLimitError; a walk

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .diffop import DiffOp, alpha_factorial
@@ -310,6 +309,8 @@ def emit_json(doc: dict) -> str:
     other type raises TypeError.  With an indent, json.dumps takes its
     pure-Python encoder, which this direct writer outruns.
     """
+    global encode_basestring_ascii  # imported with the first JSON output, not at start-up
+    from json.encoder import encode_basestring_ascii
     return _json_text(doc, "\n")
 
 

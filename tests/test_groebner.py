@@ -607,3 +607,69 @@ def test_rational_function_coefficients_keep_the_field_path():
         nf = normal_form(f, Gx)
         assert nf == reference_normal_form(f, Gx.elements, Gx.order)
         assert all(isinstance(c, RationalFunction) for c in nf.terms.values())
+
+
+@pytest.mark.parametrize("ring,order", FRACTION_FREE_CASES)
+def test_buchberger_hands_its_reducers_to_the_basis(ring, order):
+    # The returned basis keeps the integer entries buchberger worked with,
+    # and they must be what preparing its monic elements afresh gives.
+    rng = random.Random(857)
+    term_key = as_module_order(order).key(ring)
+    for _ in range(4):
+        G = buchberger(wide_primary(rng, ring) + [wide_polynomial(rng, ring, 4, 3)], order, ring)
+        assert "_reducers" in G.__dict__  # handed over, not prepared on first use
+        handed = G._reducers
+        assert handed.integral and handed.ring == ring
+        fresh = [_reducer(g, term_key, True) for g in G.elements]
+        assert len(handed) == len(fresh) == len(G.elements)
+        for (pos, exp, lc, tail), (fpos, fexp, flc, ftail) in zip(handed, fresh):
+            assert (pos, exp, lc) == (fpos, fexp, flc)
+            assert type(lc) is int and lc > 0
+            assert dict(tail) == dict(ftail)
+            assert all(type(c) is int for _, c in tail)
+        assert [handed.term_key(entry[:2]) for entry in handed] == [term_key(entry[:2]) for entry in fresh]
+
+
+def test_buchberger_builds_fractions_only_for_the_returned_basis(monkeypatch):
+    # Generators, S-polynomials, remainders and reducers stay integers; the
+    # only Fractions made are the coefficients of the returned elements.
+    rng = random.Random(859)
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    for ring, order in FRACTION_FREE_CASES:
+        for _ in range(3):
+            gens = wide_primary(rng, ring)
+            made.clear()
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+            try:
+                G = buchberger(gens, order, ring)
+            finally:
+                monkeypatch.undo()
+            assert all(type(c) is Fraction for g in G.elements for c in g.terms.values())
+            assert 0 < len(made) <= sum(len(g.terms) for g in G.elements)
+            assert G == buchberger(gens, order, ring)
+
+
+def test_buchberger_over_rational_functions_keeps_monic_reducers():
+    # Rational-function coefficients take the field path: each entry is made
+    # monic, and the basis keeps those entries as its reducers.
+    x, y, t = variables(RXYT)
+    Gx = extend_to_rational_coeffs(buchberger([x**2, y**2, x * t - y, x * y * t + y**2], Lex(), RXYT))
+    c = next(v for g in Gx.elements for v in g.terms.values() if v != v / v)
+    gens = [g.scale(c) for g in Gx.elements]
+    G = buchberger(gens, Gx.order, Gx.ring)
+    assert "_reducers" in G.__dict__ and not G._reducers.integral
+    assert set(G.elements) == reference_buchberger(gens, Gx.order)
+    term_key = as_module_order(G.order).key(G.ring)
+    for (pos, exp, lc, tail), g in zip(G._reducers, G.elements):
+        assert lc == lc / lc and isinstance(lc, RationalFunction)
+        fpos, fexp, flc, ftail = _reducer(g, term_key, False)
+        assert (pos, exp, lc, dict(tail)) == (fpos, fexp, flc, dict(ftail))
+    xx, yy = variables(G.ring)
+    for f in (xx * yy, yy * yy + xx, (xx + yy).scale(c)):
+        assert normal_form(f, G) == reference_normal_form(f, G.elements, G.order)

@@ -95,5 +95,14 @@ def test_start_up_loads_no_dataclasses_importlib_inspect_or_typing():
     assert {"dataclasses", "importlib", "inspect", "typing"} & set(loaded) == set()
 
 
+def test_start_up_loads_no_json_module():
+    # render imports json.encoder with the first JSON output, since json's
+    # package import also loads its decoder and scanner
+    loaded = _loaded_by("import noeth.cli")
+    assert [name for name in loaded if name == "json" or name.startswith("json.")] == []
+    after_json = _loaded_by("import noeth.cli; from noeth.render import emit_json; emit_json({'a': ['b']})")
+    assert "json.encoder" in after_json
+
+
 def test_importing_the_package_loads_no_submodule():
     assert [name for name in _loaded_by("import noeth") if name.startswith("noeth.")] == []
