@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .errors import NotClosedError, NotPrimaryError, RingMismatchError
-from .polynomial import Polynomial, TermVector, checked_terms, integral
+from .polynomial import Polynomial, TermVector, checked_terms, integral, primitive
 from .ring import Exponent, RingDescriptor, as_center, exp_deg, reading_key, t_part, x_part
 
 OpKey = tuple[int, Exponent]  # (position, alpha over the x-block)
@@ -131,14 +131,15 @@ class Echelon:
     by its pivot, is 0 at every other pivot and has no term before its pivot:
     the unique RREF of the span, whatever order the vectors arrive in.
 
-    The rows are fraction-free (Bareiss, Math. Comp. 1968): primitive integer
-    dicts with a positive pivot entry d, each standing for itself over d,
-    which keeps them unique.  A vector is scaled to integers with a running
-    scale lam, and its entry c at a pivot is cancelled, with h = gcd(c, d),
-    by multiplying it (and lam) by d/h and subtracting c/h times the row.
-    Fractions appear only in reduce()'s result and in operators().  Any
-    other coefficient, such as a RationalFunction, is refused with
-    RingMismatchError before any row changes.
+    The rows are fraction-free (Bareiss, Math. Comp. 1968): integer dicts,
+    each standing for itself over its pivot entry d and kept unique by
+    noeth.polynomial.primitive (primitive, with d > 0).  A vector is scaled
+    to integers with a running scale lam, and its entry c at a pivot is
+    cancelled, with h = gcd(c, d), by multiplying it (and lam) by d/h and
+    subtracting c/h times the row.  Fractions appear only in reduce()'s
+    result and in operators().  Any other coefficient, such as a
+    RationalFunction, is refused with RingMismatchError before any row
+    changes.
     """
 
     __slots__ = ("key", "rows")
@@ -183,13 +184,13 @@ class Echelon:
             return False
         rows = self.rows
         p = min(row, key=self.key)
-        row = _normalized(row, row[p])
+        row = primitive(row, p)
         d = row[p]
         for q, other in rows.items():
             c = other.get(p)
             if c:
                 other, _ = _cancel(other, c, row, d)
-                rows[q] = _normalized(other, other[q])
+                rows[q] = primitive(other, q)
         rows[p] = row
         return True
 
@@ -228,12 +229,6 @@ def _cancel(vector: dict, c: int, row: dict, d: int) -> tuple[dict, int]:
         else:
             vector.pop(k, None)
     return vector, m
-
-
-def _normalized(row: dict, lead: int) -> dict:
-    """row scaled to its unique form: primitive, with a positive lead."""
-    g = gcd(*row.values()) if lead > 0 else -gcd(*row.values())
-    return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
 def span_equal_operators(a, b) -> bool:

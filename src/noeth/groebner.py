@@ -10,14 +10,17 @@ prepared as a reducer (a GroebnerBasis keeps its reducers), a dividend term
 when it enters the dividend, and an S-pair when it is queued.
 
 Where every coefficient is a Fraction, the division runs over the integers,
-fraction-free: a reducer holds an integer multiple of its element and the
-dividend is scaled to integers.  buchberger holds each element as its
-primitive reducer, and its S-polynomials and their remainders lam * NF pass
-to normal_form and back as int Polynomials.  Fractions remain at the edges:
-the input polynomials, the remainders normal_form returns to other callers,
-and the monic elements of a GroebnerBasis.  _divide returns its remainder as
-integers over one scale, which the forward walk keeps.  Rational-function
-coefficients (positive dimension) are divided as field elements throughout.
+fraction-free: a reducer holds its element scaled to integers, primitive
+with a positive lead (noeth.polynomial.primitive), and the dividend is
+scaled to integers; over a field a reducer is monic.  _Reducers.entry makes
+every reducer, for a GroebnerBasis, a plain sequence and buchberger alike.
+buchberger holds each element only as its reducer, and its S-polynomials
+and their remainders lam * NF pass to normal_form and back as int
+Polynomials.  Fractions remain at the edges: the input polynomials, the
+remainders normal_form returns to other callers, and the monic elements of
+a GroebnerBasis.  _divide returns its remainder as integers over one scale,
+which the forward walk keeps.  Rational-function coefficients (positive
+dimension) are divided as field elements throughout.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from .orderings import AnyOrder, SortKey, as_module_order, is_elimination_for, lead_by_key
-from .polynomial import Polynomial, add_shifted, integral
+from .orderings import AnyOrder, SortKey, as_module_order, is_elimination_for
+from .polynomial import Polynomial, add_shifted, integral, primitive
 from .ring import (
     Record,
     RingDescriptor,
@@ -50,55 +53,40 @@ from .ring import (
 )
 
 
-def _all_rational(polys) -> bool:
-    return all(type(c) is Fraction for g in polys for c in g.terms.values())
-
-
-def _reducer(g: Polynomial, term_key: SortKey, scaled: bool) -> tuple:
-    """(position, lead exponent, lead coefficient, tail terms) of a nonzero g.
-
-    When scaled, the entry describes D*g instead, for D the lcm of g's
-    denominators signed like its lead: integer coefficients, a positive lead,
-    and the same remainders as g.
-    """
-    if g.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no leading term")
-    lead, lc = lead_by_key(g, term_key)
-    terms = g.terms
-    if scaled:
-        terms = integral(terms)[0] if lc > 0 else {k: -c for k, c in integral(terms)[0].items()}
-        lc = terms[lead]
-    return lead[0], lead[1], lc, [kc for kc in terms.items() if kc[0] != lead]
-
-
-def _element(terms: dict, term_key: SortKey, integral: bool) -> tuple:
-    """buchberger's reducer of nonzero terms: primitive with a positive lead (over a field, monic)."""
-    lead = max(terms, key=term_key)
-    lc = terms[lead]
-    if integral:
-        d = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
-        if d != 1:
-            terms = {k: c // d for k, c in terms.items()}
-    elif lc != (one := lc / lc):
-        inv = one / lc
-        terms = {k: c * inv for k, c in terms.items()}
-    return lead[0], lead[1], terms[lead], [kc for kc in terms.items() if kc[0] != lead]
-
-
 class _Reducers(list):
     """Prepared reducers in stored order, with the ring and sort key that ranked them.
 
-    integral is fixed when the container is made: its entries are integer
-    multiples of elements with Fraction coefficients, with positive leads.
+    An entry is (position, lead exponent, lead coefficient, tail terms), and
+    entry() makes every one.  integral is fixed when the container is made:
+    given, or else true when every coefficient of polys is a Fraction.  The
+    container holds the entries of polys, or the prepared entries given.
+    Integral entries are their elements scaled to integers, primitive with a
+    positive lead; the others are monic.
     """
 
     __slots__ = ("ring", "term_key", "integral")
 
-    def __init__(self, ring: RingDescriptor, term_key: SortKey, integral: bool, entries=()):
-        super().__init__(entries)
+    def __init__(self, ring: RingDescriptor, term_key: SortKey, polys=(), integral: bool | None = None, entries=None):
+        super().__init__()
         self.ring = ring
         self.term_key = term_key
+        if integral is None:
+            integral = all(type(c) is Fraction for g in polys for c in g.terms.values())
         self.integral = integral
+        self.extend([self.entry(g.terms) for g in polys] if entries is None else entries)
+
+    def entry(self, terms: dict) -> tuple:
+        """The entry of nonzero terms: Fractions or, from buchberger, ints when integral; field elements otherwise."""
+        if not terms:
+            raise ZeroPolynomialError("zero polynomial has no leading term")
+        lead = max(terms, key=self.term_key)
+        lc = terms[lead]
+        if self.integral:
+            terms = primitive(terms if type(lc) is int else integral(terms)[0], lead)
+        elif lc != 1:
+            inv = 1 / lc
+            terms = {k: c * inv for k, c in terms.items()}
+        return lead[0], lead[1], terms[lead], [kc for kc in terms.items() if kc[0] != lead]
 
 
 class GroebnerBasis(Record):
@@ -110,9 +98,7 @@ class GroebnerBasis(Record):
 
     @cached_property
     def _reducers(self) -> _Reducers:
-        term_key = as_module_order(self.order).key(self.ring)
-        integral = _all_rational(self.elements)
-        return _Reducers(self.ring, term_key, integral, [_reducer(g, term_key, integral) for g in self.elements])
+        return _Reducers(self.ring, as_module_order(self.order).key(self.ring), self.elements)
 
     @cached_property
     def generators(self) -> tuple[Polynomial, ...]:
@@ -165,7 +151,7 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
     if isinstance(basis, GroebnerBasis) and (order is None or order == basis.order):
         basis = basis._reducers
     if isinstance(basis, _Reducers):
-        reducers, term_key = basis, basis.term_key
+        reducers = basis
         if reducers and ring is not reducers.ring and ring != reducers.ring:
             raise RingMismatchError("normal_form operands live over different rings")
     else:
@@ -178,13 +164,11 @@ def normal_form(f: Polynomial, basis, order: AnyOrder | None = None) -> Polynomi
         for g in elements:
             if g.ring is not ring and g.ring != ring:
                 raise RingMismatchError("normal_form operands live over different rings")
-        term_key = as_module_order(order).key(ring)
-        scaled = _all_rational(elements)
-        reducers = _Reducers(ring, term_key, scaled, [_reducer(g, term_key, scaled) for g in elements])
+        reducers = _Reducers(ring, as_module_order(order).key(ring), elements)
     p = f.terms
     if reducers.integral and all(type(c) is int for c in p.values()):
         return Polynomial._of(ring, _divide(dict(p), 1, reducers, True)[0])
-    if not (reducers.integral and _all_rational((f,))):
+    if not (reducers.integral and all(type(c) is Fraction for c in p.values())):
         return Polynomial._of(ring, _divide(dict(p), 1, reducers, False)[0])
     remainder, lam = _divide(*integral(p), reducers, True)
     return Polynomial._of(ring, {k: Fraction(c, lam) for k, c in remainder.items()})
@@ -254,8 +238,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: AnyOrder) -> Polynomial:
     else:
         ring, integral = f.ring, False
         same_ring = g.ring is ring or g.ring == ring
-        term_key = as_module_order(order).key(ring)
-        f, g = _reducer(f, term_key, False), _reducer(g, term_key, False)
+        f, g = _Reducers(ring, as_module_order(order).key(ring), (f, g), False)
         if f[0] == g[0] and not same_ring:
             raise RingMismatchError("cannot add over different rings")
     fpos, fexp, fc, ftail = f
@@ -266,7 +249,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: AnyOrder) -> Polynomial:
         h = gcd(fc, gc)
         ffactor, gfactor = gc // h, -(fc // h)
     else:
-        ffactor, gfactor = (fc / fc) / fc, -((gc / gc) / gc)
+        ffactor, gfactor = fc, -gc  # field entries are monic: both leads are 1
     lcm_exp = exp_lcm(fexp, gexp)
     # The scaled leading terms are equal at the lcm and cancel exactly.
     acc: dict[TermKey, object] = {}
@@ -294,13 +277,12 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
             raise RingMismatchError("generators live over different rings")
     term_key = as_module_order(order).key(ring)
 
-    scaled = _all_rational(gens)
-    reducers = _Reducers(ring, term_key, scaled)
+    reducers = _Reducers(ring, term_key, gens, entries=())
     for g in gens:
-        g = Polynomial._of(ring, integral(g.terms)[0]) if scaled else g
+        g = Polynomial._of(ring, integral(g.terms)[0]) if reducers.integral else g
         r = normal_form(g, reducers) if reducers else g
         if not r.is_zero():
-            reducers.append(_element(r.terms, term_key, scaled))
+            reducers.append(reducers.entry(r.terms))
 
     lts: list[TermKey] = [entry[:2] for entry in reducers]
     pending: list[tuple] = []  # heap of (key of the lcm, i, j, lcm)
@@ -342,7 +324,7 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
         r = normal_form(s, reducers)
         if r.is_zero():
             continue
-        reducers.append(_element(r.terms, term_key, scaled))
+        reducers.append(reducers.entry(r.terms))
         lts.append(reducers[-1][:2])
         add_pairs(len(lts) - 1)
 
@@ -356,18 +338,19 @@ def buchberger(gens, order: AnyOrder, ring: RingDescriptor | None = None) -> Gro
     # interreduce tails against the other kept elements, in kept order; a
     # minimal basis keeps every lead, so only entry i's tail changes, and only
     # when another lead divides one of its terms
-    others = _Reducers(ring, term_key, scaled, [reducers[idx] for idx in kept])
+    others = _Reducers(ring, term_key, (), reducers.integral, [reducers[idx] for idx in kept])
     leads = [lts[idx] for idx in kept]
     for i in range(len(others)):
         if not any(_divides(lead, key) for key, _ in others[i][3] for lead in leads):
             continue
         pos, exp, lc, tail = others.pop(i)
         g = Polynomial._of(ring, dict([((pos, exp), lc), *tail]))
-        others.insert(i, _element(normal_form(g, others).terms, term_key, scaled))
+        others.insert(i, others.entry(normal_form(g, others).terms))
 
     others.sort(key=lambda entry: term_key(entry[:2]), reverse=True)
     elements = [
-        {k: Fraction(c, lc) if scaled else c for k, c in [((pos, exp), lc), *tail]} for pos, exp, lc, tail in others
+        {k: Fraction(c, lc) if others.integral else c for k, c in [((pos, exp), lc), *tail]}
+        for pos, exp, lc, tail in others
     ]
     G = GroebnerBasis(ring, order, tuple(Polynomial._of(ring, terms) for terms in elements), True)
     G._set("_reducers", others)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import RingMismatchError
 from .ring import (
@@ -283,6 +283,12 @@ def integral(terms: Mapping) -> tuple[dict, int]:
     """(lam * terms over the integers, lam), lam the lcm of the rational coefficients' denominators."""
     lam = lcm(*[c.denominator for c in terms.values()])
     return {k: c.numerator * (lam // c.denominator) for k, c in terms.items()}, lam
+
+
+def primitive(terms: dict, lead) -> dict:
+    """Nonzero integer terms in their unique form up to a rational factor: primitive, positive at the key lead."""
+    g = gcd(*terms.values()) if terms[lead] > 0 else -gcd(*terms.values())
+    return terms if g == 1 else {k: c // g for k, c in terms.items()}
 
 
 def add_into(acc: dict, items) -> None:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from noeth import (
     DegLex,
     DegRevLex,
+    GroebnerBasis,
     Lex,
     ModuleOrder,
     Polynomial,
@@ -25,7 +27,7 @@ from noeth import (
 )
 from noeth import groebner
 from noeth.errors import InfiniteStaircaseError, NotEliminationOrderError, ResourceLimitError, RingMismatchError
-from noeth.groebner import _reducer, s_polynomial
+from noeth.groebner import _Reducers, s_polynomial
 from noeth.orderings import as_module_order, leading_term
 from noeth.posdim import extend_to_rational_coeffs
 from noeth.ratfun import RationalFunction
@@ -556,11 +558,15 @@ def test_fraction_free_division_matches_the_reference(ring, order):
         divisors = [wide_polynomial(rng, ring, 3, 2) for _ in range(3)]
         divisors[0] = -divisors[0].scale(1 / leading_term(divisors[0], order)[1])  # lead -1
         for g in divisors:
-            pos, exp, lc, tail = _reducer(g, term_key, True)
-            assert type(lc) is int and lc > 0
+            # the entry is g scaled to integers: primitive, with a positive lead,
+            # so the factor has the sign of g's lead (-1 for divisors[0])
+            ((pos, exp, lc, tail),) = _Reducers(ring, term_key, [g])
+            assert (pos, exp) == leading_term(g, order)[0]
+            terms = dict([((pos, exp), lc), *tail])
+            assert all(type(c) is int for c in terms.values())
+            assert lc > 0 and gcd(*terms.values()) == 1
             scale = Fraction(lc) / g.terms[pos, exp]
-            assert scale.denominator == 1
-            assert dict(tail) == {k: c * scale for k, c in g.terms.items() if k != (pos, exp)}
+            assert terms == {k: c * scale for k, c in g.terms.items()}
         for _ in range(4):
             f = wide_polynomial(rng, ring, 6, 4)
             nf = normal_form(f, divisors, order)
@@ -607,27 +613,49 @@ def test_rational_function_coefficients_keep_the_field_path():
         nf = normal_form(f, Gx)
         assert nf == reference_normal_form(f, Gx.elements, Gx.order)
         assert all(isinstance(c, RationalFunction) for c in nf.terms.values())
+    # a rational-function dividend against integral reducers divides in the field too
+    B = buchberger([xx**3 - yy.scale(Fraction(2, 5)), (xx * yy).scale(Fraction(3, 7)) + yy**2], Gx.order, Gx.ring)
+    assert B._reducers.integral
+    c = next(v for g in Gx.elements for v in g.terms.values() if v != v / v)
+    for f in ((xx * yy).scale(c) + xx**4, (xx**3 * yy).scale(c) + (yy**3).scale(c * c) + xx):
+        nf = normal_form(f, B)
+        assert nf == reference_normal_form(f, B.elements, B.order)
+        assert not nf.is_zero()
 
 
 @pytest.mark.parametrize("ring,order", FRACTION_FREE_CASES)
-def test_buchberger_hands_its_reducers_to_the_basis(ring, order):
+def test_buchberger_hands_its_reducers_to_the_basis(ring, order, monkeypatch):
     # The returned basis keeps the integer entries buchberger worked with,
-    # and they must be what preparing its monic elements afresh gives.
+    # and they must be what preparing its monic elements afresh gives: as a
+    # new GroebnerBasis, and as normal_form's plain-sequence path.
     rng = random.Random(857)
     term_key = as_module_order(order).key(ring)
+    seen = []
+    divide = groebner._divide
+
+    def recorded(p, lam, reducers, integral):
+        seen.append(reducers)
+        return divide(p, lam, reducers, integral)
+
     for _ in range(4):
         G = buchberger(wide_primary(rng, ring) + [wide_polynomial(rng, ring, 4, 3)], order, ring)
         assert "_reducers" in G.__dict__  # handed over, not prepared on first use
         handed = G._reducers
         assert handed.integral and handed.ring == ring
-        fresh = [_reducer(g, term_key, True) for g in G.elements]
-        assert len(handed) == len(fresh) == len(G.elements)
-        for (pos, exp, lc, tail), (fpos, fexp, flc, ftail) in zip(handed, fresh):
-            assert (pos, exp, lc) == (fpos, fexp, flc)
-            assert type(lc) is int and lc > 0
-            assert dict(tail) == dict(ftail)
-            assert all(type(c) is int for _, c in tail)
-        assert [handed.term_key(entry[:2]) for entry in handed] == [term_key(entry[:2]) for entry in fresh]
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_divide", recorded)
+            normal_form(wide_polynomial(rng, ring, 4, 3), list(G.elements), order)
+        (plain,) = seen
+        for fresh in (GroebnerBasis(ring, order, G.elements)._reducers, plain):
+            assert fresh is not handed and fresh.integral
+            assert len(handed) == len(fresh) == len(G.elements)
+            for (pos, exp, lc, tail), (fpos, fexp, flc, ftail) in zip(handed, fresh):
+                assert (pos, exp, lc) == (fpos, fexp, flc)
+                assert type(lc) is int and lc > 0
+                assert dict(tail) == dict(ftail)
+                assert all(type(c) is int for _, c in tail)
+            assert [handed.term_key(entry[:2]) for entry in handed] == [term_key(entry[:2]) for entry in fresh]
 
 
 def test_buchberger_builds_fractions_only_for_the_returned_basis(monkeypatch):
@@ -665,10 +693,10 @@ def test_buchberger_over_rational_functions_keeps_monic_reducers():
     G = buchberger(gens, Gx.order, Gx.ring)
     assert "_reducers" in G.__dict__ and not G._reducers.integral
     assert set(G.elements) == reference_buchberger(gens, Gx.order)
-    term_key = as_module_order(G.order).key(G.ring)
-    for (pos, exp, lc, tail), g in zip(G._reducers, G.elements):
+    fresh = GroebnerBasis(G.ring, G.order, G.elements)._reducers
+    assert not fresh.integral and len(fresh) == len(G._reducers)
+    for (pos, exp, lc, tail), (fpos, fexp, flc, ftail) in zip(G._reducers, fresh):
         assert lc == lc / lc and isinstance(lc, RationalFunction)
-        fpos, fexp, flc, ftail = _reducer(g, term_key, False)
         assert (pos, exp, lc, dict(tail)) == (fpos, fexp, flc, dict(ftail))
     xx, yy = variables(G.ring)
     for f in (xx * yy, yy * yy + xx, (xx + yy).scale(c)):
