@@ -34,8 +34,6 @@ from .posdim import _require_posdim_input, member_positive, noetherian_positive
 from .problem import ProblemSpec, parse_polynomial, parse_problem
 from .render import (
     emit_json,
-    operators_fragment,
-    polynomial_fragment,
     render_module_term,
     render_operator,
     render_polynomial,
@@ -101,7 +99,8 @@ def _doc(command: str, spec: ProblemSpec, **fields) -> dict:
     """The JSON document of a command: the command, ring and order, then fields in order.
 
     Each command builds only the output that --json selects: this document,
-    or the lines of text.
+    or the lines of text.  The document holds operators and polynomials
+    themselves; main writes them under the problem's effective order.
     """
     doc = {
         "command": command,
@@ -129,7 +128,7 @@ def _noether_basis(problem: Problem, method: str, check_all: bool):
 def cmd_gb(problem, args):
     G = problem.basis
     if args.json:
-        return _doc("gb", problem.spec, basis=[polynomial_fragment(g, G.order) for g in G.elements])
+        return _doc("gb", problem.spec, basis=list(G.elements))
     return [render_polynomial(g, G.order) for g in G.elements]
 
 
@@ -138,7 +137,7 @@ def cmd_nf(problem, args):
     G = problem.basis
     result = normal_form(f, G)
     if args.json:
-        return _doc("nf", problem.spec, result=polynomial_fragment(result, G.order))
+        return _doc("nf", problem.spec, result=result)
     return [render_polynomial(result, G.order)]
 
 
@@ -165,11 +164,11 @@ def cmd_corners(problem, args):
 
 
 def _operators_output(command, spec, args, basis, **fields):
-    order = spec.effective_order
     if not args.json:
+        order = spec.effective_order
         return [render_operator(L, order) for L in basis.operators]
     center = [str(c) for c in basis.center]
-    operators = operators_fragment(basis.operators, order)
+    operators = list(basis.operators)
     return _doc(command, spec, **fields, multiplicity=basis.multiplicity, center=center, operators=operators)
 
 
@@ -288,7 +287,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        output = COMMANDS[args.command](load_problem(text), args)
+        problem = load_problem(text)
+        output = COMMANDS[args.command](problem, args)
     except ParseError as exc:
         if args.json:
             print(emit_json({"error": str(exc), "line": exc.line, "column": exc.column}))
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(emit_json(output))
+        print(emit_json(output, problem.spec.effective_order))
     elif output:
         sys.stdout.write("\n".join(output) + "\n")
     return 0

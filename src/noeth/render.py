@@ -5,18 +5,20 @@ module tuples `(1/2 dx^2 + dy, -dx)`); the stored divided-power coefficient c
 on alpha therefore appears as c/alpha! in front of `d<name>` factors.
 Polynomials print with `^` powers and juxtaposed factors, re-parseable by the
 problem-file grammar.  JSON output uses string rationals "num/den" and integer
-exponent arrays with a fixed key order.
+exponent arrays with a fixed key order.  A JSON document holds the operators
+and polynomials themselves, and emit_json writes each under the document's
+one order.
 
 What the operators of one ring and order share in their output (the term
 order, each derivative key's rank, d-monomial text and alpha!) is computed
-once and kept in an _OperatorTerms; text, operator_json and the JSON fragment
-of an operator list all read their terms from its ordered().
+once and kept in an _OperatorTerms; text, operator_json and the operators
+emit_json writes all read their terms from its ordered().
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from fractions import Fraction
 from math import gcd
 
@@ -246,39 +248,6 @@ def ring_json(ring: RingDescriptor) -> dict:
     }
 
 
-class JsonFragment:
-    """A value in an emit_json document that writes its own JSON text.
-
-    write(newline) returns the text json.dumps(value, indent=2) would give
-    the value it stands for at that place, newline being the line break and
-    indent before the value's closing bracket.  emit_json calls it when it
-    reaches the value, so the writing is part of emitting the document.
-    """
-
-    __slots__ = ("write",)
-
-    def __init__(self, write: Callable[[str], str]):
-        self.write = write
-
-
-def polynomial_fragment(f: Polynomial, order: AnyOrder | None = None) -> JsonFragment:
-    """polynomial_json(f, order) as a JsonFragment."""
-    return JsonFragment(lambda newline: _terms_json(_polynomial_items(f, order), "exp", {}, newline))
-
-
-def operators_fragment(operators: Sequence[DiffOp], order: AnyOrder | None = None) -> JsonFragment:
-    """The list of operator_json(L, order) for each L in operators, as a JsonFragment."""
-
-    def write(newline: str) -> str:
-        if not operators:
-            return "[]"
-        inner = newline + "  "
-        texts = [_operator_terms(L.ring, order).json(L, inner) for L in operators]
-        return "[" + inner + ("," + inner).join(texts) + newline + "]"
-
-    return JsonFragment(write)
-
-
 def _terms_json(items, field: str, heads: dict, newline: str) -> str:
     """The JSON text of {"terms": [{"pos", field, "coeff"}, ...]} for ((pos, exponent), coefficient) items.
 
@@ -294,48 +263,53 @@ def _terms_json(items, field: str, heads: dict, newline: str) -> str:
         head = heads.get(key)
         if head is None:
             n3 = n2 + "  "
-            head = heads[key] = (
-                "{" + n3 + f'"pos": {key[0]},' + n3 + f'"{field}": ' + _json_text(list(key[1]), n3) + "," + n3 + '"coeff": '
-            )
+            n4 = n3 + "  "
+            exp = "[" + n4 + ("," + n4).join(map(str, key[1])) + n3 + "]" if key[1] else "[]"
+            head = heads[key] = "{" + n3 + f'"pos": {key[0]},' + n3 + f'"{field}": {exp},' + n3 + '"coeff": '
         texts.append(head + encode_basestring_ascii(coeff_string(c)) + close)
     return "{" + n1 + '"terms": [' + n2 + ("," + n2).join(texts) + n1 + "]" + newline + "}"
 
 
-def emit_json(doc: dict) -> str:
-    """doc as JSON text, byte-identical to json.dumps(doc, indent=2).
+def emit_json(doc: dict, order: AnyOrder | None = None) -> str:
+    """doc as JSON text, byte-identical to json.dumps(doc, indent=2) with each DiffOp and Polynomial as its dict.
 
-    Documents hold only dicts with str keys, lists, str, int, bool and
-    JsonFragment values, a fragment standing for the value it writes; any
-    other type raises TypeError.  With an indent, json.dumps takes its
-    pure-Python encoder, which this direct writer outruns.
+    Documents hold dicts with str keys, lists, str, int and bool, and the
+    values the program writes: a DiffOp is written as operator_json(L, order)
+    and a Polynomial as polynomial_json(f, order), so every value of one
+    document is written under one order.  Any other type raises TypeError.
+    With an indent, json.dumps takes its pure-Python encoder, which this
+    direct writer outruns.
     """
     global encode_basestring_ascii  # imported with the first JSON output, not at start-up
     from json.encoder import encode_basestring_ascii
-    return _json_text(doc, "\n")
 
+    def text(value, newline: str) -> str:
+        # value as indented JSON; newline is the line break and indent before its closing bracket
+        kind = type(value)
+        if kind is DiffOp:
+            return _operator_terms(value.ring, order).json(value, newline)
+        if kind is Polynomial:
+            return _terms_json(_polynomial_items(value, order), "exp", {}, newline)
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if isinstance(value, bool):  # before int: bools are ints
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = newline + "  "
+        if isinstance(value, list):
+            if not value:
+                return "[]"
+            return "[" + inner + ("," + inner).join([text(v, inner) for v in value]) + newline + "]"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = []
+            for key, v in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                items.append(encode_basestring_ascii(key) + ": " + text(v, inner))
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-def _json_text(value, newline: str) -> str:
-    """value as indented JSON; newline is the line break and indent before its closing bracket."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):  # before int: bools are ints
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key, v in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _json_text(v, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, JsonFragment):
-        return value.write(newline)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return text(doc, "\n")

@@ -65,6 +65,8 @@ def test_helpers_stay_importable_from_their_modules():
     for gone in ("NormalPositionReport", "check_normal_position", "cleanup_operators"):
         assert not hasattr(noeth.posdim, gone)
     assert not hasattr(noeth.orderings, "is_product_compatible")
+    for gone in ("JsonFragment", "operators_fragment", "polynomial_fragment"):
+        assert gone not in noeth.__all__ and not hasattr(noeth.render, gone)
 
 
 def test_the_four_constructions_share_one_signature():

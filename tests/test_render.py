@@ -27,8 +27,6 @@ from noeth.render import (
     coeff_string,
     emit_json,
     operator_json,
-    operators_fragment,
-    polynomial_fragment,
     polynomial_json,
     ring_json,
 )
@@ -231,8 +229,10 @@ def test_emit_json_is_deterministic():
 _JSON_CHARS = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "∂", " ", "𝔽", "a", "Z", "0", " "]
 
 
-def _random_json_doc(rng: random.Random, depth: int):
-    """A random document of the types emit_json accepts."""
+def _random_json_doc(rng: random.Random, depth: int, values=()):
+    """A random document of the types emit_json accepts, some leaves drawn from values when given."""
+    if values and rng.random() < 0.3:
+        return rng.choice(values)
     kind = rng.randrange(6 if depth else 4)
     if kind == 0:
         return _random_json_string(rng)
@@ -243,8 +243,8 @@ def _random_json_doc(rng: random.Random, depth: int):
     if kind == 3:
         return rng.choice([[], {}])
     if kind == 4:
-        return [_random_json_doc(rng, depth - 1) for _ in range(rng.randrange(4))]
-    return {_random_json_string(rng): _random_json_doc(rng, depth - 1) for _ in range(rng.randrange(4))}
+        return [_random_json_doc(rng, depth - 1, values) for _ in range(rng.randrange(4))]
+    return {_random_json_string(rng): _random_json_doc(rng, depth - 1, values) for _ in range(rng.randrange(4))}
 
 
 def _random_json_string(rng: random.Random) -> str:
@@ -329,10 +329,10 @@ def test_one_pass_writers_match_the_reference_writers(ring):
             ]
             doc = {
                 "ring": ring_json(r),
-                "operators": operators_fragment(ops, order),
-                "nested": [{"operators": operators_fragment(ops[:1], order)}, operators_fragment([], order)],
-                "basis": [polynomial_fragment(f, order) for f in polys],
-                "result": polynomial_fragment(polys[0], order),
+                "operators": ops,
+                "nested": [{"operators": ops[:1]}, []],
+                "basis": polys,
+                "result": polys[0],
             }
             expected = {
                 "ring": ring_json(r),
@@ -341,7 +341,37 @@ def test_one_pass_writers_match_the_reference_writers(ring):
                 "basis": [reference_polynomial_json(f, order) for f in polys],
                 "result": reference_polynomial_json(polys[0], order),
             }
-            assert emit_json(doc) == json.dumps(expected, indent=2)
+            assert emit_json(doc, order) == json.dumps(expected, indent=2)
+
+
+def _reference_values(value, order):
+    """value with each DiffOp and Polynomial in it replaced by its reference JSON dict under order."""
+    if isinstance(value, DiffOp):
+        return reference_operator_json(value, order)
+    if isinstance(value, Polynomial):
+        return reference_polynomial_json(value, order)
+    if isinstance(value, list):
+        return [_reference_values(v, order) for v in value]
+    if isinstance(value, dict):
+        return {key: _reference_values(v, order) for key, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize(
+    "ring", [RXY, RM2, RXYT2, RTAU2, RXYST2], ids=["xy", "xy-rank2", "xyt", "xytau-rank2", "xyst-rank2"]
+)
+def test_emit_json_writes_operators_and_polynomials_in_random_documents(ring):
+    # Operators and polynomials of a ring and of an equal twin object sit at
+    # random depths of one document, so each is written at many indents.
+    rng = random.Random(1602 + len(ring.names) * 10 + ring.rank)
+    twin = RingDescriptor(ring.names, ring.x_count, ring.t_count, ring.rank)
+    for order in _orders(ring):
+        values = []
+        for r in (ring, twin):
+            values += _random_operators(rng, r, ratfun=bool(r.t_count)) + _random_polynomials(rng, r)
+        for _ in range(40):
+            doc = {"doc": _random_json_doc(rng, rng.randrange(5), values)}
+            assert emit_json(doc, order) == json.dumps(_reference_values(doc, order), indent=2)
 
 
 def test_rational_function_coefficient_polynomials_match_the_reference_writers():
@@ -352,8 +382,8 @@ def test_rational_function_coefficient_polynomials_match_the_reference_writers()
             f = Polynomial(xring, random_ratfun_operator(rng, ring).terms)
             for order in (None, Lex()):
                 assert render_polynomial(f, order) == reference_render_polynomial(f, order)
-                doc = {"result": polynomial_fragment(f, order)}
-                assert emit_json(doc) == json.dumps({"result": reference_polynomial_json(f, order)}, indent=2)
+                expected = {"result": reference_polynomial_json(f, order)}
+                assert emit_json({"result": f}, order) == json.dumps(expected, indent=2)
 
 
 def test_scaled_coefficient_goldens():
